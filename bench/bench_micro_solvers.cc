@@ -56,7 +56,10 @@ void BM_TransitionTranspose(benchmark::State& state) {
   std::vector<double> x(g.num_nodes(), 1.0 / g.num_nodes());
   std::vector<double> y(g.num_nodes());
   for (auto _ : state) {
-    op.ApplyTranspose(x, &y);
+    if (!op.ApplyTransposeMulti(x, &y, 1).ok()) {
+      state.SkipWithError("ApplyTransposeMulti failed");
+      break;
+    }
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() *

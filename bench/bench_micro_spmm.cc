@@ -1,30 +1,43 @@
-// Micro-benchmark of the fused SpMM kernel (ApplyTransposeMulti) against
-// the equivalent loop of B independent SpMVs (ApplyTranspose).
+// Micro-benchmark of the fused PMPN path, at two levels.
 //
-// This is the kernel-level half of the batching story: one CSR pass feeds
-// B accumulators, so the graph (indices + weights) streams from memory
-// once per B right-hand sides instead of once per right-hand side. The
-// number to watch is edges/sec *per query*: the per-lane edge-traversal
-// rate, which for the fused kernel should grow with B until the lane
-// block stops fitting in registers/L1 (B raw throughput numbers are also
-// reported). Both sides run serial (no thread pool) so the comparison
-// isolates memory traffic, not scheduling; RTK_ENABLE_NATIVE_ARCH widens
-// the vector units the fixed-width lane loops compile to.
+// Kernel rows: the fused SpMM kernel (ApplyTransposeMulti at width B)
+// against B independent single-vector applies (width 1). One CSR pass
+// feeds B accumulators, so the graph (indices + weights) streams from
+// memory once per B right-hand sides instead of once per right-hand side.
+// The number to watch is edges/sec *per query*: the per-lane
+// edge-traversal rate. The sweep covers every width 1..16 — the widths a
+// 16-lane serving batch passes through as its lanes converge and retire —
+// plus 24 and 32. Both sides run serial (no thread pool) so the comparison
+// isolates memory traffic, not scheduling.
 //
-// Sweeps B in {1, 4, 8, 16, 32} x the standard graph suite. --json <path>
-// writes machine-readable rows; ci.sh's bench-smoke leg asserts the B=8
-// fused rate stays >= 1.5x the solo rate.
+// Solver rows: 16 uniformly drawn query lanes through one
+// ComputeProximityToNodesFused call against the same 16
+// ComputeProximityToNode solves (best of several repetitions each,
+// serial), plus the per-width pass histogram: how many SpMM passes the
+// fused solve ran at each block width as its lanes retired. The bench
+// checks every fused lane equals its single-source solve bitwise.
+//
+// --json <path> writes machine-readable rows; ci.sh's bench-smoke leg
+// gates the B=8 kernel speedup and the solver speedup.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/rng.h"
+#include "rwr/pmpn.h"
+#include "rwr/pmpn_multi.h"
 #include "rwr/transition.h"
 
 namespace rtk::bench {
 namespace {
+
+constexpr uint32_t kSolverLanes = 16;
+constexpr int kSolverReps = 7;
 
 struct SpmmRow {
   std::string graph;
@@ -39,6 +52,28 @@ struct SpmmRow {
   double fused_edges_per_sec_per_query = 0.0;
   double speedup = 1.0;
 };
+
+struct SolverRow {
+  std::string graph;
+  uint32_t lanes = 0;
+  double solo_seconds = 0.0;
+  double fused_seconds = 0.0;
+  double speedup = 1.0;
+  /// Total lane-iterations over all lanes (equal on both sides).
+  long long lane_iterations = 0;
+  /// passes_at_width[w - 1] = fused SpMM passes run at block width w.
+  std::vector<long long> passes_at_width;
+};
+
+void Apply(const TransitionOperator& op, const std::vector<double>& x,
+           std::vector<double>* y, uint32_t block) {
+  const Status status = op.ApplyTransposeMulti(x, y, block);
+  if (!status.ok()) {
+    std::fprintf(stderr, "ApplyTransposeMulti: %s\n",
+                 status.ToString().c_str());
+    std::exit(1);
+  }
+}
 
 // Picks an iteration count that keeps each (graph, B) cell around a fixed
 // edge-traversal budget, so small graphs are timed over many repetitions
@@ -59,8 +94,9 @@ SpmmRow RunCell(const NamedGraph& named, const TransitionOperator& op,
   std::vector<double> x(static_cast<size_t>(n) * block);
   for (double& v : x) v = rng.NextDouble();
 
-  // Solo baseline: B independent SpMVs per iteration, ping-ponged so the
-  // chain is data-dependent and the compiler cannot hoist anything.
+  // Solo baseline: B independent width-1 applies per iteration,
+  // ping-ponged so the chain is data-dependent and the compiler cannot
+  // hoist anything.
   std::vector<std::vector<double>> solo_x(block), solo_y(block);
   for (uint32_t j = 0; j < block; ++j) {
     solo_x[j].resize(n);
@@ -72,7 +108,7 @@ SpmmRow RunCell(const NamedGraph& named, const TransitionOperator& op,
   Stopwatch solo_watch;
   for (int it = 0; it < iters; ++it) {
     for (uint32_t j = 0; j < block; ++j) {
-      op.ApplyTranspose(solo_x[j], &solo_y[j]);
+      Apply(op, solo_x[j], &solo_y[j], 1);
       solo_x[j].swap(solo_y[j]);
     }
   }
@@ -82,7 +118,7 @@ SpmmRow RunCell(const NamedGraph& named, const TransitionOperator& op,
   std::vector<double> y(x.size());
   Stopwatch fused_watch;
   for (int it = 0; it < iters; ++it) {
-    op.ApplyTransposeMulti(x, &y, block);
+    Apply(op, x, &y, block);
     x.swap(y);
   }
   const double fused_seconds = fused_watch.ElapsedSeconds();
@@ -105,7 +141,73 @@ SpmmRow RunCell(const NamedGraph& named, const TransitionOperator& op,
   return row;
 }
 
-void WriteJson(const std::string& path, const std::vector<SpmmRow>& rows) {
+SolverRow RunSolver(const NamedGraph& named, const TransitionOperator& op) {
+  const uint32_t n = named.graph.num_nodes();
+  Rng rng(29);
+  std::vector<PmpnLaneSpec> lanes;
+  for (uint32_t j = 0; j < kSolverLanes; ++j) {
+    lanes.push_back({static_cast<uint32_t>(rng.Uniform(n)), nullptr});
+  }
+
+  SolverRow row;
+  row.graph = named.name;
+  row.lanes = kSolverLanes;
+  row.solo_seconds = row.fused_seconds = 1e300;
+  std::vector<PmpnLaneResult> fused;
+  std::vector<std::vector<double>> solo(kSolverLanes);
+  std::vector<IterativeSolveStats> solo_stats(kSolverLanes);
+  for (int rep = 0; rep < kSolverReps; ++rep) {
+    Stopwatch solo_watch;
+    for (uint32_t j = 0; j < kSolverLanes; ++j) {
+      auto result =
+          ComputeProximityToNode(op, lanes[j].query, {}, &solo_stats[j]);
+      if (!result.ok()) {
+        std::fprintf(stderr, "pmpn: %s\n", result.status().ToString().c_str());
+        std::exit(1);
+      }
+      solo[j] = std::move(*result);
+    }
+    row.solo_seconds = std::min(row.solo_seconds, solo_watch.ElapsedSeconds());
+
+    Stopwatch fused_watch;
+    auto result = ComputeProximityToNodesFused(op, lanes);
+    row.fused_seconds =
+        std::min(row.fused_seconds, fused_watch.ElapsedSeconds());
+    if (!result.ok()) {
+      std::fprintf(stderr, "fused pmpn: %s\n",
+                   result.status().ToString().c_str());
+      std::exit(1);
+    }
+    fused = std::move(*result);
+  }
+  row.speedup = row.solo_seconds / row.fused_seconds;
+
+  // A lane converging at iteration t took part in passes 1..t, so the
+  // block width of pass p is the number of lanes with t >= p.
+  int max_iterations = 0;
+  for (uint32_t j = 0; j < kSolverLanes; ++j) {
+    if (fused[j].row != solo[j] ||
+        fused[j].stats.iterations != solo_stats[j].iterations) {
+      std::fprintf(stderr, "FATAL: fused lane %u differs from its solo solve\n",
+                   j);
+      std::exit(1);
+    }
+    row.lane_iterations += fused[j].stats.iterations;
+    max_iterations = std::max(max_iterations, fused[j].stats.iterations);
+  }
+  row.passes_at_width.assign(kSolverLanes, 0);
+  for (int pass = 1; pass <= max_iterations; ++pass) {
+    uint32_t width = 0;
+    for (const PmpnLaneResult& lane : fused) {
+      if (lane.stats.iterations >= pass) ++width;
+    }
+    ++row.passes_at_width[width - 1];
+  }
+  return row;
+}
+
+void WriteJson(const std::string& path, const std::vector<SpmmRow>& rows,
+               const std::vector<SolverRow>& solver_rows) {
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").String("micro_spmm");
@@ -127,6 +229,21 @@ void WriteJson(const std::string& path, const std::vector<SpmmRow>& rows) {
     json.EndObject();
   }
   json.EndArray();
+  json.Key("solver_rows").BeginArray();
+  for (const SolverRow& row : solver_rows) {
+    json.BeginObject();
+    json.Key("graph").String(row.graph);
+    json.Key("lanes").Int(row.lanes);
+    json.Key("solo_seconds").Double(row.solo_seconds);
+    json.Key("fused_seconds").Double(row.fused_seconds);
+    json.Key("speedup").Double(row.speedup);
+    json.Key("lane_iterations").Int(row.lane_iterations);
+    json.Key("passes_at_width").BeginArray();
+    for (long long passes : row.passes_at_width) json.Int(passes);
+    json.EndArray();
+    json.EndObject();
+  }
+  json.EndArray();
   json.EndObject();
   if (!json.WriteTo(path)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
@@ -141,11 +258,17 @@ void WriteJson(const std::string& path, const std::vector<SpmmRow>& rows) {
 int main(int argc, char** argv) {
   using namespace rtk::bench;
   PrintHeader(
-      "Fused SpMM kernel: ApplyTransposeMulti vs B independent SpMVs",
+      "Fused PMPN: SpMM kernel at every width, and the 16-lane solver",
       "edges/sec per query = per-lane edge-traversal rate, serial kernels; "
       "speedup = solo seconds / fused seconds at equal work");
   const std::string json_path = JsonPathArg(argc, argv);
+  std::vector<uint32_t> blocks;
+  for (uint32_t block = 1; block <= 16; ++block) blocks.push_back(block);
+  blocks.push_back(24);
+  blocks.push_back(32);
+
   std::vector<SpmmRow> rows;
+  std::vector<SolverRow> solver_rows;
   for (auto& named : MakeGraphSuite()) {
     rtk::TransitionOperator op(named.graph);
     std::printf("\n%s: n=%u m=%llu\n", named.name.c_str(),
@@ -153,14 +276,30 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(named.graph.num_edges()));
     std::printf("%6s %7s %16s %16s %9s\n", "B", "iters", "solo Medge/s/q",
                 "fused Medge/s/q", "speedup");
-    for (uint32_t block : {1u, 4u, 8u, 16u, 32u}) {
+    for (uint32_t block : blocks) {
       const SpmmRow row = RunCell(named, op, block);
       std::printf("%6u %7d %16.1f %16.1f %8.2fx\n", row.block, row.iters,
                   row.solo_edges_per_sec_per_query / 1e6,
                   row.fused_edges_per_sec_per_query / 1e6, row.speedup);
       rows.push_back(row);
     }
+    const SolverRow solver = RunSolver(named, op);
+    long long passes = 0;
+    for (long long p : solver.passes_at_width) passes += p;
+    std::printf(
+        "solver, %u uniform lanes: solo %.2f ms, fused %.2f ms, speedup "
+        "%.2fx; %lld passes, mean width %.1f\n",
+        solver.lanes, solver.solo_seconds * 1e3, solver.fused_seconds * 1e3,
+        solver.speedup, passes,
+        static_cast<double>(solver.lane_iterations) /
+            static_cast<double>(passes));
+    std::printf("  passes at width:");
+    for (uint32_t w = 1; w <= solver.lanes; ++w) {
+      std::printf(" %u:%lld", w, solver.passes_at_width[w - 1]);
+    }
+    std::printf("\n");
+    solver_rows.push_back(solver);
   }
-  if (!json_path.empty()) WriteJson(json_path, rows);
+  if (!json_path.empty()) WriteJson(json_path, rows, solver_rows);
   return 0;
 }

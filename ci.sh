@@ -13,9 +13,12 @@
 #                                 determinism under parallel fan-out;
 #                                 obs_test: metrics registry / trace ring
 #                                 hammering with exact-total assertions;
-#                                 spmm_test: fused multi-query SpMM /
-#                                 batched-serving byte-identity at every
-#                                 batch width and thread count;
+#                                 spmm_test: fused SpMM kernel and
+#                                 fused PMPN lanes bitwise equal to
+#                                 in-test scalar references at every
+#                                 width 1..32, batched-serving
+#                                 byte-identity at every batch width
+#                                 and thread count;
 #                                 storage_tier_test: heap-vs-mmap result
 #                                 identity + concurrent cold faults over
 #                                 one shared mmap source;
@@ -51,8 +54,10 @@
 #                                 small batches must win) and the micro-SpMM
 #                                 smoke, which fails CI if the fused B=8
 #                                 kernel drops below 1.5x the solo SpMV
-#                                 edge rate — so perf regressions fail
-#                                 loudly rather than rot; plus the index
+#                                 edge rate or the 16-lane fused solver
+#                                 drops below 2.4x the 16 solo solves
+#                                 on rmat-web-l — so perf regressions
+#                                 fail loudly rather than rot; plus the index
 #                                 cold-open gate (mmap open must stay
 #                                 <= 10% of a heap full-load) and the
 #                                 ulimit-capped larger-than-RAM serving
@@ -251,7 +256,11 @@ PYEOF
 # 8 independent SpMVs by >= 1.5x edge throughput on at least the graph it
 # wins most on (full-scale graphs: at 0.25 scale everything is
 # cache-resident and fusion has nothing to amortize). A regression of the
-# kernel or its dispatch fails CI here.
+# kernel or its dispatch fails CI here. The solver gate: one fused solve
+# of 16 uniform query lanes on rmat-web-l must beat the same 16
+# single-source solves by >= 2.4x. Before every width had its own kernel
+# this measured 1.6-1.9x; with them, 2.9-3.7x. A width falling back to a
+# slow path fails here even when B=8 holds.
 ./build-release/bench_micro_spmm --json build-release/BENCH_spmm.json
 test -s build-release/BENCH_spmm.json
 python3 - <<'PYEOF'
@@ -263,6 +272,15 @@ best = max(r['speedup'] for r in rows)
 assert best >= 1.5, 'fused SpMM B=8 regressed: best speedup %.2fx < 1.5x (%r)' % (
     best, [(r['graph'], round(r['speedup'], 2)) for r in rows])
 print('micro-SpMM ok: best B=8 fused speedup %.2fx' % best)
+solver = {r['graph']: r for r in doc['solver_rows']}
+large = solver['rmat-web-l']
+assert sum(large['passes_at_width']) > 0, large
+assert large['speedup'] >= 2.4, (
+    'fused PMPN solver regressed on rmat-web-l: %.2fx the 16 solo solves '
+    '< 2.4x (passes at width %r)' % (
+        large['speedup'], large['passes_at_width']))
+print('micro-SpMM ok: 16-lane fused solver %.2fx the solo solves on '
+      'rmat-web-l' % large['speedup'])
 PYEOF
 # Memory-tiered storage gate: an mmap open reads only the O(|H| + shards)
 # checksummed header, so it must cost <= 10% of a heap full-load on the

@@ -40,8 +40,8 @@ std::shared_ptr<const ReverseTransitionView> SharedReverseTransitionView(
 Result<ProximityRow> BatchedPmpnProximityBackend::Compute(
     uint32_t q, const RwrOptions& options, ThreadPool* pool,
     int max_parallelism) const {
-  // Solo path: identical to PmpnProximityBackend (the fused kernel would
-  // only add lane-layout overhead for a single query).
+  // Solo path: identical to PmpnProximityBackend (the fused solver's B = 1
+  // lane).
   IterativeSolveStats stats;
   RTK_ASSIGN_OR_RETURN(std::vector<double> values,
                        ComputeProximityToNode(*op_, q, options, &stats, pool,

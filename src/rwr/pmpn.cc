@@ -1,48 +1,21 @@
 #include "rwr/pmpn.h"
 
 #include <cmath>
-#include <string>
+#include <utility>
+
+#include "rwr/pmpn_multi.h"
 
 namespace rtk {
 
 Result<std::vector<double>> ComputeProximityToNode(
     const TransitionOperator& op, uint32_t q, const RwrOptions& options,
     IterativeSolveStats* stats, ThreadPool* pool, int max_parallelism) {
-  if (!(options.alpha > 0.0) || !(options.alpha < 1.0)) {
-    return Status::InvalidArgument("alpha must be in (0, 1)");
-  }
-  if (!(options.epsilon > 0.0) || options.max_iterations <= 0) {
-    return Status::InvalidArgument("epsilon/max_iterations invalid");
-  }
-  const uint32_t n = op.num_nodes();
-  if (q >= n) {
-    return Status::InvalidArgument("query node " + std::to_string(q) +
-                                   " out of range (n=" + std::to_string(n) +
-                                   ")");
-  }
-  const double alpha = options.alpha;
-  // Theorem 2 allows any initialization; e_q converges fastest in practice.
-  std::vector<double> x(n, 0.0), next(n, 0.0);
-  x[q] = 1.0;
-  IterativeSolveStats local;
-  for (local.iterations = 1; local.iterations <= options.max_iterations;
-       ++local.iterations) {
-    // The O(m) kernel goes parallel; the O(n) scale/restart/delta loops
-    // stay serial so the iterate sequence is bitwise thread-invariant.
-    op.ApplyTranspose(x, &next, pool, max_parallelism);
-    for (uint32_t i = 0; i < n; ++i) next[i] *= (1.0 - alpha);
-    next[q] += alpha;
-    double delta = 0.0;
-    for (uint32_t i = 0; i < n; ++i) delta += std::abs(next[i] - x[i]);
-    x.swap(next);
-    local.final_delta = delta;
-    if (delta < options.epsilon) {
-      local.converged = true;
-      break;
-    }
-  }
-  if (stats != nullptr) *stats = local;
-  return x;
+  RTK_ASSIGN_OR_RETURN(
+      std::vector<PmpnLaneResult> lanes,
+      ComputeProximityToNodesFused(op, {PmpnLaneSpec{q, nullptr}}, options,
+                                   pool, max_parallelism));
+  if (stats != nullptr) *stats = lanes[0].stats;
+  return std::move(lanes[0].row);
 }
 
 int PmpnIterationBound(double alpha, double epsilon) {

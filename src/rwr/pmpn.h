@@ -27,11 +27,14 @@ namespace rtk {
 /// convergence report; Theorem 2(c) bounds iterations by
 /// log(eps/alpha) / log(1-alpha).
 ///
-/// When `pool` is non-null the A^T x kernel of each iteration is blocked
-/// over node ranges across up to `max_parallelism` workers (0 = whole
-/// pool). The scale/restart/convergence loop stays serial, so the iterate
-/// sequence — and therefore the returned vector and iteration count — is
-/// bitwise identical to the serial path at every thread count.
+/// This is the B = 1 lane of ComputeProximityToNodesFused (pmpn_multi.h):
+/// one solver, so the row, iteration count, converged flag and final delta
+/// are bitwise those of q's lane in any fused batch. When `pool` is
+/// non-null the A^T x kernel of each iteration is blocked over node ranges
+/// across up to `max_parallelism` workers (0 = whole pool); the result is
+/// bitwise identical at every thread count.
+///
+/// Errors: InvalidArgument for bad options (ValidateRwrOptions) or q >= n.
 Result<std::vector<double>> ComputeProximityToNode(
     const TransitionOperator& op, uint32_t q, const RwrOptions& options = {},
     IterativeSolveStats* stats = nullptr, ThreadPool* pool = nullptr,

@@ -18,6 +18,31 @@ struct ActiveLane {
   size_t out = 0;
 };
 
+/// Width-B iteration epilogue on the fresh SpMM output `next`: scale by
+/// (1 - alpha), add the restart mass alpha at each lane's query node, and
+/// accumulate each lane's L1 delta against the previous iterate `x` in
+/// ascending node order. B is a compile-time constant so the lane loops
+/// unroll and the B deltas stay in registers; a lane's arithmetic never
+/// depends on B or on its neighbours.
+template <uint32_t B>
+struct EpilogueKernel {
+  static void Run(double* next, const double* x, uint32_t n, double alpha,
+                  const ActiveLane* lanes, double* deltas) {
+    const size_t total = static_cast<size_t>(n) * B;
+    for (size_t i = 0; i < total; ++i) next[i] *= (1.0 - alpha);
+    for (uint32_t j = 0; j < B; ++j) {
+      next[static_cast<size_t>(lanes[j].query) * B + j] += alpha;
+    }
+    double acc[B] = {0.0};
+    for (uint32_t i = 0; i < n; ++i) {
+      const double* ni = next + static_cast<size_t>(i) * B;
+      const double* xi = x + static_cast<size_t>(i) * B;
+      for (uint32_t j = 0; j < B; ++j) acc[j] += std::abs(ni[j] - xi[j]);
+    }
+    for (uint32_t j = 0; j < B; ++j) deltas[j] = acc[j];
+  }
+};
+
 /// Extracts column `j` of the width-`block` iterate into `row`.
 void ExtractColumn(const std::vector<double>& x, uint32_t n, uint32_t block,
                    uint32_t j, std::vector<double>* row) {
@@ -27,52 +52,59 @@ void ExtractColumn(const std::vector<double>& x, uint32_t n, uint32_t block,
   }
 }
 
-/// Repacks the iterate from width `old_block` to the surviving lanes
-/// listed in `keep` (ascending old positions). In-place forward copy is
-/// safe: every write lands at or before the offset it reads from.
-void CompactColumns(std::vector<double>* x, uint32_t n, uint32_t old_block,
-                    const std::vector<uint32_t>& keep) {
-  const uint32_t new_block = static_cast<uint32_t>(keep.size());
+/// Drops every lane of `active` not listed in `keep` (ascending block
+/// positions) and repacks the iterate to the survivors' width. The
+/// in-place forward copy is safe: every write lands at or before the
+/// offset it reads from.
+void RetainLanes(const std::vector<uint32_t>& keep, uint32_t n,
+                 std::vector<double>* x, std::vector<ActiveLane>* active) {
+  if (keep.size() == active->size()) return;
+  const size_t old_block = active->size();
+  const size_t new_block = keep.size();
   for (uint32_t i = 0; i < n; ++i) {
-    const size_t src = static_cast<size_t>(i) * old_block;
-    const size_t dst = static_cast<size_t>(i) * new_block;
-    for (uint32_t k = 0; k < new_block; ++k) {
+    const size_t src = i * old_block;
+    const size_t dst = i * new_block;
+    for (size_t k = 0; k < new_block; ++k) {
       (*x)[dst + k] = (*x)[src + keep[k]];
     }
   }
+  std::vector<ActiveLane> survivors;
+  survivors.reserve(new_block);
+  for (uint32_t j : keep) survivors.push_back((*active)[j]);
+  active->swap(survivors);
 }
 
 /// Runs one fused group of at most kMaxTransposeLanes lanes; results land
 /// in their pre-assigned slots of `results`.
-void SolveGroup(const TransitionOperator& op,
-                const std::vector<PmpnLaneSpec>& lanes, size_t begin,
-                size_t end, const RwrOptions& options, ThreadPool* pool,
-                int max_parallelism, std::vector<PmpnLaneResult>* results) {
+Status SolveGroup(const TransitionOperator& op,
+                  const std::vector<PmpnLaneSpec>& lanes, size_t begin,
+                  size_t end, const RwrOptions& options, ThreadPool* pool,
+                  int max_parallelism, std::vector<PmpnLaneResult>* results) {
   const uint32_t n = op.num_nodes();
-  const double alpha = options.alpha;
   std::vector<ActiveLane> active;
   active.reserve(end - begin);
   for (size_t i = begin; i < end; ++i) {
     active.push_back({lanes[i].query, lanes[i].control, i});
   }
-  uint32_t block = static_cast<uint32_t>(active.size());
 
-  // Same initialization as the single-source solver: x = e_q per lane.
-  std::vector<double> x(static_cast<size_t>(n) * block, 0.0);
-  std::vector<double> next(static_cast<size_t>(n) * block, 0.0);
-  for (uint32_t j = 0; j < block; ++j) {
-    x[static_cast<size_t>(active[j].query) * block + j] = 1.0;
+  // Theorem 2 allows any initialization; x = e_q per lane converges
+  // fastest in practice.
+  const uint32_t width = static_cast<uint32_t>(active.size());
+  std::vector<double> x(static_cast<size_t>(n) * width, 0.0);
+  std::vector<double> next(x.size(), 0.0);
+  for (uint32_t j = 0; j < width; ++j) {
+    x[static_cast<size_t>(active[j].query) * width + j] = 1.0;
   }
 
   double deltas[kMaxTransposeLanes];
   std::vector<uint32_t> keep;
-  keep.reserve(block);
+  keep.reserve(width);
   for (int iter = 1; iter <= options.max_iterations && !active.empty();
        ++iter) {
     // Per-lane abort poll: a tripped lane is masked out BEFORE this
     // iteration spends work on it; its siblings are untouched.
     keep.clear();
-    for (uint32_t j = 0; j < block; ++j) {
+    for (uint32_t j = 0; j < active.size(); ++j) {
       const ExecControl* control = active[j].control;
       if (control != nullptr && control->active()) {
         if (Status tripped = control->Check(); !tripped.ok()) {
@@ -82,33 +114,17 @@ void SolveGroup(const TransitionOperator& op,
       }
       keep.push_back(j);
     }
-    if (keep.size() != active.size()) {
-      CompactColumns(&x, n, block, keep);
-      std::vector<ActiveLane> survivors;
-      survivors.reserve(keep.size());
-      for (uint32_t j : keep) survivors.push_back(active[j]);
-      active.swap(survivors);
-      block = static_cast<uint32_t>(active.size());
-      if (active.empty()) return;
-    }
+    RetainLanes(keep, n, &x, &active);
+    if (active.empty()) return Status::OK();
 
-    // The fused O(m) SpMM kernel goes parallel; the O(n * B) scale /
-    // restart / delta loops stay serial in ascending node order per lane,
-    // mirroring the single-source solver so every lane's iterate sequence
-    // is bitwise identical to ComputeProximityToNode.
-    op.ApplyTransposeMulti(x, &next, block, pool, max_parallelism);
-    const size_t total = static_cast<size_t>(n) * block;
-    for (size_t i = 0; i < total; ++i) next[i] *= (1.0 - alpha);
-    for (uint32_t j = 0; j < block; ++j) {
-      next[static_cast<size_t>(active[j].query) * block + j] += alpha;
-    }
-    for (uint32_t j = 0; j < block; ++j) deltas[j] = 0.0;
-    for (uint32_t i = 0; i < n; ++i) {
-      const size_t base = static_cast<size_t>(i) * block;
-      for (uint32_t j = 0; j < block; ++j) {
-        deltas[j] += std::abs(next[base + j] - x[base + j]);
-      }
-    }
+    // The fused O(m * B) SpMM goes parallel; the O(n * B) epilogue stays
+    // serial in ascending node order per lane, so every lane's iterate
+    // sequence is bitwise identical at every width and thread count.
+    const uint32_t block = static_cast<uint32_t>(active.size());
+    RTK_RETURN_NOT_OK(
+        op.ApplyTransposeMulti(x, &next, block, pool, max_parallelism));
+    LaneKernelTable<EpilogueKernel>[block - 1](
+        next.data(), x.data(), n, options.alpha, active.data(), deltas);
     x.swap(next);
 
     // Convergence masking: converged lanes drain out of the block
@@ -125,24 +141,19 @@ void SolveGroup(const TransitionOperator& op,
         keep.push_back(j);
       }
     }
-    if (keep.size() != active.size()) {
-      CompactColumns(&x, n, block, keep);
-      std::vector<ActiveLane> survivors;
-      survivors.reserve(keep.size());
-      for (uint32_t j : keep) survivors.push_back(active[j]);
-      active.swap(survivors);
-      block = static_cast<uint32_t>(active.size());
-    }
+    RetainLanes(keep, n, &x, &active);
   }
 
-  // Iteration cap reached: report exactly like the single-source loop,
-  // whose counter sits one past the cap when the epsilon test never fired.
+  // Iteration cap reached: the counter sits one past the cap when the
+  // epsilon test never fired.
+  const uint32_t block = static_cast<uint32_t>(active.size());
   for (uint32_t j = 0; j < block; ++j) {
     PmpnLaneResult& slot = (*results)[active[j].out];
     slot.stats.iterations = options.max_iterations + 1;
     slot.stats.converged = false;
     ExtractColumn(x, n, block, j, &slot.row);
   }
+  return Status::OK();
 }
 
 }  // namespace
@@ -150,12 +161,7 @@ void SolveGroup(const TransitionOperator& op,
 Result<std::vector<PmpnLaneResult>> ComputeProximityToNodesFused(
     const TransitionOperator& op, const std::vector<PmpnLaneSpec>& lanes,
     const RwrOptions& options, ThreadPool* pool, int max_parallelism) {
-  if (!(options.alpha > 0.0) || !(options.alpha < 1.0)) {
-    return Status::InvalidArgument("alpha must be in (0, 1)");
-  }
-  if (!(options.epsilon > 0.0) || options.max_iterations <= 0) {
-    return Status::InvalidArgument("epsilon/max_iterations invalid");
-  }
+  RTK_RETURN_NOT_OK(ValidateRwrOptions(options));
   const uint32_t n = op.num_nodes();
   for (const PmpnLaneSpec& lane : lanes) {
     if (lane.query >= n) {
@@ -169,8 +175,8 @@ Result<std::vector<PmpnLaneResult>> ComputeProximityToNodesFused(
   for (size_t begin = 0; begin < lanes.size(); begin += kMaxTransposeLanes) {
     const size_t end = std::min(lanes.size(),
                                 begin + static_cast<size_t>(kMaxTransposeLanes));
-    SolveGroup(op, lanes, begin, end, options, pool, max_parallelism,
-               &results);
+    RTK_RETURN_NOT_OK(SolveGroup(op, lanes, begin, end, options, pool,
+                                 max_parallelism, &results));
   }
   return results;
 }

@@ -8,13 +8,17 @@
 // the proximity stage dominates Algorithm 4's cost (paper Section 6), and
 // fusing amortizes it across an admission batch.
 //
-// Exactness contract: lane b's iterate sequence is BITWISE identical to
-// ComputeProximityToNode(op, q_b) at every batch width and thread count.
-// Per-lane convergence masking makes that possible without stragglers
-// paying for finished queries: a converged lane is extracted and the
-// accumulator block COMPACTS to the surviving lanes (each lane's
-// arithmetic never depends on which lanes accompany it), preserving each
-// column's exact iteration count, convergence delta and result vector.
+// Exactness contract: lane b's iterate sequence depends on q_b alone,
+// bitwise, at every batch width and thread count, and the single-source
+// solver ComputeProximityToNode is this solver's B = 1 lane. Per-lane
+// convergence masking makes that possible without stragglers paying for
+// finished queries: a converged lane is extracted and the accumulator
+// block COMPACTS to the surviving lanes (each lane's arithmetic never
+// depends on which lanes accompany it), preserving each column's exact
+// iteration count, convergence delta and result vector. Every width the
+// block passes through (1..kMaxTransposeLanes) runs its own fixed-width
+// instantiation of both the SpMM gather and the scale / restart / L1-delta
+// epilogue.
 //
 // Per-lane deadline/cancellation: a lane whose ExecControl trips is masked
 // out exactly like a converged one — its siblings proceed untouched, which
@@ -42,7 +46,7 @@ struct PmpnLaneSpec {
 };
 
 /// \brief One fused solve output. `status` is OK for a completed lane
-/// (row/stats then mirror the single-source solver exactly) or the abort
+/// (row/stats then equal ComputeProximityToNode(q) exactly) or the abort
 /// code (kCancelled / kDeadlineExceeded) when the lane's control tripped
 /// mid-solve — the row is then empty and must not be served.
 struct PmpnLaneResult {
@@ -58,13 +62,15 @@ struct PmpnLaneResult {
 /// batches simply take several fused passes). Duplicate query nodes are
 /// fine (each lane runs its own column). Errors that invalidate the whole
 /// call (bad alpha/epsilon, query out of range) surface as the top-level
-/// Status; per-lane aborts surface per lane.
+/// Status (ValidateRwrOptions' message for bad options); per-lane aborts
+/// surface per lane. A lane that hits max_iterations reports
+/// iterations = max_iterations + 1 and converged = false.
 ///
 /// When `pool` is non-null the SpMM kernel of each iteration is blocked
 /// over node ranges across up to `max_parallelism` workers (0 = whole
-/// pool), exactly like the single-source solver; the scale / restart /
-/// convergence loops stay serial, so every lane — and therefore the whole
-/// result — is bitwise identical at any thread count.
+/// pool); the scale / restart / convergence epilogue stays serial, so
+/// every lane — and therefore the whole result — is bitwise identical at
+/// any thread count.
 Result<std::vector<PmpnLaneResult>> ComputeProximityToNodesFused(
     const TransitionOperator& op, const std::vector<PmpnLaneSpec>& lanes,
     const RwrOptions& options = {}, ThreadPool* pool = nullptr,

@@ -5,8 +5,6 @@
 
 namespace rtk {
 
-namespace {
-
 Status ValidateRwrOptions(const RwrOptions& options) {
   if (!(options.alpha > 0.0) || !(options.alpha < 1.0)) {
     return Status::InvalidArgument("alpha must be in (0, 1), got " +
@@ -20,8 +18,6 @@ Status ValidateRwrOptions(const RwrOptions& options) {
   }
   return Status::OK();
 }
-
-}  // namespace
 
 Result<std::vector<double>> ComputeProximityColumn(
     const TransitionOperator& op, uint32_t u, const RwrOptions& options,

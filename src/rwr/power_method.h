@@ -26,6 +26,11 @@ struct IterativeSolveStats {
   bool converged = false;
 };
 
+/// \brief Checks the RwrOptions fields every iterative solver relies on:
+/// alpha in (0, 1), epsilon > 0, max_iterations > 0. Returns
+/// InvalidArgument naming the first bad field.
+Status ValidateRwrOptions(const RwrOptions& options);
+
 /// \brief Computes the proximity vector p_u (column u of P) by the power
 /// method. Returns the dense vector; `stats` (optional) receives the
 /// convergence report.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 namespace rtk {
 
@@ -47,150 +48,69 @@ void TransitionOperator::ApplyForward(const std::vector<double>& x,
   }
 }
 
-void TransitionOperator::ApplyTransposeRange(const std::vector<double>& x,
-                                             std::vector<double>* y,
-                                             uint32_t lo, uint32_t hi) const {
-  for (uint32_t u = lo; u < hi; ++u) {
-    auto nbrs = graph_->OutNeighbors(u);
-    auto weights = graph_->OutWeights(u);
-    double acc = 0.0;
-    if (weights.empty()) {
-      for (uint32_t v : nbrs) acc += x[v];
-    } else {
-      for (size_t i = 0; i < nbrs.size(); ++i) acc += weights[i] * x[nbrs[i]];
-    }
-    (*y)[u] = acc * inv_out_weight_[u];
-  }
-}
-
-void TransitionOperator::ApplyTranspose(const std::vector<double>& x,
-                                        std::vector<double>* y) const {
-  const uint32_t n = graph_->num_nodes();
-  assert(x.size() == n && y->size() == n && &x != y);
-  ApplyTransposeRange(x, y, 0, n);
-}
-
-void TransitionOperator::ApplyTranspose(const std::vector<double>& x,
-                                        std::vector<double>* y,
-                                        ThreadPool* pool,
-                                        int max_parallelism) const {
-  const uint32_t n = graph_->num_nodes();
-  assert(x.size() == n && y->size() == n && &x != y);
-  ParallelForRange(pool, 0, n, max_parallelism, /*grain=*/0,
-                   [this, &x, y](int64_t lo, int64_t hi) {
-                     ApplyTransposeRange(x, y, static_cast<uint32_t>(lo),
-                                         static_cast<uint32_t>(hi));
-                   });
-}
-
 namespace {
 
-/// Fixed-width SpMM gather body. B is a compile-time constant so the lane
-/// loops are fully unrolled / vectorized; the arithmetic per lane (edge
-/// order, multiply-then-add, final scale) is exactly the single-vector
-/// kernel's, which keeps every lane bitwise identical to ApplyTranspose.
+/// Width-B SpMM gather: fills the B-wide slabs of y for u in [lo, hi). B is
+/// a compile-time constant so the lane loops unroll and vectorize; each
+/// lane accumulates u's out-edges in CSR order (multiply-then-add when
+/// weighted) and scales once by 1 / W(u), whatever B is.
 template <uint32_t B>
-void GatherRangeFixed(const Graph& graph, const double* inv_out_weight,
-                      const double* x, double* y, uint32_t lo, uint32_t hi) {
-  for (uint32_t u = lo; u < hi; ++u) {
-    auto nbrs = graph.OutNeighbors(u);
-    auto weights = graph.OutWeights(u);
-    double acc[B] = {0.0};
-    if (weights.empty()) {
-      for (uint32_t v : nbrs) {
-        const double* xv = x + static_cast<size_t>(v) * B;
-        for (uint32_t j = 0; j < B; ++j) acc[j] += xv[j];
+struct GatherKernel {
+  static void Run(const Graph& graph, const double* inv_out_weight,
+                  const double* x, double* y, uint32_t lo, uint32_t hi) {
+    for (uint32_t u = lo; u < hi; ++u) {
+      auto nbrs = graph.OutNeighbors(u);
+      auto weights = graph.OutWeights(u);
+      double acc[B] = {0.0};
+      if (weights.empty()) {
+        for (uint32_t v : nbrs) {
+          const double* xv = x + static_cast<size_t>(v) * B;
+          for (uint32_t j = 0; j < B; ++j) acc[j] += xv[j];
+        }
+      } else {
+        for (size_t i = 0; i < nbrs.size(); ++i) {
+          const double w = weights[i];
+          const double* xv = x + static_cast<size_t>(nbrs[i]) * B;
+          for (uint32_t j = 0; j < B; ++j) acc[j] += w * xv[j];
+        }
       }
-    } else {
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const double w = weights[i];
-        const double* xv = x + static_cast<size_t>(nbrs[i]) * B;
-        for (uint32_t j = 0; j < B; ++j) acc[j] += w * xv[j];
-      }
+      const double inv = inv_out_weight[u];
+      double* yu = y + static_cast<size_t>(u) * B;
+      for (uint32_t j = 0; j < B; ++j) yu[j] = acc[j] * inv;
     }
-    const double inv = inv_out_weight[u];
-    double* yu = y + static_cast<size_t>(u) * B;
-    for (uint32_t j = 0; j < B; ++j) yu[j] = acc[j] * inv;
   }
-}
-
-/// Variable-width fallback for the in-between block sizes the
-/// compact-on-converge solver produces (e.g. 7 lanes after one of 8
-/// converged). Same arithmetic order per lane as the fixed kernels.
-void GatherRangeGeneric(const Graph& graph, const double* inv_out_weight,
-                        const double* x, double* y, uint32_t block,
-                        uint32_t lo, uint32_t hi) {
-  double acc[kMaxTransposeLanes];
-  for (uint32_t u = lo; u < hi; ++u) {
-    auto nbrs = graph.OutNeighbors(u);
-    auto weights = graph.OutWeights(u);
-    for (uint32_t j = 0; j < block; ++j) acc[j] = 0.0;
-    if (weights.empty()) {
-      for (uint32_t v : nbrs) {
-        const double* xv = x + static_cast<size_t>(v) * block;
-        for (uint32_t j = 0; j < block; ++j) acc[j] += xv[j];
-      }
-    } else {
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const double w = weights[i];
-        const double* xv = x + static_cast<size_t>(nbrs[i]) * block;
-        for (uint32_t j = 0; j < block; ++j) acc[j] += w * xv[j];
-      }
-    }
-    const double inv = inv_out_weight[u];
-    double* yu = y + static_cast<size_t>(u) * block;
-    for (uint32_t j = 0; j < block; ++j) yu[j] = acc[j] * inv;
-  }
-}
+};
 
 }  // namespace
 
-void TransitionOperator::ApplyTransposeMultiRange(const double* x, double* y,
-                                                  uint32_t block, uint32_t lo,
-                                                  uint32_t hi) const {
-  const Graph& g = *graph_;
-  const double* inv = inv_out_weight_.data();
-  switch (block) {
-    case 1:
-      GatherRangeFixed<1>(g, inv, x, y, lo, hi);
-      return;
-    case 2:
-      GatherRangeFixed<2>(g, inv, x, y, lo, hi);
-      return;
-    case 4:
-      GatherRangeFixed<4>(g, inv, x, y, lo, hi);
-      return;
-    case 8:
-      GatherRangeFixed<8>(g, inv, x, y, lo, hi);
-      return;
-    case 16:
-      GatherRangeFixed<16>(g, inv, x, y, lo, hi);
-      return;
-    case 32:
-      GatherRangeFixed<32>(g, inv, x, y, lo, hi);
-      return;
-    default:
-      GatherRangeGeneric(g, inv, x, y, block, lo, hi);
-      return;
+Status TransitionOperator::ApplyTransposeMulti(const std::vector<double>& x,
+                                               std::vector<double>* y,
+                                               uint32_t block,
+                                               ThreadPool* pool,
+                                               int max_parallelism) const {
+  if (block < 1 || block > kMaxTransposeLanes) {
+    return Status::InvalidArgument(
+        "transpose block " + std::to_string(block) + " outside [1, " +
+        std::to_string(kMaxTransposeLanes) + "]");
   }
-}
-
-void TransitionOperator::ApplyTransposeMulti(const std::vector<double>& x,
-                                             std::vector<double>* y,
-                                             uint32_t block, ThreadPool* pool,
-                                             int max_parallelism) const {
   const uint32_t n = graph_->num_nodes();
-  assert(block >= 1 && block <= kMaxTransposeLanes);
-  assert(x.size() >= static_cast<size_t>(n) * block &&
-         y->size() >= static_cast<size_t>(n) * block && &x != y);
+  const size_t len = static_cast<size_t>(n) * block;
+  if (x.size() < len || y->size() < len || &x == y) {
+    return Status::InvalidArgument(
+        "transpose operands need two distinct vectors of >= " +
+        std::to_string(len) + " values");
+  }
+  const auto gather = LaneKernelTable<GatherKernel>[block - 1];
+  const Graph* graph = graph_;
+  const double* inv = inv_out_weight_.data();
   const double* xd = x.data();
   double* yd = y->data();
   ParallelForRange(pool, 0, n, max_parallelism, /*grain=*/0,
-                   [this, xd, yd, block](int64_t lo, int64_t hi) {
-                     ApplyTransposeMultiRange(xd, yd, block,
-                                              static_cast<uint32_t>(lo),
-                                              static_cast<uint32_t>(hi));
+                   [=](int64_t lo, int64_t hi) {
+                     gather(*graph, inv, xd, yd, static_cast<uint32_t>(lo),
+                            static_cast<uint32_t>(hi));
                    });
+  return Status::OK();
 }
 
 uint32_t TransitionOperator::SampleOutNeighbor(uint32_t u, Rng* rng) const {

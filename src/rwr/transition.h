@@ -4,17 +4,20 @@
 // a_ij = w(j, i) / W(j) where W(j) is node j's total out-weight (Section 2.1
 // of the paper; uniform 1/OD(j) for unweighted graphs, and the weighted
 // variant of Section 5.4 for weighted ones). Both y = A x (scatter over
-// out-edges) and y = A^T x (gather over out-edges) are provided; the latter
-// is the kernel of the paper's PMPN algorithm and deliberately needs only
-// the out-CSR.
+// out-edges) and Y = A^T X (gather over out-edges, for 1..32 vectors in one
+// pass) are provided; the latter is the kernel of the paper's PMPN
+// algorithm and deliberately needs only the out-CSR.
 
 #ifndef RTK_RWR_TRANSITION_H_
 #define RTK_RWR_TRANSITION_H_
 
+#include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/thread_pool.h"
 #include "graph/graph.h"
 
@@ -25,6 +28,16 @@ namespace rtk {
 /// full admission batch, narrow enough that a node's slab stays in L1
 /// while its edges stream.
 inline constexpr uint32_t kMaxTransposeLanes = 32;
+
+/// \brief {&Kernel<1>::Run, ..., &Kernel<kMaxTransposeLanes>::Run}, indexed
+/// by block - 1: one compile-time instantiation per lane-block width, so
+/// every width a shrinking block passes through runs fully unrolled lane
+/// loops. Callers must range-check the block before indexing.
+template <template <uint32_t> class Kernel>
+inline constexpr auto LaneKernelTable =
+    []<uint32_t... I>(std::integer_sequence<uint32_t, I...>) {
+      return std::array{&Kernel<I + 1>::Run...};
+    }(std::make_integer_sequence<uint32_t, kMaxTransposeLanes>{});
 
 /// \brief Shared knobs for iterative RWR computations.
 struct RwrOptions {
@@ -64,57 +77,39 @@ class TransitionOperator {
   /// distinct.
   void ApplyForward(const std::vector<double>& x, std::vector<double>* y) const;
 
-  /// \brief y = A^T x. y is overwritten; x and y must have size n and be
-  /// distinct.
-  void ApplyTranspose(const std::vector<double>& x,
-                      std::vector<double>* y) const;
-
-  /// \brief y = A^T x, blocked over node ranges on `pool` (at most
-  /// `max_parallelism` workers; 0 = whole pool). Each y[u] is a gather over
-  /// u's out-edges, so blocking changes scheduling only: the result is
-  /// bitwise identical to the serial overload at any thread count. Safe to
-  /// call from inside a pool task (uses ParallelForRange). Pass a null pool
-  /// to run serially.
-  void ApplyTranspose(const std::vector<double>& x, std::vector<double>* y,
-                      ThreadPool* pool, int max_parallelism = 0) const;
-
   /// \brief Fused multi-vector transpose apply (SpMM): Y = A^T X for
-  /// `block` right-hand sides in ONE pass over the CSR structure.
+  /// `block` right-hand sides in ONE pass over the CSR structure. At
+  /// block = 1 this is the plain y = A^T x.
   ///
   /// X and Y are node-major lane-interleaved: lane j of node u lives at
   /// index u * block + j, so the `block` accumulators of an edge gather
-  /// read/write contiguous fixed-width slabs (the layout the inner loops
-  /// need to auto-vectorize). Both spans must have size n * block and be
-  /// distinct; 1 <= block <= kMaxTransposeLanes.
+  /// read/write contiguous fixed-width slabs. Every width from 1 to
+  /// kMaxTransposeLanes has its own compile-time instantiation (fully
+  /// unrolled lane loops), picked from a LaneKernelTable.
   ///
-  /// Lane j of the result is bitwise identical to ApplyTranspose run on
-  /// lane j alone, at every block width and thread count: each y[u] lane
-  /// accumulates u's out-edges in the same order as the single-vector
-  /// kernel, and blocking over node ranges (same ParallelForRange
-  /// partitioning as ApplyTranspose) changes scheduling only. This is what
-  /// lets the fused multi-query solver drop converged columns out of the
-  /// block without perturbing the stragglers.
-  void ApplyTransposeMulti(const std::vector<double>& x,
-                           std::vector<double>* y, uint32_t block,
-                           ThreadPool* pool = nullptr,
-                           int max_parallelism = 0) const;
+  /// Lane j of the result depends on lane j of X alone, bitwise, at every
+  /// block width and thread count: each y[u] lane accumulates u's
+  /// out-edges in CSR order with the same multiply-then-add shape, and
+  /// blocking over node ranges (ParallelForRange on `pool`, at most
+  /// `max_parallelism` workers, 0 = whole pool, null pool = serial)
+  /// changes scheduling only. This is what lets the fused solver drop
+  /// converged columns out of the block without perturbing the
+  /// stragglers. Safe to call from inside a pool task.
+  ///
+  /// Errors: InvalidArgument unless 1 <= block <= kMaxTransposeLanes, x
+  /// and y hold at least n * block values, and x and y are distinct. The
+  /// checks hold in every build type.
+  [[nodiscard]] Status ApplyTransposeMulti(const std::vector<double>& x,
+                                           std::vector<double>* y,
+                                           uint32_t block,
+                                           ThreadPool* pool = nullptr,
+                                           int max_parallelism = 0) const;
 
   /// \brief Samples an out-neighbor of u with probability proportional to
   /// edge weight (uniform when unweighted). u must have out-degree > 0.
   uint32_t SampleOutNeighbor(uint32_t u, Rng* rng) const;
 
  private:
-  /// The shared gather kernel: fills y[u] for u in [lo, hi).
-  void ApplyTransposeRange(const std::vector<double>& x,
-                           std::vector<double>* y, uint32_t lo,
-                           uint32_t hi) const;
-
-  /// The multi-vector gather kernel: fills the `block`-wide slabs of y for
-  /// u in [lo, hi). Dispatches to a fixed-width instantiation for the
-  /// common block sizes so the lane loops unroll and vectorize.
-  void ApplyTransposeMultiRange(const double* x, double* y, uint32_t block,
-                                uint32_t lo, uint32_t hi) const;
-
   const Graph* graph_;
   std::vector<double> inv_out_weight_;  // 1 / W(u) per node
   // Per-node cumulative weights for weighted sampling; empty when the graph

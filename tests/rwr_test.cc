@@ -64,7 +64,7 @@ TEST(TransitionOperatorTest, TransposeIsAdjointOfForward) {
     y[i] = rng.NextDouble();
   }
   op.ApplyForward(x, &ax);
-  op.ApplyTranspose(y, &aty);
+  ASSERT_TRUE(op.ApplyTransposeMulti(y, &aty, 1).ok());
   double lhs = 0.0, rhs = 0.0;
   for (uint32_t i = 0; i < n; ++i) {
     lhs += ax[i] * y[i];
@@ -239,7 +239,7 @@ TEST(PmpnTest, ConvergesFromArbitraryStart) {
   Result<std::vector<double>> row = ComputeProximityToNode(op, q);
   ASSERT_TRUE(row.ok());
   std::vector<double> atx(g.num_nodes());
-  op.ApplyTranspose(*row, &atx);
+  ASSERT_TRUE(op.ApplyTransposeMulti(*row, &atx, 1).ok());
   for (uint32_t i = 0; i < g.num_nodes(); ++i) {
     const double rhs = (1 - alpha) * atx[i] + (i == q ? alpha : 0.0);
     EXPECT_NEAR((*row)[i], rhs, 1e-9);

@@ -1,10 +1,13 @@
 // Tests for the fused multi-query (SpMM) execution path, bottom to top:
-//   1. kernel: ApplyTransposeMulti is bitwise equal to `block` independent
-//      ApplyTranspose calls at every width and thread count;
-//   2. solver: the fused multi-source PMPN reproduces every column of the
-//      single-source solver exactly — values, iteration counts,
-//      convergence deltas — including per-lane convergence masking and
-//      per-lane deadline/cancellation;
+//   1. kernel: ApplyTransposeMulti at every width 1..kMaxTransposeLanes is
+//      bitwise equal to a plain scalar gather written here, serial and on
+//      a pool; its preconditions fail with a Status in every build type;
+//   2. solver: every lane of the fused multi-source PMPN, and the
+//      single-source solve (its B = 1 lane), is bitwise equal to a plain
+//      power-iteration loop written here — values, iteration counts,
+//      converged flags, final deltas — including a batch whose lanes
+//      retire one at a time (every width from 16 down to 1), iteration
+//      caps and per-lane deadline/cancellation;
 //   3. serving: a batched ServingEngine returns byte-identical responses
 //      AND written-back index state to an unbatched one, at several batch
 //      widths and thread counts (ci.sh runs this file under TSan);
@@ -14,9 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -59,18 +64,88 @@ Graph WeightedTestGraph(uint64_t seed, uint32_t n = 120) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Kernel: fused SpMM == block-many independent SpMVs, bitwise.
+// Independent references: the textbook loops, one vector at a time.
+
+// y = A^T x: y[u] = (sum over u's out-edges (u, v), in CSR order, of
+// w(u, v) * x[v]) * (1 / W(u)), the unweighted sum adding x[v] alone.
+std::vector<double> ReferenceTranspose(const Graph& graph,
+                                       const std::vector<double>& x) {
+  std::vector<double> y(graph.num_nodes());
+  for (uint32_t u = 0; u < graph.num_nodes(); ++u) {
+    auto nbrs = graph.OutNeighbors(u);
+    auto weights = graph.OutWeights(u);
+    double acc = 0.0;
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      acc += weights.empty() ? x[nbrs[i]] : weights[i] * x[nbrs[i]];
+    }
+    y[u] = acc * (1.0 / graph.OutWeightSum(u));
+  }
+  return y;
+}
+
+struct ReferenceSolve {
+  std::vector<double> row;
+  IterativeSolveStats stats;
+};
+
+// Paper Algorithm 2 as written: x <- (1-alpha) A^T x + alpha e_q from
+// x = e_q until the L1 step falls below epsilon; a capped solve reports
+// max_iterations + 1 iterations.
+ReferenceSolve ReferencePmpn(const Graph& graph, uint32_t q,
+                             const RwrOptions& options) {
+  std::vector<double> x(graph.num_nodes(), 0.0);
+  x[q] = 1.0;
+  ReferenceSolve out;
+  for (int iter = 1; iter <= options.max_iterations; ++iter) {
+    std::vector<double> next = ReferenceTranspose(graph, x);
+    for (double& v : next) v *= (1.0 - options.alpha);
+    next[q] += options.alpha;
+    double delta = 0.0;
+    for (size_t i = 0; i < next.size(); ++i) delta += std::abs(next[i] - x[i]);
+    x.swap(next);
+    out.stats.final_delta = delta;
+    if (delta < options.epsilon) {
+      out.stats.iterations = iter;
+      out.stats.converged = true;
+      out.row = std::move(x);
+      return out;
+    }
+  }
+  out.stats.iterations = options.max_iterations + 1;
+  out.row = std::move(x);
+  return out;
+}
+
+void ExpectSolveEqualsReference(const std::vector<double>& row,
+                                const IterativeSolveStats& stats,
+                                const ReferenceSolve& expected, uint32_t q) {
+  ASSERT_EQ(row.size(), expected.row.size()) << "q=" << q;
+  for (size_t u = 0; u < row.size(); ++u) {
+    ASSERT_EQ(row[u], expected.row[u]) << "q=" << q << " u=" << u;
+  }
+  EXPECT_EQ(stats.iterations, expected.stats.iterations) << "q=" << q;
+  EXPECT_EQ(stats.converged, expected.stats.converged) << "q=" << q;
+  EXPECT_EQ(stats.final_delta, expected.stats.final_delta) << "q=" << q;
+}
+
+// ---------------------------------------------------------------------------
+// 1. Kernel: fused SpMM == the scalar reference per lane, bitwise, at every
+//    width and thread count.
 
 void CheckKernelBitwise(const Graph& graph) {
   TransitionOperator op(graph);
   const uint32_t n = graph.num_nodes();
   Rng rng(99);
   ThreadPool pool(4);
+  struct Config {
+    ThreadPool* pool;
+    int max_parallelism;
+  };
+  // Serial, whole pool, and a capped-width parallel run.
+  const Config configs[] = {{nullptr, 1}, {&pool, 0}, {&pool, 3}};
 
-  // Widths cover every fixed-width instantiation plus the generic
-  // fallback (3, 7, 21) the compact-on-converge solver produces.
-  for (uint32_t block : {1u, 2u, 3u, 4u, 7u, 8u, 16u, 21u, 32u}) {
-    // Lane-interleaved input, plus each lane extracted for the reference.
+  for (uint32_t block = 1; block <= kMaxTransposeLanes; ++block) {
+    // Lane-interleaved input, plus each lane's reference output.
     std::vector<double> x(static_cast<size_t>(n) * block);
     for (double& v : x) v = rng.NextDouble();
     std::vector<std::vector<double>> expected(block);
@@ -79,20 +154,13 @@ void CheckKernelBitwise(const Graph& graph) {
       for (uint32_t u = 0; u < n; ++u) {
         xj[u] = x[static_cast<size_t>(u) * block + j];
       }
-      expected[j].resize(n);
-      op.ApplyTranspose(xj, &expected[j]);
+      expected[j] = ReferenceTranspose(graph, xj);
     }
-
-    // Serial, whole pool, and a capped-width parallel run.
-    struct Config {
-      ThreadPool* pool;
-      int max_parallelism;
-    };
-    const Config configs[] = {{nullptr, 1}, {&pool, 0}, {&pool, 3}};
     for (const Config& config : configs) {
       std::vector<double> y(static_cast<size_t>(n) * block, -1.0);
-      op.ApplyTransposeMulti(x, &y, block, config.pool,
-                             config.max_parallelism);
+      ASSERT_TRUE(op.ApplyTransposeMulti(x, &y, block, config.pool,
+                                         config.max_parallelism)
+                      .ok());
       for (uint32_t j = 0; j < block; ++j) {
         for (uint32_t u = 0; u < n; ++u) {
           ASSERT_EQ(y[static_cast<size_t>(u) * block + j], expected[j][u])
@@ -104,16 +172,43 @@ void CheckKernelBitwise(const Graph& graph) {
   }
 }
 
-TEST(SpmmKernelTest, BitwiseEqualToSpmvUnweighted) {
+TEST(SpmmKernelTest, EveryWidthBitwiseEqualToReferenceUnweighted) {
   CheckKernelBitwise(UnweightedTestGraph(1));
 }
 
-TEST(SpmmKernelTest, BitwiseEqualToSpmvWeighted) {
+TEST(SpmmKernelTest, EveryWidthBitwiseEqualToReferenceWeighted) {
   CheckKernelBitwise(WeightedTestGraph(2));
 }
 
+TEST(SpmmKernelTest, RejectsBadBlocksAndOperandsInEveryBuild) {
+  const Graph graph = UnweightedTestGraph(7, 50);
+  TransitionOperator op(graph);
+  const size_t n = graph.num_nodes();
+  const size_t wide = n * (kMaxTransposeLanes + 1);
+  std::vector<double> x(wide, 1.0);
+  std::vector<double> y(wide, -1.0);
+  for (uint32_t block : {0u, kMaxTransposeLanes + 1, 1000u}) {
+    const Status status = op.ApplyTransposeMulti(x, &y, block);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << block;
+  }
+  std::vector<double> short_x(n * 4 - 1, 1.0), short_y(n * 4 - 1, -1.0);
+  EXPECT_EQ(op.ApplyTransposeMulti(short_x, &y, 4).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(op.ApplyTransposeMulti(x, &short_y, 4).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(op.ApplyTransposeMulti(x, &x, 4).code(),
+            StatusCode::kInvalidArgument);
+  // A rejected call writes nothing.
+  EXPECT_TRUE(std::all_of(y.begin(), y.end(), [](double v) { return v == -1.0; }));
+  EXPECT_TRUE(std::all_of(short_y.begin(), short_y.end(),
+                          [](double v) { return v == -1.0; }));
+  // The widest legal block, with operands longer than n * block, works.
+  EXPECT_TRUE(op.ApplyTransposeMulti(x, &y, kMaxTransposeLanes).ok());
+}
+
 // ---------------------------------------------------------------------------
-// 2. Solver: fused multi-source PMPN == per-query single-source PMPN.
+// 2. Solver: every fused lane and the single-source solve == the reference
+//    power iteration, bitwise.
 
 void CheckFusedSolver(const Graph& graph, const std::vector<uint32_t>& queries,
                       const RwrOptions& options, ThreadPool* pool,
@@ -127,31 +222,26 @@ void CheckFusedSolver(const Graph& graph, const std::vector<uint32_t>& queries,
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
   ASSERT_EQ(fused->size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
+    const ReferenceSolve expected = ReferencePmpn(graph, queries[i], options);
+    const PmpnLaneResult& lane = (*fused)[i];
+    ASSERT_TRUE(lane.status.ok()) << lane.status.ToString();
+    ExpectSolveEqualsReference(lane.row, lane.stats, expected, queries[i]);
+
     IterativeSolveStats solo_stats;
     auto solo = ComputeProximityToNode(op, queries[i], options, &solo_stats,
                                        pool, max_parallelism);
     ASSERT_TRUE(solo.ok());
-    const PmpnLaneResult& lane = (*fused)[i];
-    ASSERT_TRUE(lane.status.ok()) << lane.status.ToString();
-    ASSERT_EQ(lane.row.size(), solo->size());
-    for (size_t u = 0; u < solo->size(); ++u) {
-      ASSERT_EQ(lane.row[u], (*solo)[u]) << "q=" << queries[i] << " u=" << u;
-    }
-    // Convergence masking must preserve each column's exact schedule.
-    EXPECT_EQ(lane.stats.iterations, solo_stats.iterations)
-        << "q=" << queries[i];
-    EXPECT_EQ(lane.stats.converged, solo_stats.converged);
-    EXPECT_EQ(lane.stats.final_delta, solo_stats.final_delta);
+    ExpectSolveEqualsReference(*solo, solo_stats, expected, queries[i]);
   }
 }
 
-TEST(PmpnMultiTest, MatchesSingleSourceAcrossWidthsAndThreads) {
+TEST(PmpnMultiTest, MatchesReferenceAcrossWidthsAndThreads) {
   const Graph graph = UnweightedTestGraph(3);
   RwrOptions options;
   options.epsilon = 1e-9;  // converge quickly but over many iterations
   ThreadPool pool(4);
   // Mixed-degree queries converge at different iterations, exercising
-  // compact-on-converge through many intermediate (generic-path) widths.
+  // compact-on-converge through many intermediate widths.
   std::vector<uint32_t> queries;
   for (uint32_t i = 0; i < 40; ++i) {  // > kMaxTransposeLanes: two groups
     queries.push_back((i * 37) % graph.num_nodes());
@@ -171,12 +261,79 @@ TEST(PmpnMultiTest, WeightedGraphAndDuplicateQueries) {
   CheckFusedSolver(graph, queries, options, &pool, 0);
 }
 
-TEST(PmpnMultiTest, IterationCapReportsLikeSingleSource) {
+// A weighted chain 0 -> 1 -> ... -> 19 with skip edges u -> u + 2, its
+// end draining into the builder's sink, fed from a 2-cycle {20, 21} by an
+// edge of negligible weight into node 0. The longest chain path into node i
+// has i edges, so the chain's share of its row is exact after i + 1
+// iterations and the reference converges at iteration i + 2 on a tiny but
+// nonzero delta from the cycle: every chain node has its own schedule.
+Graph ChainGraph() {
+  constexpr uint32_t kChain = 20;
+  Rng rng(8);
+  GraphBuilder b(kChain + 2);
+  for (uint32_t u = 0; u + 1 < kChain; ++u) {
+    b.AddEdge(u, u + 1, 0.5 + rng.NextDouble());
+    if (u + 2 < kChain) b.AddEdge(u, u + 2, 0.25 + rng.NextDouble());
+  }
+  b.AddEdge(kChain, kChain + 1, 1.0);
+  b.AddEdge(kChain + 1, kChain, 1.0);
+  b.AddEdge(kChain, 0, 1e-12);
+  auto graph = b.Build();
+  EXPECT_TRUE(graph.ok());
+  return std::move(*graph);
+}
+
+TEST(PmpnMultiTest, LanesRetiringOneAtATimeVisitEveryWidth) {
+  // Sixteen lanes with sixteen distinct reference schedules: the block
+  // retires one lane per convergence, so it runs at every width from 16
+  // down to 1. The lanes are scrambled so retirements come from every
+  // block position, and every lane must still match the reference.
+  const Graph graph = ChainGraph();
+  const RwrOptions options;  // epsilon 1e-10
+  std::vector<uint32_t> queries;
+  for (uint32_t i = 0; i < 16; ++i) queries.push_back((i * 7) % 16);
+  std::set<int> schedules;
+  for (uint32_t q : queries) {
+    const ReferenceSolve expected = ReferencePmpn(graph, q, options);
+    ASSERT_TRUE(expected.stats.converged);
+    ASSERT_GT(expected.stats.final_delta, 0.0);
+    schedules.insert(expected.stats.iterations);
+  }
+  ASSERT_EQ(schedules.size(), queries.size());
+  ThreadPool pool(3);
+  CheckFusedSolver(graph, queries, options, nullptr, 1);
+  CheckFusedSolver(graph, queries, options, &pool, 0);
+}
+
+TEST(PmpnMultiTest, IterationCapReportsLikeReference) {
   const Graph graph = UnweightedTestGraph(5, 80);
   RwrOptions options;
   options.epsilon = 1e-14;    // unreachable within the cap below
   options.max_iterations = 6;  // every lane hits the cap
   CheckFusedSolver(graph, {1, 2, 3, 4}, options, nullptr, 1);
+}
+
+TEST(PmpnMultiTest, RejectsBadOptionsAndQueries) {
+  const Graph graph = UnweightedTestGraph(9, 40);
+  TransitionOperator op(graph);
+  RwrOptions bad_alpha;
+  bad_alpha.alpha = 1.0;
+  RwrOptions bad_epsilon;
+  bad_epsilon.epsilon = 0.0;
+  RwrOptions bad_cap;
+  bad_cap.max_iterations = 0;
+  for (const RwrOptions& options : {bad_alpha, bad_epsilon, bad_cap}) {
+    const Status expected = ValidateRwrOptions(options);
+    ASSERT_FALSE(expected.ok());
+    auto fused = ComputeProximityToNodesFused(op, {{1, nullptr}}, options);
+    ASSERT_FALSE(fused.ok());
+    EXPECT_EQ(fused.status().ToString(), expected.ToString());
+    auto solo = ComputeProximityToNode(op, 1, options);
+    ASSERT_FALSE(solo.ok());
+    EXPECT_EQ(solo.status().ToString(), expected.ToString());
+  }
+  EXPECT_EQ(ComputeProximityToNode(op, graph.num_nodes()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(PmpnMultiTest, TrippedLaneMasksOnlyItsOwnColumn) {
@@ -187,7 +344,7 @@ TEST(PmpnMultiTest, TrippedLaneMasksOnlyItsOwnColumn) {
 
   // Lane 1 carries an already-expired deadline; lane 2 a pre-cancelled
   // token. Both must come back aborted while lanes 0 and 3 are bitwise
-  // equal to their solo solves.
+  // equal to the reference.
   const ExecControl expired{SteadyClock::now() - std::chrono::seconds(1),
                             CancellationToken()};
   CancellationToken cancelled = CancellationToken::Cancellable();
@@ -206,12 +363,9 @@ TEST(PmpnMultiTest, TrippedLaneMasksOnlyItsOwnColumn) {
   EXPECT_TRUE((*fused)[2].row.empty());
   for (size_t i : {size_t{0}, size_t{3}}) {
     ASSERT_TRUE((*fused)[i].status.ok());
-    IterativeSolveStats solo_stats;
-    auto solo =
-        ComputeProximityToNode(op, lanes[i].query, options, &solo_stats);
-    ASSERT_TRUE(solo.ok());
-    ASSERT_EQ((*fused)[i].row, *solo);
-    EXPECT_EQ((*fused)[i].stats.iterations, solo_stats.iterations);
+    ExpectSolveEqualsReference(
+        (*fused)[i].row, (*fused)[i].stats,
+        ReferencePmpn(graph, lanes[i].query, options), lanes[i].query);
   }
 }
 
