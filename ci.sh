@@ -70,6 +70,15 @@
 #                                 than full escalation; the AIMD budget
 #                                 controller at most the fixed-budget
 #                                 arm's escalations and settle pushes)
+#                                 — and the serving benchmark
+#                                 (servebench/, its own Release build of
+#                                 this checkout): its self-test (harness
+#                                 tests + every BENCHMARK.json metric
+#                                 reported with its unit) and a 2 s
+#                                 traced hits-batched run, which fails on
+#                                 a wrong answer or a missing metric and
+#                                 whose replay builds its backend from the
+#                                 "batched-pmpn" alias
 #
 # Usage: ./ci.sh [jobs]   (jobs defaults to nproc)
 
@@ -318,5 +327,11 @@ bash -c "ulimit -d $SMOKE_CAP_KB; exec ./build-release/rtk_cli serve-bench \
     10 100 2 --storage-tier mmap --read-only" \
     | grep "storage tier: mmap"
 echo "ulimit smoke ok: 100 queries served via mmap under a ${SMOKE_CAP_KB}KB cap"
+# Serving benchmark: nothing else builds servebench/, which drives the
+# library through ServingEngine, the backend factory (the traced replay
+# resolves "batched-pmpn"), ComputeMulti and QueryStats. Both runs exit
+# non-zero on a wrong answer or a missing metric.
+python3 servebench/run.py --self-test
+python3 servebench/run.py --workload hits-batched --seed 1 --seconds 2 --trace 1
 
 echo "=== CI green ==="

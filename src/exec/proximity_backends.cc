@@ -37,11 +37,10 @@ std::shared_ptr<const ReverseTransitionView> SharedReverseTransitionView(
   return view;
 }
 
-Result<ProximityRow> BatchedPmpnProximityBackend::Compute(
+Result<ProximityRow> PmpnProximityBackend::Compute(
     uint32_t q, const RwrOptions& options, ThreadPool* pool,
     int max_parallelism) const {
-  // Solo path: identical to PmpnProximityBackend (the fused solver's B = 1
-  // lane).
+  // The fused solver's B = 1 lane.
   IterativeSolveStats stats;
   RTK_ASSIGN_OR_RETURN(std::vector<double> values,
                        ComputeProximityToNode(*op_, q, options, &stats, pool,
@@ -52,7 +51,7 @@ Result<ProximityRow> BatchedPmpnProximityBackend::Compute(
   return row;
 }
 
-std::vector<ProximityLaneOutcome> BatchedPmpnProximityBackend::ComputeMulti(
+std::vector<ProximityLaneOutcome> PmpnProximityBackend::ComputeMulti(
     const std::vector<ProximityLaneSpec>& lanes, const RwrOptions& options,
     ThreadPool* pool, int max_parallelism) const {
   std::vector<PmpnLaneSpec> specs;
@@ -126,20 +125,20 @@ Result<ProximityRow> LocalPushProximityBackend::Compute(
 }
 
 std::vector<std::string_view> RegisteredProximityBackendNames() {
-  return {kPmpnBackendName, kBatchedPmpnBackendName, kMonteCarloBackendName,
-          kLocalPushBackendName};
+  return {kPmpnBackendName, kMonteCarloBackendName, kLocalPushBackendName};
+}
+
+bool IsPmpnBackendName(std::string_view name) {
+  return name.empty() || name == kPmpnBackendName ||
+         name == kBatchedPmpnBackendName;
 }
 
 Result<std::unique_ptr<ProximityBackend>> MakeProximityBackend(
     const TransitionOperator& op, const ProximityBackendConfig& config) {
   g_backend_builds.fetch_add(1, std::memory_order_relaxed);
-  if (config.name.empty() || config.name == kPmpnBackendName) {
+  if (IsPmpnBackendName(config.name)) {
     return std::unique_ptr<ProximityBackend>(
         std::make_unique<PmpnProximityBackend>(op));
-  }
-  if (config.name == kBatchedPmpnBackendName) {
-    return std::unique_ptr<ProximityBackend>(
-        std::make_unique<BatchedPmpnProximityBackend>(op));
   }
   if (config.name == kMonteCarloBackendName) {
     return std::unique_ptr<ProximityBackend>(

@@ -4,7 +4,10 @@
 // construct them from configuration.
 //
 // Registered backends:
-//   "pmpn"        exact (Algorithm 2); zero error, the refinement anchor
+//   "pmpn"        exact (Algorithm 2); zero error, the refinement anchor.
+//                 ComputeMulti solves a batch in one graph pass per
+//                 iteration; Compute is its B = 1 lane. "batched-pmpn" is
+//                 an alias that builds this same backend
 //   "monte-carlo" endpoint walks from every source node; per-entry
 //                 empirical-Bernstein error bounds that hold w.h.p. —
 //                 statistically weak for whole-column estimation (the
@@ -64,8 +67,13 @@ struct ProximityBackendConfig {
   bool operator==(const ProximityBackendConfig&) const = default;
 };
 
-/// \brief Names the factory accepts, in registration order.
+/// \brief Backend names, in registration order (each appears once; the
+/// "batched-pmpn" alias is accepted by the factory but not listed).
 std::vector<std::string_view> RegisteredProximityBackendNames();
+
+/// \brief Whether `name` selects the exact PMPN backend: "" (the default),
+/// "pmpn", or its alias "batched-pmpn". The one place the alias is mapped.
+bool IsPmpnBackendName(std::string_view name);
 
 /// \brief Per-operator memo of the O(n+m) reverse-adjacency view. Returns
 /// the live view for `op` if any backend still holds it, else builds one.
@@ -75,9 +83,10 @@ std::vector<std::string_view> RegisteredProximityBackendNames();
 std::shared_ptr<const ReverseTransitionView> SharedReverseTransitionView(
     const TransitionOperator& op);
 
-/// \brief Constructs the backend `config.name` refers to ("" = "pmpn").
-/// Returns InvalidArgument (listing the registered names) for unknown
-/// names. The operator must outlive the backend.
+/// \brief Constructs the backend `config.name` refers to ("" and
+/// "batched-pmpn" = "pmpn"). Returns InvalidArgument (listing the
+/// registered names) for unknown names. The operator must outlive the
+/// backend.
 Result<std::unique_ptr<ProximityBackend>> MakeProximityBackend(
     const TransitionOperator& op, const ProximityBackendConfig& config);
 
@@ -111,20 +120,19 @@ struct SharedProximityBackends {
   }
 };
 
-/// \brief PMPN with a fused multi-query path: Compute is exactly the
-/// single-source solver (this backend serves solo queries identically to
-/// "pmpn"), while ComputeMulti runs ALL lanes through one blocked-SpMM
-/// iteration (rwr/pmpn_multi.h) — one CSR pass per iteration feeds every
-/// lane's accumulator, which is where batched serving throughput comes
-/// from. Every lane's row, iteration count and convergence behavior are
-/// bitwise identical to the single-query path, so batching is purely a
-/// scheduling decision: results, certificates and refinement write-backs
-/// cannot differ from an unbatched run.
-class BatchedPmpnProximityBackend final : public ProximityBackend {
+/// \brief The exact backend: PMPN (Algorithm 2) through the fused solver
+/// (rwr/pmpn_multi.h). ComputeMulti runs ALL lanes through one
+/// blocked-SpMM iteration — one CSR pass per iteration feeds every lane's
+/// accumulator, which is where batched serving throughput comes from —
+/// and Compute is the same solver's B = 1 lane. Every lane's row,
+/// iteration count and convergence behavior are bitwise identical to a
+/// solo Compute, so batching is purely a scheduling decision: results,
+/// certificates and refinement write-backs cannot differ from an
+/// unbatched run.
+class PmpnProximityBackend final : public ProximityBackend {
  public:
   /// The operator must outlive the backend.
-  explicit BatchedPmpnProximityBackend(const TransitionOperator& op)
-      : op_(&op) {}
+  explicit PmpnProximityBackend(const TransitionOperator& op) : op_(&op) {}
 
   Result<ProximityRow> Compute(uint32_t q, const RwrOptions& options,
                                ThreadPool* pool,
@@ -136,7 +144,7 @@ class BatchedPmpnProximityBackend final : public ProximityBackend {
 
   bool fused_multi() const override { return true; }
   bool exact() const override { return true; }
-  std::string_view name() const override { return kBatchedPmpnBackendName; }
+  std::string_view name() const override { return kPmpnBackendName; }
 
  private:
   const TransitionOperator* op_;

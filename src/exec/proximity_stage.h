@@ -2,15 +2,16 @@
 // compute p_{q,*}, the proximity from every node to the query node q.
 //
 // The stage is a seam: ProximityBackend abstracts HOW the row is obtained.
-// The shipped exact backend is PMPN (the paper's Algorithm 2) with its
-// A^T x kernel blocked over node ranges on the pipeline's thread pool.
-// Approximate backends (Monte-Carlo walks, reverse local push — see
-// exec/proximity_backends.h) return the row together with an additive
-// error certificate, which the prune stage uses to widen its bound
-// comparisons: every node whose classification is not certain under the
-// reported error interval is flagged instead of silently misclassified,
-// and the pipeline either escalates to PMPN (exact tier) or drops it
-// (hits-only tier). The refine stage always consumes an exact row.
+// The exact backend is PMPN (the paper's Algorithm 2, PmpnProximityBackend
+// in exec/proximity_backends.h), whose one fused solver serves a single
+// query as its B = 1 lane and a batch as one blocked-SpMM pass per
+// iteration. Approximate backends (Monte-Carlo walks, reverse local push,
+// same header) return the row together with an additive error
+// certificate, which the prune stage uses to widen its bound comparisons:
+// every node whose classification is not certain under the reported error
+// interval is flagged instead of silently misclassified, and the pipeline
+// either escalates to PMPN (exact tier) or drops it (hits-only tier). The
+// refine stage always consumes an exact row.
 
 #ifndef RTK_EXEC_PROXIMITY_STAGE_H_
 #define RTK_EXEC_PROXIMITY_STAGE_H_
@@ -22,7 +23,6 @@
 #include "common/cancellation.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "rwr/pmpn.h"
 #include "rwr/transition.h"
 
 namespace rtk {
@@ -103,7 +103,7 @@ class ProximityBackend {
   /// \brief Computes rows for several queries in one call. The default is
   /// a sequential loop of Compute — correct for every backend, amortizing
   /// nothing; backends that can fuse the work across lanes (one graph pass
-  /// feeding every query, see BatchedPmpnProximityBackend) override it and
+  /// feeding every query, see PmpnProximityBackend) override it and
   /// report fused_multi() == true so the serving batch former knows
   /// gathering a batch actually pays. Each lane's row must be IDENTICAL to
   /// what Compute(lane.query, ...) would return; a lane whose control trips
@@ -142,33 +142,6 @@ class ProximityBackend {
   virtual bool exact() const = 0;
 
   virtual std::string_view name() const = 0;
-};
-
-/// \brief The default exact backend: PMPN with the parallel A^T x kernel.
-class PmpnProximityBackend final : public ProximityBackend {
- public:
-  /// The operator must outlive the backend.
-  explicit PmpnProximityBackend(const TransitionOperator& op) : op_(&op) {}
-
-  Result<ProximityRow> Compute(uint32_t q, const RwrOptions& options,
-                               ThreadPool* pool,
-                               int max_parallelism) const override {
-    IterativeSolveStats stats;
-    RTK_ASSIGN_OR_RETURN(
-        std::vector<double> values,
-        ComputeProximityToNode(*op_, q, options, &stats, pool,
-                               max_parallelism));
-    ProximityRow row;
-    row.values = std::move(values);
-    row.iterations = stats.iterations;
-    return row;
-  }
-
-  bool exact() const override { return true; }
-  std::string_view name() const override { return "pmpn"; }
-
- private:
-  const TransitionOperator* op_;
 };
 
 }  // namespace rtk

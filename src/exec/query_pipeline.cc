@@ -61,7 +61,7 @@ Result<ProximityBackend*> QueryPipeline::ResolveBackend(
   if (config.name.empty()) {
     return proximity_ != nullptr ? proximity_.get() : pmpn_backend_.get();
   }
-  if (config.name == kPmpnBackendName) return pmpn_backend_.get();
+  if (IsPmpnBackendName(config.name)) return pmpn_backend_.get();
   if (proximity_ != nullptr && config.name == proximity_->name()) {
     return proximity_.get();
   }

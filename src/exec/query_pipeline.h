@@ -127,9 +127,10 @@ class QueryPipeline {
   }
 
   /// \brief Resolves a backend the way Run does: "" or the default's name
-  /// -> the default, "pmpn" -> the built-in exact backend, any other
-  /// registered name -> a cached instance built from `config` (rebuilt
-  /// when the config changed). InvalidArgument for unknown names.
+  /// -> the default, "pmpn" or its alias "batched-pmpn" -> the built-in
+  /// exact backend, any other registered name -> a cached instance built
+  /// from `config` (rebuilt when the config changed). InvalidArgument for
+  /// unknown names.
   Result<ProximityBackend*> ResolveBackend(
       const ProximityBackendConfig& config);
 

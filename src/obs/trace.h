@@ -44,7 +44,7 @@ enum class TracePhase : uint8_t {
   // Mutation-publish phases (synthetic traces with backend="mutation").
   kMutateGraph = 7,    ///< apply edge batches + affected-set computation
   kMutateRepair = 8,   ///< hub re-solve + per-node repair (or full rebuild)
-  kMutatePublish = 9,  ///< version advance + snapshot/batcher swap
+  kMutatePublish = 9,  ///< version advance + snapshot/catalog swap
 };
 
 std::string_view TracePhaseToString(TracePhase phase);

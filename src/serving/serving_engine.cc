@@ -58,7 +58,9 @@ TraceDisposition DispositionOf(const Status& status) {
 }  // namespace
 
 ServingEngine::ServingEngine(const ReverseTopkEngine& engine,
-                             const ServingOptions& options)
+                             const ServingOptions& options,
+                             std::shared_ptr<const GraphVersion> version0,
+                             std::shared_ptr<const VersionedBackends> backends)
     : options_(options),
       engine_options_(engine.options()),
       num_nodes_(engine.graph().num_nodes()),
@@ -72,16 +74,9 @@ ServingEngine::ServingEngine(const ReverseTopkEngine& engine,
                                                : ThreadPool::DefaultThreads();
   pool_ = std::make_unique<ThreadPool>(threads);
   if (options_.pin_workers) pool_->BindWorkersToCpus();
-  // Version 0 borrows the source engine's graph and operator (the engine
-  // must outlive the serving layer — the pre-mutation contract, kept so
-  // startup never copies the graph); every mutation publish adopts an
-  // owned graph+operator pair instead.
-  std::shared_ptr<const GraphVersion> version0 =
-      GraphVersion::Borrow(engine.graph(), engine.transition(), /*version=*/0);
   snapshot_ = std::make_shared<const IndexSnapshot>(
-      LowerBoundIndex(engine.index()), /*epoch=*/0, version0);
-  batchers_ = MakeBatchers(version0);
-  shared_backends_ = MakeSharedBackends(version0);
+      LowerBoundIndex(engine.index()), /*epoch=*/0, std::move(version0));
+  shared_backends_ = std::move(backends);
   if (snapshot_->index().storage_tier() == StorageTier::kMmap) {
     residency_ = std::make_unique<ShardResidencyManager>(
         options_.shard_promote_touches, options_.shard_demote_epochs,
@@ -188,51 +183,25 @@ ServingEngine::ServingEngine(const ReverseTopkEngine& engine,
   mutation_thread_ = std::thread([this] { MutationWorker(); });
 }
 
-std::shared_ptr<const ServingEngine::TierBatchers> ServingEngine::MakeBatchers(
-    const std::shared_ptr<const GraphVersion>& version) const {
-  if (options_.max_batch <= 1) return nullptr;
-  // One fused backend per tier, kept only when it actually fuses — a tier
-  // configured with a loop-of-Compute backend gains nothing from
-  // gathering, so its requests keep the single-query path.
-  const auto build_batcher = [&](const ProximityBackendConfig& config)
-      -> std::unique_ptr<ProximityBackend> {
-    Result<std::unique_ptr<ProximityBackend>> built =
-        MakeProximityBackend(version->op(), config);
-    if (!built.ok() || !(*built)->fused_multi()) return nullptr;
-    return std::move(*built);
-  };
-  auto batchers = std::make_shared<TierBatchers>();
-  batchers->version = version;
-  batchers->exact = build_batcher(options_.exact_tier_backend);
-  batchers->approx = build_batcher(options_.approximate_tier_backend);
-  return batchers;
-}
-
-std::shared_ptr<const ServingEngine::VersionedBackends>
+Result<std::shared_ptr<const ServingEngine::VersionedBackends>>
 ServingEngine::MakeSharedBackends(
-    const std::shared_ptr<const GraphVersion>& version) const {
+    const ServingOptions& options,
+    const std::shared_ptr<const GraphVersion>& version) {
   auto holder = std::make_shared<VersionedBackends>();
   holder->version = version;
-  const auto add = [&](const ProximityBackendConfig& config) {
+  for (const ProximityBackendConfig* config :
+       {&options.exact_tier_backend, &options.approximate_tier_backend}) {
     // Pipeline builtins resolve without the factory; a catalog entry for
     // them would only shadow the per-pipeline instances.
-    if (config.name.empty() || config.name == kPmpnBackendName ||
-        config.name == kBatchedPmpnBackendName) {
-      return;
-    }
-    if (holder->catalog.Find(config) != nullptr) return;  // tiers coincide
-    Result<std::unique_ptr<ProximityBackend>> built =
-        MakeProximityBackend(version->op(), config);
-    // A config the factory rejects is reported by the first query that
-    // tries to resolve it — the catalog just stays out of the way.
-    if (!built.ok()) return;
+    if (IsPmpnBackendName(config->name)) continue;
+    if (holder->catalog.Find(*config) != nullptr) continue;  // tiers coincide
+    RTK_ASSIGN_OR_RETURN(std::unique_ptr<ProximityBackend> built,
+                         MakeProximityBackend(version->op(), *config));
     holder->catalog.entries.push_back(
-        SharedProximityBackends::Entry{config, std::move(*built)});
-  };
-  add(options_.exact_tier_backend);
-  add(options_.approximate_tier_backend);
-  if (holder->catalog.entries.empty()) return nullptr;
-  return holder;
+        SharedProximityBackends::Entry{*config, std::move(built)});
+  }
+  if (holder->catalog.entries.empty()) holder.reset();
+  return std::shared_ptr<const VersionedBackends>(std::move(holder));
 }
 
 Histogram* ServingEngine::BackendLatency(const std::string& backend) {
@@ -276,9 +245,12 @@ ServingEngine::~ServingEngine() {
   // Fail batches enqueued after the worker's last drain with kCancelled
   // (and every later Enqueue resolves the same way).
   mutations_.Shutdown();
-  // The pool destructor drains its task queue before joining, so every
-  // dispatch ticket runs; tickets that executed while paused (or raced a
-  // concurrent pop) left their requests behind.
+  // Every dispatch ticket runs, and so does every helper task a ticket
+  // fans out; tickets that executed while paused (or raced a concurrent
+  // pop) left their requests behind. Wait while pool_ is still set: a
+  // running ticket reads it (ExecuteBatch, AcquireSearcher) even after
+  // its requests' responses are delivered.
+  pool_->Wait();
   pool_.reset();
   // Fail whatever is still queued — a promise must never be dropped.
   while (std::optional<PendingQuery> item = queue_.TryPop()) {
@@ -295,21 +267,19 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::Create(
   // Inherit the engine's solver settings the way ReverseTopkEngine::Query
   // does (the searcher re-pins alpha to the index's alpha regardless).
   opts.query.pmpn = engine.options().solver;
-  if (opts.max_batch > 1) {
-    // Friendly default: a tier left on plain PMPN upgrades to the fused
-    // PMPN backend so enabling batching actually batches. The upgrade
-    // changes the reported backend NAME only — "batched-pmpn" serves solo
-    // queries through the identical single-source solver, and every fused
-    // lane is bitwise identical to it.
-    const auto upgrade = [](ProximityBackendConfig* config) {
-      if (config->name.empty() || config->name == kPmpnBackendName) {
-        config->name = std::string(kBatchedPmpnBackendName);
-      }
-    };
-    upgrade(&opts.exact_tier_backend);
-    upgrade(&opts.approximate_tier_backend);
-  }
-  return std::unique_ptr<ServingEngine>(new ServingEngine(engine, opts));
+  // Version 0 borrows the source engine's graph and operator (the engine
+  // must outlive the serving layer — the pre-mutation contract, kept so
+  // startup never copies the graph); every mutation publish adopts an
+  // owned graph+operator pair instead.
+  std::shared_ptr<const GraphVersion> version0 =
+      GraphVersion::Borrow(engine.graph(), engine.transition(), /*version=*/0);
+  // The catalog build is each tier config's one factory pass, so a backend
+  // name the factory rejects fails here instead of on every request of
+  // its tier.
+  RTK_ASSIGN_OR_RETURN(std::shared_ptr<const VersionedBackends> backends,
+                       MakeSharedBackends(opts, version0));
+  return std::unique_ptr<ServingEngine>(new ServingEngine(
+      engine, opts, std::move(version0), std::move(backends)));
 }
 
 std::shared_ptr<const IndexSnapshot> ServingEngine::snapshot() const {
@@ -459,71 +429,59 @@ void ServingEngine::DispatchOne() {
 }
 
 void ServingEngine::ExecuteBatch(std::vector<PendingQuery> items) {
-  // Group by accuracy tier — the per-tier backend config is what decides
-  // both fusability and the solve's knobs. Snapshot and batchers are read
-  // under ONE lock so the pair is consistent; a version mismatch (a
-  // mutation publish swapped the snapshot between the two fields being
-  // rebuilt — impossible today since they swap together, but cheap to
-  // guard) falls back to single-query execution, which is always correct.
-  std::shared_ptr<const IndexSnapshot> snap;
-  std::shared_ptr<const TierBatchers> batchers;
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    snap = snapshot_;
-    batchers = batchers_;
-  }
-  const bool fusable = batchers != nullptr &&
-                       snap->graph_version() != nullptr &&
-                       batchers->version == snap->graph_version();
-  std::vector<PendingQuery> exact_group;
-  std::vector<PendingQuery> approx_group;
-  for (PendingQuery& item : items) {
-    const bool approx =
-        item.request.tier == AccuracyTier::kApproximateHitsOnly;
-    ProximityBackend* batcher =
-        !fusable ? nullptr
-                 : (approx ? batchers->approx.get() : batchers->exact.get());
-    if (batcher == nullptr) {
-      // This tier's backend cannot fuse; run the ordinary path.
-      ExecuteRequest(std::move(item));
-      continue;
-    }
-    (approx ? approx_group : exact_group).push_back(std::move(item));
-  }
-  if (!fusable) return;
-  // `batchers` stays alive across both groups (the local shared_ptr), so
-  // a concurrent mutation publish swapping batchers_ cannot free the
-  // backends mid-solve.
-  RunFusedGroup(std::move(exact_group), batchers->exact.get(), snap);
-  RunFusedGroup(std::move(approx_group), batchers->approx.get(), snap);
-}
-
-void ServingEngine::RunFusedGroup(std::vector<PendingQuery> items,
-                                  ProximityBackend* batcher,
-                                  std::shared_ptr<const IndexSnapshot> snap) {
-  if (items.empty()) return;
-  // Requests that cannot occupy a lane take the ordinary single path:
-  // already-tripped controls abort there without spending solve work, and
-  // an out-of-range query must fail alone instead of poisoning the whole
-  // fused solve's validation.
-  std::vector<PendingQuery> live;
-  live.reserve(items.size());
+  // Requests that cannot occupy a lane run as singles: already-tripped
+  // controls abort there without spending solve work, and an out-of-range
+  // query must fail alone instead of poisoning the fused solve's
+  // validation. The rest group by accuracy tier — the tier's backend
+  // config decides both fusability and the solve's knobs.
+  std::vector<PendingQuery> singles;
+  std::vector<PendingQuery> tiers[2];  // [0] exact, [1] approximate
   for (PendingQuery& item : items) {
     const ExecControl control{item.request.deadline, item.request.cancel};
     const bool tripped = control.active() && !control.Check().ok();
     if (tripped || item.request.query >= num_nodes_) {
-      ExecuteRequest(std::move(item));
+      singles.push_back(std::move(item));
     } else {
-      live.push_back(std::move(item));
+      tiers[item.request.tier == AccuracyTier::kApproximateHitsOnly].push_back(
+          std::move(item));
     }
   }
-  if (live.empty()) return;
-  if (live.size() == 1) {
-    // A lone survivor gains nothing from the fused layout.
-    ExecuteRequest(std::move(live[0]));
-    return;
+  std::shared_ptr<const IndexSnapshot> snap = snapshot();
+  for (int approx = 0; approx < 2; ++approx) {
+    std::vector<PendingQuery>& live = tiers[approx];
+    if (live.size() >= 2) {
+      // The pooled searcher is built over the snapshot's graph version, so
+      // the backend it resolves reads the operator the group's prune and
+      // refine run against.
+      PooledSearcher pooled = AcquireSearcher(snap);
+      Result<ProximityBackend*> backend =
+          pooled.searcher->pipeline().ResolveBackend(
+              approx ? options_.approximate_tier_backend
+                     : options_.exact_tier_backend);
+      if (backend.ok() && (*backend)->fused_multi()) {
+        RunFusedGroup(std::move(live), std::move(pooled), *backend);
+        continue;
+      }
+      ReleaseSearcher(std::move(pooled));
+    }
+    // A lone live request gains nothing from the fused layout, and a
+    // backend that cannot fuse would only loop Compute.
+    for (PendingQuery& item : live) singles.push_back(std::move(item));
   }
+  // Side by side on the pool: this ticket popped the whole batch, so the
+  // other workers' tickets find the queue empty. A single runs inline.
+  ParallelForRange(pool_.get(), 0, static_cast<int64_t>(singles.size()),
+                   /*max_parallelism=*/0, /*grain=*/1,
+                   [&](int64_t lo, int64_t hi) {
+                     for (int64_t i = lo; i < hi; ++i) {
+                       ExecuteRequest(std::move(singles[i]));
+                     }
+                   });
+}
 
+void ServingEngine::RunFusedGroup(std::vector<PendingQuery> live,
+                                  PooledSearcher pooled,
+                                  ProximityBackend* backend) {
   ins_.batches->Increment();
   ins_.batched_queries->Increment(live.size());
   size_t peak = peak_batch_.load(std::memory_order_relaxed);
@@ -532,11 +490,10 @@ void ServingEngine::RunFusedGroup(std::vector<PendingQuery> items,
                                             std::memory_order_relaxed)) {
   }
 
-  // One snapshot (the caller's, matching the batcher's graph version) and
-  // one pooled searcher serve the whole group; every lane's response
-  // reports this epoch, exactly as if each request had popped it
-  // individually.
-  PooledSearcher pooled = AcquireSearcher(snap);
+  // One snapshot and one pooled searcher serve the whole group; every
+  // lane's response reports this epoch, exactly as if each request had
+  // popped it individually.
+  std::shared_ptr<const IndexSnapshot> snap = pooled.snapshot;
 
   // Stable ExecControl storage: the solver keeps per-lane pointers and
   // polls them once per iteration — a mid-solve deadline/cancel masks
@@ -570,7 +527,7 @@ void ServingEngine::RunFusedGroup(std::vector<PendingQuery> items,
 
   const SteadyTimePoint solve_began = SteadyClock::now();
   std::vector<ProximityLaneOutcome> outcomes =
-      batcher->ComputeMulti(lanes, pmpn_opts, pool, max_parallelism);
+      backend->ComputeMulti(lanes, pmpn_opts, pool, max_parallelism);
   const double fused_seconds = SecondsSince(solve_began);
   ins_.fused_proximity_seconds->Record(fused_seconds);
   // Each lane's share of the fused wall time is the batch's amortization,
@@ -587,7 +544,7 @@ void ServingEngine::RunFusedGroup(std::vector<PendingQuery> items,
   deliveries.reserve(live.size());
   for (size_t i = 0; i < live.size(); ++i) {
     ExecuteAdmitted(std::move(live[i]), &pooled, &outcomes[i], share,
-                    batcher->name(), &group_deltas, &deliveries);
+                    backend->name(), &group_deltas, &deliveries);
   }
   ReleaseSearcher(std::move(pooled));
   // Append strictly BEFORE resolving any lane's future: a caller that has
@@ -744,9 +701,7 @@ void ServingEngine::ExecuteAdmitted(
   // bound-targeted epsilon on. The feedback only ever moves latency —
   // certify-or-escalate still guards every answer byte.
   const bool adaptive_backend =
-      !approximate_tier && !query_opts.proximity.name.empty() &&
-      query_opts.proximity.name != kPmpnBackendName &&
-      query_opts.proximity.name != kBatchedPmpnBackendName;
+      !approximate_tier && !IsPmpnBackendName(query_opts.proximity.name);
   if (options_.adaptive && adaptive_backend) {
     query_opts.partial_escalation = true;
     query_opts.bound_targeted_epsilon = true;
@@ -1262,14 +1217,12 @@ void ServingEngine::DrainMutations() {
   log_.AdvanceGraphVersion(next_version->version());
   auto fresh = std::make_shared<const IndexSnapshot>(
       std::move(*rebuilt), current->epoch() + 1, next_version);
-  std::shared_ptr<const TierBatchers> fresh_batchers =
-      MakeBatchers(next_version);
+  // Create already rejected every tier config the factory refuses.
   std::shared_ptr<const VersionedBackends> fresh_shared =
-      MakeSharedBackends(next_version);
+      MakeSharedBackends(options_, next_version).value_or(nullptr);
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_ = fresh;
-    batchers_ = std::move(fresh_batchers);
     shared_backends_ = std::move(fresh_shared);
   }
   // The new graph version invalidates everything the budget controller

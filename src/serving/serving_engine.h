@@ -146,18 +146,17 @@ struct ServingOptions {
   /// Slow-query log size (oldest evicted beyond it).
   size_t slow_query_log_capacity = 64;
   /// Multi-query fusion: a dispatch ticket gathers up to this many queued
-  /// compatible requests (same accuracy tier, served against one snapshot)
-  /// and runs ONE fused blocked-SpMM proximity solve for all of them
-  /// (rwr/pmpn_multi.h) before fanning back into per-query prune/refine.
-  /// <= 1 (default) disables batching entirely — the pre-batching
-  /// single-pop dispatch path, byte for byte. Fusion only engages for
-  /// tiers whose configured backend supports it
-  /// (ProximityBackend::fused_multi(), i.e. "batched-pmpn"); Create()
-  /// upgrades a default/"pmpn" tier backend to "batched-pmpn"
-  /// automatically when max_batch > 1, which changes the reported backend
-  /// NAME but never any result byte: every fused lane is bitwise
-  /// identical to its solo solve, so batching is purely a scheduling
-  /// decision. Priority order is preserved (the batch is popped in strict
+  /// requests and, per accuracy tier, runs ONE fused blocked-SpMM
+  /// proximity solve for that tier's requests (rwr/pmpn_multi.h), served
+  /// against one snapshot, before fanning back into per-query
+  /// prune/refine. <= 1 (default) disables batching entirely — the
+  /// single-pop dispatch path, byte for byte. A tier fuses when its
+  /// backend does (ProximityBackend::fused_multi()): PMPN, the default,
+  /// under any of its names. Popped requests that do not fuse (another
+  /// backend, a lone request of its tier) run side by side on the pool.
+  /// Every fused lane is bitwise identical to its solo solve and reports
+  /// backend "pmpn", so batching is purely a scheduling decision.
+  /// Priority order is preserved (the batch is popped in strict
   /// priority/FIFO order); per-request deadlines and cancellation still
   /// bite mid-solve — a tripped request is masked out of the block and
   /// aborts alone, its batch-mates unaffected.
@@ -328,7 +327,8 @@ class ServingEngine {
   /// \brief Snapshots `engine`'s current index as epoch 0 and readies the
   /// worker pool. PMPN solver settings always come from the engine
   /// (options.query.pmpn is overwritten), keeping serving and serial
-  /// query evaluation bit-identical.
+  /// query evaluation bit-identical. InvalidArgument when a tier names a
+  /// backend the factory does not know.
   static Result<std::unique_ptr<ServingEngine>> Create(
       const ReverseTopkEngine& engine, const ServingOptions& options = {});
 
@@ -485,19 +485,9 @@ class ServingEngine {
     QueryResponse response;
   };
 
-  /// Per-tier fused stage-1 backends, pinned to the graph version they
-  /// were built over (a fused solve reads the version's transition
-  /// operator). Swapped together with the snapshot on every mutation
-  /// publish; ExecuteBatch reads both under one lock and falls back to
-  /// single-query execution on a version mismatch. A tier's entry is null
-  /// when its configured backend cannot fuse.
-  struct TierBatchers {
-    std::shared_ptr<const GraphVersion> version;
-    std::unique_ptr<ProximityBackend> exact;
-    std::unique_ptr<ProximityBackend> approx;
-  };
-
-  ServingEngine(const ReverseTopkEngine& engine, const ServingOptions& options);
+  ServingEngine(const ReverseTopkEngine& engine, const ServingOptions& options,
+                std::shared_ptr<const GraphVersion> version0,
+                std::shared_ptr<const VersionedBackends> backends);
 
   /// One dispatch ticket: pops and executes the highest-priority pending
   /// request — or, with max_batch > 1, up to max_batch of them as one
@@ -508,18 +498,19 @@ class ServingEngine {
   /// Runs one admitted request end to end and delivers its response.
   void ExecuteRequest(PendingQuery item);
 
-  /// Batch former: splits a popped batch by accuracy tier, runs each
-  /// tier's fusable group through RunFusedGroup and everything else
-  /// through ExecuteRequest.
+  /// Batch former: splits a popped batch by accuracy tier. A tier with
+  /// two or more live requests resolves its backend through a pooled
+  /// searcher of the current snapshot and, when that backend fuses, runs
+  /// them through RunFusedGroup; every other request runs through
+  /// ExecuteRequest, side by side on the pool.
   void ExecuteBatch(std::vector<PendingQuery> items);
 
-  /// One fused group: a single snapshot + searcher, one ComputeMulti
-  /// solve across all live lanes, then the per-request fan-back
-  /// (prune/refine/deliver) in pop order. `snap` is the snapshot the
-  /// caller paired with `batcher` (the batcher's graph version).
-  void RunFusedGroup(std::vector<PendingQuery> items,
-                     ProximityBackend* batcher,
-                     std::shared_ptr<const IndexSnapshot> snap);
+  /// One fused group: `pooled`'s snapshot and searcher serve every lane,
+  /// one ComputeMulti solve on `backend` (resolved by that searcher's
+  /// pipeline) covers all of them, then the per-request fan-back
+  /// (prune/refine/deliver) runs in pop order.
+  void RunFusedGroup(std::vector<PendingQuery> live, PooledSearcher pooled,
+                     ProximityBackend* backend);
 
   /// The shared request executor behind ExecuteRequest (fused == nullptr:
   /// full pipeline on a freshly acquired searcher) and RunFusedGroup's
@@ -584,17 +575,14 @@ class ServingEngine {
   /// counter (same CAS-delta pattern).
   void SyncLogMetrics() const;
 
-  /// Builds the per-tier fused backends over `version`'s transition
-  /// operator (null when max_batch <= 1 — batching is off).
-  std::shared_ptr<const TierBatchers> MakeBatchers(
-      const std::shared_ptr<const GraphVersion>& version) const;
-
   /// Builds the shared backend catalog over `version`'s operator: one
-  /// backend per distinct configured approximate tier config, parsed and
-  /// constructed HERE — once per graph version — instead of once per
-  /// pooled searcher. Null when every tier runs a pipeline builtin.
-  std::shared_ptr<const VersionedBackends> MakeSharedBackends(
-      const std::shared_ptr<const GraphVersion>& version) const;
+  /// backend per distinct non-PMPN tier config, parsed and constructed
+  /// HERE — once per graph version — instead of once per pooled searcher.
+  /// Null when every tier runs PMPN; the factory's error for a config it
+  /// rejects.
+  static Result<std::shared_ptr<const VersionedBackends>> MakeSharedBackends(
+      const ServingOptions& options,
+      const std::shared_ptr<const GraphVersion>& version);
 
   /// The mutation worker's thread body: waits for ApplyUpdates wake-ups
   /// and runs DrainMutations under publish_mu_. A dedicated thread, NOT a
@@ -617,10 +605,9 @@ class ServingEngine {
 
   std::atomic<size_t> peak_batch_{0};
 
-  mutable std::mutex snapshot_mu_;  // guards snapshot_/batchers_/
-                                    // shared_backends_ swap/load
+  mutable std::mutex snapshot_mu_;  // guards snapshot_/shared_backends_
+                                    // swap/load
   std::shared_ptr<const IndexSnapshot> snapshot_;
-  std::shared_ptr<const TierBatchers> batchers_;
   std::shared_ptr<const VersionedBackends> shared_backends_;
 
   /// Feedback-driven approximation budgets (see ServingOptions::adaptive).

@@ -10,12 +10,15 @@
 //   * The serving engine's adaptive loop learns a budget scale from
 //     escalation feedback and resets it on a mutation publish.
 //   * Regression: engine construction parses each backend config exactly
-//     once (shared catalog); serving traffic never re-parses.
+//     once (shared catalog); serving traffic never re-parses, and PMPN
+//     tiers (batched or not) never build a backend at all.
 // Part of the ci.sh TSan and ASan legs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -319,6 +322,22 @@ TEST(AdaptiveServingTest, AdaptiveEscalatesNoMoreThanFixedBudget) {
   EXPECT_LE(adaptive, fixed);
 }
 
+// Inserts of three edges absent from the served graph (one per source).
+GraphUpdateBatch ThreeNewEdges(const ServingEngine& serving) {
+  const Graph& graph = serving.snapshot()->graph_version()->graph();
+  GraphUpdateBatch batch;
+  for (uint32_t u = 0; u < graph.num_nodes() && batch.size() < 3; ++u) {
+    for (uint32_t v = 1; v < graph.num_nodes(); ++v) {
+      if (u == v) continue;
+      const auto nbrs = graph.OutNeighbors(u);
+      if (std::binary_search(nbrs.begin(), nbrs.end(), v)) continue;
+      batch.push_back(EdgeUpdate::Insert(u, v));
+      break;
+    }
+  }
+  return batch;
+}
+
 TEST(AdaptiveServingTest, MutationPublishResetsTheController) {
   auto engine = BuildTestEngine(83);
   ASSERT_TRUE(engine.ok());
@@ -346,17 +365,7 @@ TEST(AdaptiveServingTest, MutationPublishResetsTheController) {
 
   // Mutation publish: the measured feedback described the old graph
   // version, so the controller must start over.
-  const Graph& graph = (*serving)->snapshot()->graph_version()->graph();
-  GraphUpdateBatch batch;
-  for (uint32_t u = 0; u < graph.num_nodes() && batch.size() < 3; ++u) {
-    for (uint32_t v = 1; v < graph.num_nodes(); ++v) {
-      if (u == v) continue;
-      const auto nbrs = graph.OutNeighbors(u);
-      if (std::binary_search(nbrs.begin(), nbrs.end(), v)) continue;
-      batch.push_back(EdgeUpdate::Insert(u, v));
-      break;
-    }
-  }
+  GraphUpdateBatch batch = ThreeNewEdges(**serving);
   ASSERT_EQ(batch.size(), 3u);
   MutationResult result = (*serving)->ApplyUpdates(std::move(batch)).get();
   ASSERT_TRUE(result.ok()) << result.status.ToString();
@@ -409,6 +418,49 @@ TEST(SharedBackendCatalogTest, ConstructionParsesEachConfigExactlyOnce) {
     ASSERT_TRUE(response.ok()) << "q=" << q;
   }
   EXPECT_EQ(ProximityBackendBuildCount() - before_traffic, 0u);
+}
+
+TEST(SharedBackendCatalogTest, PmpnTiersBuildNothingAtCreateOrPublish) {
+  auto engine = BuildTestEngine(92);
+  ASSERT_TRUE(engine.ok());
+
+  ServingOptions opts;
+  opts.num_threads = 2;
+  opts.max_batch = 16;
+  opts.mutation_repair_fraction = 1.0;
+  opts.mutation_rebuild_fraction = 1.0;
+
+  // Both tiers run the pipelines' built-in PMPN backend, which fuses: no
+  // factory build at construction, on a mutation publish, or when the
+  // batch former fuses a group.
+  const uint64_t before = ProximityBackendBuildCount();
+  auto serving = ServingEngine::Create(**engine, opts);
+  ASSERT_TRUE(serving.ok());
+  EXPECT_EQ(ProximityBackendBuildCount() - before, 0u);
+
+  GraphUpdateBatch batch = ThreeNewEdges(**serving);
+  ASSERT_EQ(batch.size(), 3u);
+  MutationResult result = (*serving)->ApplyUpdates(std::move(batch)).get();
+  ASSERT_TRUE(result.ok()) << result.status.ToString();
+  EXPECT_EQ(ProximityBackendBuildCount() - before, 0u);
+
+  (*serving)->Pause();
+  std::vector<std::future<QueryResponse>> futures;
+  for (uint32_t q = 0; q < 8; ++q) {
+    QueryRequest request;
+    request.query = q * 31 % 250;
+    request.k = 5;
+    request.bypass_cache = true;
+    futures.push_back((*serving)->Submit(std::move(request)));
+  }
+  (*serving)->Resume();
+  for (auto& future : futures) {
+    QueryResponse response = future.get();
+    ASSERT_TRUE(response.ok()) << response.status.ToString();
+    EXPECT_EQ(response.backend, kPmpnBackendName);
+  }
+  EXPECT_GT((*serving)->stats().batches, 0u);
+  EXPECT_EQ(ProximityBackendBuildCount() - before, 0u);
 }
 
 }  // namespace

@@ -90,23 +90,45 @@ TEST(ProximityBackendFactoryTest, ConstructsEveryRegisteredBackend) {
   ASSERT_TRUE(graph.ok());
   TransitionOperator op(*graph);
   const auto names = RegisteredProximityBackendNames();
-  EXPECT_EQ(names.size(), 4u);
+  EXPECT_EQ(names.size(), 3u);
   for (std::string_view name : names) {
     ProximityBackendConfig config;
     config.name = std::string(name);
     auto backend = MakeProximityBackend(op, config);
     ASSERT_TRUE(backend.ok()) << name;
     EXPECT_EQ((*backend)->name(), name);
-    const bool exact =
-        name == kPmpnBackendName || name == kBatchedPmpnBackendName;
-    EXPECT_EQ((*backend)->exact(), exact);
-    // Only the fused PMPN backend amortizes multi-query solves.
-    EXPECT_EQ((*backend)->fused_multi(), name == kBatchedPmpnBackendName);
+    EXPECT_EQ((*backend)->exact(), name == kPmpnBackendName);
+    // Only PMPN amortizes multi-query solves.
+    EXPECT_EQ((*backend)->fused_multi(), name == kPmpnBackendName);
   }
   // Empty name falls back to the exact default.
   auto fallback = MakeProximityBackend(op, {});
   ASSERT_TRUE(fallback.ok());
   EXPECT_EQ((*fallback)->name(), kPmpnBackendName);
+  // The unlisted "batched-pmpn" alias builds the one PMPN backend.
+  ProximityBackendConfig alias;
+  alias.name = std::string(kBatchedPmpnBackendName);
+  auto aliased = MakeProximityBackend(op, alias);
+  ASSERT_TRUE(aliased.ok());
+  EXPECT_EQ((*aliased)->name(), kPmpnBackendName);
+  EXPECT_TRUE((*aliased)->fused_multi());
+}
+
+TEST(ProximityBackendFactoryTest, PipelineResolvesEveryPmpnNameToItsBuiltin) {
+  auto engine = BuildTestEngine(14);
+  ASSERT_TRUE(engine.ok());
+  QueryPipeline pipeline((*engine)->transition(), (*engine)->index());
+  const uint64_t builds_before = ProximityBackendBuildCount();
+  const ProximityBackend* builtin = &pipeline.proximity_backend();
+  for (std::string_view name :
+       {std::string_view(), kPmpnBackendName, kBatchedPmpnBackendName}) {
+    ProximityBackendConfig config;
+    config.name = std::string(name);
+    Result<ProximityBackend*> resolved = pipeline.ResolveBackend(config);
+    ASSERT_TRUE(resolved.ok()) << name;
+    EXPECT_EQ(*resolved, builtin) << name;
+  }
+  EXPECT_EQ(ProximityBackendBuildCount(), builds_before);
 }
 
 TEST(ProximityBackendFactoryTest, UnknownNameListsRegisteredBackends) {
@@ -420,6 +442,23 @@ TEST(ServingBackendTest, RoutesTiersToConfiguredBackends) {
   EXPECT_EQ(stats.exact_tier_queries, 3u);
   EXPECT_EQ(stats.approximate_tier_queries, 1u);
   EXPECT_GT(stats.backend_escalations, 0u);
+}
+
+TEST(ServingBackendTest, CreateRejectsUnknownTierBackend) {
+  auto engine = BuildTestEngine(62);
+  ASSERT_TRUE(engine.ok());
+  for (bool approximate : {false, true}) {
+    ServingOptions serving_opts;
+    serving_opts.num_threads = 1;
+    (approximate ? serving_opts.approximate_tier_backend
+                 : serving_opts.exact_tier_backend)
+        .name = "quantum-oracle";
+    auto serving = ServingEngine::Create(**engine, serving_opts);
+    ASSERT_FALSE(serving.ok()) << "approximate=" << approximate;
+    EXPECT_EQ(serving.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(serving.status().ToString().find("quantum-oracle"),
+              std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------

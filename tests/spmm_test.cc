@@ -19,9 +19,13 @@
 #include <algorithm>
 #include <cmath>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -412,6 +416,7 @@ struct ServedRun {
   std::vector<std::vector<double>> bounds;    // per node, K lower bounds
   std::vector<double> residues;               // per node
   ServingStats stats;
+  MetricsSnapshot metrics;
 };
 
 // Builds a fresh engine from `engine_seed` (so successive runs never see
@@ -445,6 +450,7 @@ ServedRun RunWorkload(uint64_t engine_seed, ServingOptions options,
     run.residues.push_back(index.ResidueL1(u));
   }
   run.stats = (*serving)->stats();
+  run.metrics = (*serving)->Metrics();
   return run;
 }
 
@@ -477,14 +483,22 @@ TEST(BatchedServingTest, ByteIdenticalToUnbatchedAcrossWidthsAndThreads) {
   EXPECT_GT(baseline.stats.deltas_applied, 0u);
   EXPECT_EQ(baseline.stats.batches, 0u);
 
-  for (size_t max_batch : {size_t{4}, size_t{16}, size_t{64}}) {
-    for (int threads : {2, 4}) {
-      ServingOptions batched;
-      batched.num_threads = threads;
-      batched.max_batch = max_batch;
-      batched.batch_window = 0.002;
-      const ServedRun run = RunWorkload(kSeed, batched, workload);
-      ExpectIdenticalRuns(baseline, run);
+  // Every name of the PMPN backend fuses: the default, "pmpn" and the
+  // "batched-pmpn" alias.
+  for (std::string_view name :
+       {std::string_view(), kPmpnBackendName, kBatchedPmpnBackendName}) {
+    for (size_t max_batch : {size_t{4}, size_t{16}, size_t{64}}) {
+      for (int threads : {2, 4}) {
+        ServingOptions batched;
+        batched.num_threads = threads;
+        batched.max_batch = max_batch;
+        batched.batch_window = 0.002;
+        batched.exact_tier_backend.name = std::string(name);
+        batched.approximate_tier_backend.name = std::string(name);
+        const ServedRun run = RunWorkload(kSeed, batched, workload);
+        ExpectIdenticalRuns(baseline, run);
+        EXPECT_GT(run.stats.batches, 0u) << "backend \"" << name << "\"";
+      }
     }
   }
   // And with intra-query parallelism on top of batching.
@@ -510,12 +524,17 @@ TEST(BatchedServingTest, BatchesFormAndOccupancyIsObservable) {
   EXPECT_GT(run.stats.batched_queries, run.stats.batches);
   EXPECT_GE(run.stats.peak_batch_size, 2u);
   EXPECT_LE(run.stats.peak_batch_size, options.max_batch);
-  // Batched answers report the fused backend by name.
-  bool saw_batched_backend = false;
+  // Batched answers report the one PMPN backend, and its latency series
+  // is the only one they land in.
   for (const QueryResponse& response : run.responses) {
-    if (response.backend == kBatchedPmpnBackendName) saw_batched_backend = true;
+    EXPECT_EQ(response.backend, kPmpnBackendName);
   }
-  EXPECT_TRUE(saw_batched_backend);
+  const HistogramSnapshot* pmpn_latency =
+      run.metrics.HistogramOf("rtk_serving_request_backend_pmpn_seconds");
+  ASSERT_NE(pmpn_latency, nullptr);
+  EXPECT_EQ(pmpn_latency->count, run.responses.size());
+  EXPECT_EQ(run.metrics.ToPrometheusText().find("batched_pmpn"),
+            std::string::npos);
 }
 
 TEST(BatchedServingTest, AbortedRequestMasksOnlyItsOwnLane) {
@@ -573,6 +592,49 @@ TEST(BatchedServingTest, AbortedRequestMasksOnlyItsOwnLane) {
     EXPECT_EQ(responses[i].results, baseline.responses[bi].results);
     ++bi;
   }
+}
+
+TEST(BatchedServingTest, UnfusedRequestsRunSideBySide) {
+  // One dispatch ticket pops the whole backlog, so the other workers'
+  // tickets find the queue empty: requests the former does not fuse (here
+  // a local-push tier) must still spread over the pool. Each callback
+  // waits, bounded, until a second one has arrived, so the check does not
+  // depend on request cost — run one after another, the first callback
+  // times out alone and all four share one thread.
+  std::mutex mu;
+  std::condition_variable arrived;
+  size_t callbacks = 0;
+  std::set<std::thread::id> threads;
+
+  auto engine = BuildTestEngine(24);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ServingOptions options;
+  options.num_threads = 4;
+  options.max_batch = 16;
+  options.approximate_tier_backend.name = std::string(kLocalPushBackendName);
+  auto serving = ServingEngine::Create(**engine, options);
+  ASSERT_TRUE(serving.ok());
+  (*serving)->Pause();
+  for (uint32_t q : {3u, 40u, 77u, 120u}) {
+    QueryRequest request;
+    request.query = q;
+    request.k = 5;
+    request.tier = AccuracyTier::kApproximateHitsOnly;
+    (*serving)->Submit(std::move(request), [&](QueryResponse response) {
+      EXPECT_TRUE(response.ok()) << response.status.ToString();
+      std::unique_lock<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+      ++callbacks;
+      arrived.notify_all();
+      arrived.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return callbacks >= 2; });
+    });
+  }
+  (*serving)->Resume();
+  std::unique_lock<std::mutex> lock(mu);
+  arrived.wait(lock, [&] { return callbacks == 4; });
+  EXPECT_GE(threads.size(), 2u);
+  EXPECT_EQ((*serving)->stats().batches, 0u);
 }
 
 // ---------------------------------------------------------------------------

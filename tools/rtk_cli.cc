@@ -571,11 +571,12 @@ int CmdServeBench(int argc, char** argv) {
   ServingOptions serving_opts;
   serving_opts.num_threads = threads;
   // --backend routes BOTH tiers through the chosen estimator (exact-tier
-  // requests stay result-identical via certify-or-escalate).
+  // requests stay result-identical via certify-or-escalate); Create()
+  // rejects an unknown name.
   serving_opts.exact_tier_backend.name = g_backend;
   serving_opts.approximate_tier_backend.name = g_backend;
   // --max-batch / --batch-window: the fused multi-query batch former
-  // (Create() upgrades a pmpn-compatible tier to "batched-pmpn").
+  // (PMPN tiers fuse; other backends' requests run side by side).
   serving_opts.max_batch = std::max<size_t>(1, g_max_batch);
   serving_opts.batch_window = g_batch_window;
   // --adaptive on: per-backend AIMD budget controller (escalations tighten
