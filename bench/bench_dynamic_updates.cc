@@ -1,17 +1,25 @@
 // Evolving-graph maintenance (the paper's Section 7 future work):
 // incremental index maintenance vs full rebuild, across update batch
-// sizes.
+// sizes, both through the serving engine's mutation drain
+// (ServingEngine::ApplyUpdates).
+//
+// Both arms are offline bulk maintenance: mutation_threads = 0 lends the
+// drain the idle query pool. The incremental arm sets both mutation
+// fractions to 0.5, so a batch whose affected set passes half the nodes
+// falls back to a rebuild; the rebuild arm sets both to 0, so every batch
+// rebuilds the whole index.
 //
 // Expected shape: the incremental path's cost tracks the affected-set
 // size, which for localized updates on web-like graphs is a small
 // fraction of n — so incremental beats rebuild by a wide margin for small
 // batches, with the gap narrowing as batches grow (and a forced fallback
-// once the affected set passes the rebuild_fraction threshold).
+// once the affected set passes the rebuild fraction).
 
 #include <set>
 
 #include "bench_common.h"
-#include "dynamic/dynamic_engine.h"
+#include "core/engine.h"
+#include "serving/serving_engine.h"
 
 namespace {
 
@@ -64,32 +72,37 @@ int main(int argc, char** argv) {
                 "incr-sec", "rebuild-sec", "speedup", "affected", "fallback");
 
     for (size_t batch_size : {2ul, 8ul, 32ul, 128ul}) {
-      DynamicEngineOptions incr_opts;
-      incr_opts.engine.capacity_k = 50;
-      incr_opts.engine.hub_selection.degree_budget_b =
+      EngineOptions engine_opts;
+      engine_opts.capacity_k = 50;
+      engine_opts.hub_selection.degree_budget_b =
           named.graph.num_nodes() / 50 + 1;
-      incr_opts.strategy = UpdateStrategy::kIncremental;
-      DynamicEngineOptions rebuild_opts = incr_opts;
-      rebuild_opts.strategy = UpdateStrategy::kRebuild;
-
-      Graph g1 = named.graph;
-      Graph g2 = named.graph;
-      auto incremental = DynamicReverseTopkEngine::Build(std::move(g1),
-                                                         incr_opts);
-      auto rebuild = DynamicReverseTopkEngine::Build(std::move(g2),
-                                                     rebuild_opts);
+      auto engine = ReverseTopkEngine::Build(named.graph, engine_opts);
+      if (!engine.ok()) return 1;
+      ServingOptions incr_opts;
+      incr_opts.mutation_threads = 0;
+      incr_opts.mutation_repair_fraction = 0.5;
+      incr_opts.mutation_rebuild_fraction = 0.5;
+      ServingOptions rebuild_opts = incr_opts;
+      rebuild_opts.mutation_repair_fraction = 0.0;
+      rebuild_opts.mutation_rebuild_fraction = 0.0;
+      auto incremental = ServingEngine::Create(**engine, incr_opts);
+      auto rebuild = ServingEngine::Create(**engine, rebuild_opts);
       if (!incremental.ok() || !rebuild.ok()) return 1;
 
       Rng rng(200 + static_cast<uint64_t>(batch_size));
-      const auto batch = MakeBatch((*incremental)->graph(), batch_size, &rng);
+      const auto batch = MakeBatch((*engine)->graph(), batch_size, &rng);
 
-      UpdateReport incr_report, rebuild_report;
-      if (!(*incremental)->ApplyUpdates(batch, &incr_report).ok()) return 1;
-      if (!(*rebuild)->ApplyUpdates(batch, &rebuild_report).ok()) return 1;
+      const MutationResult incr = (*incremental)->ApplyUpdates(batch).get();
+      const MutationResult full = (*rebuild)->ApplyUpdates(batch).get();
+      if (!incr.ok() || !full.ok()) return 1;
+      if (full.mode != MutationRepairMode::kRebuilt) {
+        std::fprintf(stderr, "rebuild arm did not rebuild\n");
+        return 1;
+      }
 
       // Spot-check: both engines answer identically after the batch.
-      for (uint32_t q = 0; q < (*incremental)->graph().num_nodes();
-           q += (*incremental)->graph().num_nodes() / 7 + 1) {
+      const uint32_t n = (*engine)->graph().num_nodes();
+      for (uint32_t q = 0; q < n; q += n / 7 + 1) {
         auto a = (*incremental)->Query(q, 10);
         auto b = (*rebuild)->Query(q, 10);
         if (!a.ok() || !b.ok() || *a != *b) {
@@ -98,22 +111,23 @@ int main(int argc, char** argv) {
         }
       }
 
-      const double speedup = rebuild_report.total_seconds /
-                             (incr_report.total_seconds > 0.0
-                                  ? incr_report.total_seconds
-                                  : 1e-9);
-      std::printf("%-8zu %-12.3f %-12.3f %-10.2f %-10u %-9s\n", batch_size,
-                  incr_report.total_seconds, rebuild_report.total_seconds,
-                  speedup, incr_report.affected_nodes,
-                  incr_report.rebuilt_all ? "yes" : "no");
+      const bool fallback = incr.mode == MutationRepairMode::kRebuilt;
+      const double speedup =
+          full.apply_seconds /
+          (incr.apply_seconds > 0.0 ? incr.apply_seconds : 1e-9);
+      std::printf("%-8zu %-12.3f %-12.3f %-10.2f %-10llu %-9s\n", batch_size,
+                  incr.apply_seconds, full.apply_seconds, speedup,
+                  static_cast<unsigned long long>(incr.affected_nodes),
+                  fallback ? "yes" : "no");
       json.BeginObject();
       json.Key("graph").String(named.name);
       json.Key("batch_size").Int(static_cast<long long>(batch_size));
-      json.Key("incremental_seconds").Double(incr_report.total_seconds);
-      json.Key("rebuild_seconds").Double(rebuild_report.total_seconds);
+      json.Key("incremental_seconds").Double(incr.apply_seconds);
+      json.Key("rebuild_seconds").Double(full.apply_seconds);
       json.Key("speedup").Double(speedup);
-      json.Key("affected_nodes").Int(incr_report.affected_nodes);
-      json.Key("fallback_rebuild").Int(incr_report.rebuilt_all ? 1 : 0);
+      json.Key("affected_nodes")
+          .Int(static_cast<long long>(incr.affected_nodes));
+      json.Key("fallback_rebuild").Int(fallback ? 1 : 0);
       json.EndObject();
     }
   }

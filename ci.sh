@@ -2,7 +2,10 @@
 # CI for rtk: the tier-1 verify plus sanitizer and optimized legs.
 #
 #   pass 1  default build       — full library + tests + benches + examples,
-#                                 whole GoogleTest suite via ctest
+#                                 whole GoogleTest suite via ctest, then
+#                                 every example binary (example_evolving_
+#                                 graph exits 1 if answers served after
+#                                 ApplyUpdates differ from a fresh build)
 #   pass 2  ThreadSanitizer     — library + tests only, runs the concurrency
 #                                 suites (serving_test: inter-query;
 #                                 request_scheduler_test: async submit /
@@ -36,7 +39,10 @@
 #                                 storage-tier/mutation-serving) so shard
 #                                 lifetime bugs, buffer overruns in the
 #                                 v2/v3 I/O paths, and UB surface as hard
-#                                 failures
+#                                 failures; float-cast-overflow is added
+#                                 explicitly (GCC's -fsanitize=undefined
+#                                 leaves it out), so an out-of-range
+#                                 float-to-integer cast fails too
 #   pass 4  Release (-O3 -DNDEBUG) — optimized build; smoke-runs the fig5
 #                                 query-time bench (with --json, validating
 #                                 the machine-readable output) and the
@@ -90,6 +96,13 @@ echo "=== pass 1: default build + full test suite ==="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+# The examples drive the public surface end to end; any non-zero exit
+# fails CI.
+for example in build/example_*; do
+  [[ -f "$example" && -x "$example" ]] || continue
+  echo "--- $example"
+  "$example" > /dev/null
+done
 
 echo "=== pass 2: TSan build + concurrency suites ==="
 cmake -B build-tsan -S . -DRTK_SANITIZE=thread \
@@ -118,7 +131,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/mutation_serving_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/adaptive_test
 
 echo "=== pass 3: ASan+UBSan build + storage suites ==="
-cmake -B build-asan -S . -DRTK_SANITIZE=address,undefined \
+cmake -B build-asan -S . -DRTK_SANITIZE=address,undefined,float-cast-overflow \
       -DRTK_BUILD_BENCHES=OFF -DRTK_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$JOBS" \
       --target index_test fault_injection_test serving_test \

@@ -29,7 +29,6 @@
 #include "core/engine.h"        // IWYU pragma: export
 #include "core/online_query.h"  // IWYU pragma: export
 #include "core/upper_bound.h"   // IWYU pragma: export
-#include "dynamic/dynamic_engine.h"  // IWYU pragma: export
 #include "dynamic/graph_updates.h"   // IWYU pragma: export
 #include "exec/proximity_backends.h"  // IWYU pragma: export
 #include "exec/proximity_stage.h"  // IWYU pragma: export

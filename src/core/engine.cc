@@ -12,15 +12,14 @@ ReverseTopkEngine::ReverseTopkEngine(Graph graph, const EngineOptions& options)
   pool_ = std::make_unique<ThreadPool>(threads);
 }
 
-Result<std::unique_ptr<ReverseTopkEngine>> ReverseTopkEngine::Build(
-    Graph graph, const EngineOptions& options) {
-  std::unique_ptr<ReverseTopkEngine> engine(
-      new ReverseTopkEngine(std::move(graph), options));
-
+Result<LowerBoundIndex> BuildEngineIndex(const TransitionOperator& op,
+                                         const EngineOptions& options,
+                                         ThreadPool* pool,
+                                         IndexBuildReport* report) {
   HubSelectionOptions hub_opts = options.hub_selection;
   hub_opts.alpha = options.bca.alpha;
   RTK_ASSIGN_OR_RETURN(std::vector<uint32_t> hubs,
-                       SelectHubs(engine->graph_, hub_opts));
+                       SelectHubs(op.graph(), hub_opts));
 
   IndexBuildOptions build_opts;
   build_opts.capacity_k = options.capacity_k;
@@ -29,10 +28,17 @@ Result<std::unique_ptr<ReverseTopkEngine>> ReverseTopkEngine::Build(
   build_opts.hub_store.rwr = options.solver;
   build_opts.hub_store.rwr.alpha = options.bca.alpha;
   build_opts.hub_store.rounding_omega = options.rounding_omega;
+  return BuildLowerBoundIndex(op, hubs, build_opts, pool, report);
+}
+
+Result<std::unique_ptr<ReverseTopkEngine>> ReverseTopkEngine::Build(
+    Graph graph, const EngineOptions& options) {
+  std::unique_ptr<ReverseTopkEngine> engine(
+      new ReverseTopkEngine(std::move(graph), options));
   RTK_ASSIGN_OR_RETURN(
       LowerBoundIndex index,
-      BuildLowerBoundIndex(*engine->op_, hubs, build_opts,
-                           engine->pool_.get(), &engine->build_report_));
+      BuildEngineIndex(*engine->op_, options, engine->pool_.get(),
+                       &engine->build_report_));
   engine->index_ = std::make_unique<LowerBoundIndex>(std::move(index));
   engine->searcher_ = std::make_unique<ReverseTopkSearcher>(
       *engine->op_, engine->index_.get());

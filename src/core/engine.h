@@ -58,6 +58,17 @@ struct EngineOptions {
   StorageTier storage_tier = StorageTier::kHeap;
 };
 
+/// \brief The one recipe that turns EngineOptions into an index over the
+/// graph behind `op`: hub selection (alpha pinned to `bca.alpha`) plus
+/// Algorithm 1 with the engine's capacity, BCA, solver, rounding and shard
+/// settings. ReverseTopkEngine::Build and the serving engine's rebuild
+/// drain both call it, so a rebuilt snapshot is byte-identical to a fresh
+/// build on the same graph. Runs on `pool` when provided.
+Result<LowerBoundIndex> BuildEngineIndex(const TransitionOperator& op,
+                                         const EngineOptions& options,
+                                         ThreadPool* pool = nullptr,
+                                         IndexBuildReport* report = nullptr);
+
 /// \brief Owning facade over graph, index and query machinery.
 ///
 /// Thread-safety: Query() is NOT safe to call from multiple threads —

@@ -18,8 +18,8 @@
 //     { u : p_u changes }  is a subset of
 //     ReverseReachableFrom(new graph, modified sources),
 //
-// which is what the incremental engine recomputes; everything outside the
-// set keeps its index state verbatim (its residue and hub ink live only on
+// which is what the mutation drain repairs; everything outside the set
+// keeps its index state verbatim (its residue and hub ink live only on
 // nodes it can reach, all unaffected).
 
 #ifndef RTK_DYNAMIC_GRAPH_UPDATES_H_

@@ -1,6 +1,6 @@
 // Incremental index repair: Algorithm 1 restricted to an affected node
-// set, shared by the offline DynamicReverseTopkEngine and the serving
-// layer's live mutation drain.
+// set, run by the serving layer's mutation drain
+// (ServingEngine::ApplyUpdates).
 //
 // Given an index built over the OLD graph and the transition operator of
 // the NEW graph, RepairAffectedNodes produces an index that is back in
@@ -15,8 +15,8 @@
 //     redemption for every node, so a stale row would poison bounds far
 //     outside the affected set.
 //  2. Affected non-hub nodes either re-run truncated BCA from scratch
-//     (repair_bca = true, the exact incremental maintenance of
-//     dynamic_engine.h) or are reset to the trivial-but-valid lower bound
+//     (repair_bca = true, the exact incremental maintenance: rows match
+//     a fresh build) or are reset to the trivial-but-valid lower bound
 //     (repair_bca = false, conservative invalidation: zero top-k, empty
 //     BCA state, |r|_1 = 1 — fresh-start state that query-time refinement
 //     re-tightens). Either way Algorithm 4 stays exact: its correctness
@@ -51,7 +51,7 @@ struct IndexRepairOptions {
   bool repair_bca = true;
 };
 
-/// \brief What one repair did (timing feeds UpdateReport / mutation
+/// \brief What one repair did (feeds MutationResult and the mutation
 /// metrics).
 struct IndexRepairReport {
   uint32_t affected_hubs = 0;

@@ -7,11 +7,9 @@
 #include <thread>
 #include <utility>
 
-#include "bca/hub_selection.h"
 #include "dynamic/index_repair.h"
 #include "exec/proximity_backends.h"
 #include "exec/query_pipeline.h"
-#include "index/index_builder.h"
 #include "index/shard_backing.h"
 
 namespace rtk {
@@ -263,6 +261,18 @@ ServingEngine::~ServingEngine() {
 
 Result<std::unique_ptr<ServingEngine>> ServingEngine::Create(
     const ReverseTopkEngine& engine, const ServingOptions& options) {
+  // The drain turns each fraction into a node cap by a float-to-integer
+  // cast, which is undefined outside [0, n]; NaN fails both comparisons.
+  for (const double fraction :
+       {options.mutation_repair_fraction, options.mutation_rebuild_fraction}) {
+    if (!(fraction >= 0.0 && fraction <= 1.0)) {
+      return Status::InvalidArgument(
+          "serving: mutation fractions must be in [0, 1]");
+    }
+  }
+  if (options.mutation_threads < 0) {
+    return Status::InvalidArgument("serving: mutation_threads must be >= 0");
+  }
   ServingOptions opts = options;
   // Inherit the engine's solver settings the way ReverseTopkEngine::Query
   // does (the searcher re-pins alpha to the index's alpha regardless).
@@ -1161,21 +1171,16 @@ void ServingEngine::DrainMutations() {
   uint64_t affected_count = 0;
   Result<LowerBoundIndex> rebuilt = [&]() -> Result<LowerBoundIndex> {
     if (mode == MutationRepairMode::kRebuilt) {
-      HubSelectionOptions hub_opts = engine_options_.hub_selection;
-      hub_opts.alpha = engine_options_.bca.alpha;
-      RTK_ASSIGN_OR_RETURN(std::vector<uint32_t> hubs,
-                           SelectHubs(next_version->graph(), hub_opts));
-      hubs_resolved = hubs.size();
-      affected_count = num_nodes_;
-      IndexBuildOptions build_opts;
-      build_opts.capacity_k = engine_options_.capacity_k;
-      build_opts.bca = engine_options_.bca;
-      build_opts.hub_store.rwr = engine_options_.solver;
-      build_opts.hub_store.rwr.alpha = engine_options_.bca.alpha;
-      build_opts.hub_store.rounding_omega = engine_options_.rounding_omega;
+      // The served shard width, not the option: a LoadFromFile engine
+      // keeps its file's shard size across rebuilds.
+      EngineOptions build_opts = engine_options_;
       build_opts.shard_nodes = current->index().shard_nodes();
-      return BuildLowerBoundIndex(next_version->op(), hubs, build_opts,
-                                  repair_pool);
+      RTK_ASSIGN_OR_RETURN(
+          LowerBoundIndex index,
+          BuildEngineIndex(next_version->op(), build_opts, repair_pool));
+      hubs_resolved = index.hub_store().num_hubs();
+      affected_count = num_nodes_;
+      return index;
     }
     IndexRepairOptions repair_opts;
     repair_opts.solver = engine_options_.solver;

@@ -189,9 +189,10 @@ struct ServingOptions {
   /// thread-affine prune ranges become CPU/NUMA-affine. No-op unless the
   /// build enables RTK_ENABLE_NUMA.
   bool pin_workers = false;
-  /// Live-mutation repair policy, as fractions of n. A mutation drain
-  /// whose affected set (reverse reachability from the modified sources)
-  /// is at most `mutation_repair_fraction * n` runs the exact incremental
+  /// Live-mutation repair policy, as fractions of n in [0, 1] (Create
+  /// rejects anything else, NaN included). A mutation drain whose
+  /// affected set (reverse reachability from the modified sources) is at
+  /// most `mutation_repair_fraction * n` runs the exact incremental
   /// repair (affected hubs re-solved + affected non-hubs re-run truncated
   /// BCA); a larger set up to `mutation_rebuild_fraction * n` re-solves
   /// the affected hubs but resets affected non-hubs to the trivial lower
@@ -208,6 +209,7 @@ struct ServingOptions {
   /// steal query workers, or read latency degrades by the repair duty
   /// cycle. 0 borrows the query pool (the throughput-over-latency
   /// choice, e.g. offline bulk loads with no concurrent readers).
+  /// Negative values are rejected by Create.
   int mutation_threads = 1;
   /// Graph-rebuild policy for ApplyUpdates batches (see
   /// dynamic/graph_updates.h — the dangling policy must preserve ids).
@@ -328,7 +330,8 @@ class ServingEngine {
   /// worker pool. PMPN solver settings always come from the engine
   /// (options.query.pmpn is overwritten), keeping serving and serial
   /// query evaluation bit-identical. InvalidArgument when a tier names a
-  /// backend the factory does not know.
+  /// backend the factory does not know, a mutation fraction lies outside
+  /// [0, 1], or mutation_threads is negative.
   static Result<std::unique_ptr<ServingEngine>> Create(
       const ReverseTopkEngine& engine, const ServingOptions& options = {});
 

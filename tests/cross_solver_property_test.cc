@@ -8,17 +8,18 @@
 //                           Gauss-Seidel / K-dash LU
 //   proximity ROW p_{q,*}   dense / PMPN / K-dash transpose LU
 //   contributions           local push bounds vs the exact row
-//   reverse top-k           dynamic engine after updates vs per-query
-//                           brute force
+//   reverse top-k           serving engine after ApplyUpdates vs
+//                           per-query brute force
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 
 #include "common/rng.h"
 #include "core/brute_force.h"
-#include "dynamic/dynamic_engine.h"
+#include "core/engine.h"
 #include "graph/generators.h"
 #include "graph/toy_graphs.h"
 #include "rwr/dense_solver.h"
@@ -27,6 +28,7 @@
 #include "rwr/pmpn.h"
 #include "rwr/power_method.h"
 #include "rwr/reverse_adjacency.h"
+#include "serving/serving_engine.h"
 #include "topk/kdash.h"
 
 namespace rtk {
@@ -134,26 +136,32 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
                        ::testing::Values(0.15, 0.5)));
 
-// Dynamic engine against the per-query brute force after a random update
-// schedule — ground truth independent of the whole index stack.
+// Live mutation (ServingEngine::ApplyUpdates) against the per-query brute
+// force after a random update schedule — ground truth independent of the
+// whole index stack.
 class DynamicVsBruteForceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DynamicVsBruteForceTest, UpdatesThenQueriesMatchBruteForce) {
   const int family = GetParam();
-  Graph g = MakeFamily(family, 1300 + family);
-  DynamicEngineOptions opts;
-  opts.engine.capacity_k = 8;
-  opts.engine.hub_selection.degree_budget_b = 4;
-  opts.engine.num_threads = 1;
-  Graph copy = g;
-  auto engine = DynamicReverseTopkEngine::Build(std::move(copy), opts);
+  EngineOptions opts;
+  opts.capacity_k = 8;
+  opts.hub_selection.degree_budget_b = 4;
+  opts.num_threads = 1;
+  auto engine = ReverseTopkEngine::Build(MakeFamily(family, 1300 + family),
+                                         opts);
   ASSERT_TRUE(engine.ok());
+  ServingOptions serving_opts;
+  serving_opts.num_threads = 1;
+  serving_opts.mutation_repair_fraction = 0.5;
+  serving_opts.mutation_rebuild_fraction = 0.5;
+  auto serving = ServingEngine::Create(**engine, serving_opts);
+  ASSERT_TRUE(serving.ok());
 
   Rng rng(77 + family);
   for (int round = 0; round < 2; ++round) {
     // One random insert (retry until novel) per round.
     std::vector<EdgeUpdate> batch;
-    const Graph& cur = (*engine)->graph();
+    const Graph& cur = (*serving)->snapshot()->graph_version()->graph();
     for (int tries = 0; tries < 300 && batch.empty(); ++tries) {
       const auto u = static_cast<uint32_t>(rng.Uniform(cur.num_nodes()));
       const auto v = static_cast<uint32_t>(rng.Uniform(cur.num_nodes()));
@@ -164,11 +172,14 @@ TEST_P(DynamicVsBruteForceTest, UpdatesThenQueriesMatchBruteForce) {
       }
     }
     ASSERT_FALSE(batch.empty());
-    ASSERT_TRUE((*engine)->ApplyUpdates(batch).ok());
+    MutationResult applied = (*serving)->ApplyUpdates(std::move(batch)).get();
+    ASSERT_TRUE(applied.ok()) << applied.status.ToString();
 
-    TransitionOperator op((*engine)->graph());
-    for (uint32_t q = 0; q < (*engine)->graph().num_nodes(); q += 19) {
-      auto fast = (*engine)->Query(q, 5);
+    auto snap = (*serving)->snapshot();
+    const Graph& graph = snap->graph_version()->graph();
+    TransitionOperator op(graph);
+    for (uint32_t q = 0; q < graph.num_nodes(); q += 19) {
+      auto fast = (*serving)->Query(q, 5);
       auto slow = BruteForceReverseTopk(op, q, 5);
       ASSERT_TRUE(fast.ok() && slow.ok());
       EXPECT_EQ(*fast, *slow) << "family=" << family << " round=" << round

@@ -1,17 +1,14 @@
 // Tests for evolving-graph support: edge-update application, affected-set
-// computation, and the dynamic engine's core guarantee — queries after
-// ApplyUpdates() equal queries on a freshly built engine.
+// computation, and hub-vector re-solves. The end-to-end guarantee — answers
+// after ServingEngine::ApplyUpdates equal a freshly built engine's — is
+// asserted in mutation_serving_test.cc.
 
-#include "dynamic/dynamic_engine.h"
+#include "dynamic/graph_updates.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
-
 #include "bca/hub_proximity_store.h"
 #include "common/rng.h"
-#include "dynamic/graph_updates.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/toy_graphs.h"
@@ -207,208 +204,6 @@ TEST(HubStoreRebuiltTest, RejectsNonHubAndUnsorted) {
   ASSERT_TRUE(store.ok());
   EXPECT_FALSE(HubProximityStore::Rebuilt(*store, op, {5}, {}).ok());
   EXPECT_FALSE(HubProximityStore::Rebuilt(*store, op, {2, 1}, {}).ok());
-}
-
-// --------------------------------------------------------- dynamic engine --
-
-DynamicEngineOptions SmallOptions() {
-  DynamicEngineOptions opts;
-  opts.engine.capacity_k = 10;
-  opts.engine.hub_selection.degree_budget_b = 5;
-  opts.engine.num_threads = 2;
-  return opts;
-}
-
-// The correctness oracle: after updates, every query must match a fresh
-// engine built on the identical updated graph.
-void ExpectMatchesFreshEngine(DynamicReverseTopkEngine& dynamic,
-                              const DynamicEngineOptions& opts,
-                              uint32_t query_stride) {
-  Graph copy = dynamic.graph();  // Graph is copyable
-  auto fresh = ReverseTopkEngine::Build(std::move(copy), opts.engine);
-  ASSERT_TRUE(fresh.ok());
-  for (uint32_t q = 0; q < dynamic.graph().num_nodes(); q += query_stride) {
-    auto a = dynamic.Query(q, 5);
-    auto b = (*fresh)->Query(q, 5);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "q=" << q;
-  }
-}
-
-TEST(DynamicEngineTest, IncrementalMatchesFreshAfterInserts) {
-  Rng rng(31);
-  auto g = ErdosRenyi(200, 1500, &rng);
-  ASSERT_TRUE(g.ok());
-  const auto opts = SmallOptions();
-  auto engine = DynamicReverseTopkEngine::Build(std::move(*g), opts);
-  ASSERT_TRUE(engine.ok());
-
-  std::vector<EdgeUpdate> batch;
-  Rng pick(32);
-  const Graph& cur = (*engine)->graph();
-  std::set<std::pair<uint32_t, uint32_t>> existing;
-  for (uint32_t u = 0; u < cur.num_nodes(); ++u) {
-    for (uint32_t v : cur.OutNeighbors(u)) existing.insert({u, v});
-  }
-  while (batch.size() < 6) {
-    const auto u = static_cast<uint32_t>(pick.Uniform(200));
-    const auto v = static_cast<uint32_t>(pick.Uniform(200));
-    if (u == v || existing.count({u, v})) continue;
-    existing.insert({u, v});
-    batch.push_back(EdgeUpdate::Insert(u, v));
-  }
-  UpdateReport report;
-  ASSERT_TRUE((*engine)->ApplyUpdates(batch, &report).ok());
-  EXPECT_GT(report.affected_nodes, 0u);
-  ExpectMatchesFreshEngine(**engine, opts, 13);
-}
-
-TEST(DynamicEngineTest, IncrementalMatchesFreshAfterDeletes) {
-  Rng rng(41);
-  auto g = ErdosRenyi(150, 1200, &rng);
-  ASSERT_TRUE(g.ok());
-  const auto opts = SmallOptions();
-  auto engine = DynamicReverseTopkEngine::Build(std::move(*g), opts);
-  ASSERT_TRUE(engine.ok());
-
-  // Delete the first out-edge of a few spread-out nodes.
-  std::vector<EdgeUpdate> batch;
-  for (uint32_t u = 3; u < 150 && batch.size() < 5; u += 31) {
-    const auto nbrs = (*engine)->graph().OutNeighbors(u);
-    if (!nbrs.empty()) batch.push_back(EdgeUpdate::Delete(u, nbrs[0]));
-  }
-  ASSERT_FALSE(batch.empty());
-  ASSERT_TRUE((*engine)->ApplyUpdates(batch).ok());
-  ExpectMatchesFreshEngine(**engine, opts, 11);
-}
-
-TEST(DynamicEngineTest, WeightChangesOnWeightedGraph) {
-  GraphBuilder b(30);
-  Rng rng(43);
-  for (uint32_t u = 0; u < 30; ++u) {
-    for (int j = 0; j < 3; ++j) {
-      const auto v = static_cast<uint32_t>(rng.Uniform(30));
-      if (v != u) b.AddEdge(u, v, 1.0 + static_cast<double>(rng.Uniform(5)));
-    }
-  }
-  auto g = b.Build({.dangling_policy = DanglingPolicy::kSelfLoop,
-                    .parallel_edges = ParallelEdgePolicy::kSumWeights});
-  ASSERT_TRUE(g.ok());
-  const auto opts = SmallOptions();
-  auto engine = DynamicReverseTopkEngine::Build(std::move(*g), opts);
-  ASSERT_TRUE(engine.ok());
-
-  const auto nbrs = (*engine)->graph().OutNeighbors(7);
-  ASSERT_FALSE(nbrs.empty());
-  ASSERT_TRUE((*engine)
-                  ->ApplyUpdates({EdgeUpdate::SetWeight(7, nbrs[0], 42.0)})
-                  .ok());
-  ExpectMatchesFreshEngine(**engine, opts, 7);
-}
-
-TEST(DynamicEngineTest, RebuildStrategyAlsoCorrect) {
-  Rng rng(47);
-  auto g = BarabasiAlbert(120, 3, &rng);
-  ASSERT_TRUE(g.ok());
-  auto opts = SmallOptions();
-  opts.strategy = UpdateStrategy::kRebuild;
-  auto engine = DynamicReverseTopkEngine::Build(std::move(*g), opts);
-  ASSERT_TRUE(engine.ok());
-  UpdateReport report;
-  ASSERT_TRUE(
-      (*engine)->ApplyUpdates({EdgeUpdate::Insert(5, 100)}, &report).ok());
-  EXPECT_TRUE(report.rebuilt_all);
-  ExpectMatchesFreshEngine(**engine, opts, 17);
-}
-
-TEST(DynamicEngineTest, LargeAffectedSetFallsBackToRebuild) {
-  // In a cycle every node reaches every other: one edge change affects all
-  // nodes, so the incremental path must detect the blow-up and rebuild.
-  Graph g = CycleGraph(60);
-  auto opts = SmallOptions();
-  opts.rebuild_fraction = 0.25;
-  auto engine = DynamicReverseTopkEngine::Build(std::move(g), opts);
-  ASSERT_TRUE(engine.ok());
-  UpdateReport report;
-  ASSERT_TRUE(
-      (*engine)->ApplyUpdates({EdgeUpdate::Insert(0, 30)}, &report).ok());
-  EXPECT_TRUE(report.rebuilt_all);
-  ExpectMatchesFreshEngine(**engine, opts, 5);
-}
-
-TEST(DynamicEngineTest, UntouchedComponentSkipsWork) {
-  // Two disjoint 3-cycles: updating one component must not recompute the
-  // other (affected set is confined to one side).
-  GraphBuilder b(6);
-  for (uint32_t i = 0; i < 3; ++i) b.AddEdge(i, (i + 1) % 3);
-  for (uint32_t i = 3; i < 6; ++i) b.AddEdge(i, 3 + (i + 1 - 3) % 3);
-  auto g = b.Build({.dangling_policy = DanglingPolicy::kError});
-  ASSERT_TRUE(g.ok());
-  auto opts = SmallOptions();
-  opts.rebuild_fraction = 0.9;
-  auto engine = DynamicReverseTopkEngine::Build(std::move(*g), opts);
-  ASSERT_TRUE(engine.ok());
-  UpdateReport report;
-  ASSERT_TRUE(
-      (*engine)->ApplyUpdates({EdgeUpdate::Insert(0, 2)}, &report).ok());
-  EXPECT_FALSE(report.rebuilt_all);
-  EXPECT_EQ(report.affected_nodes, 3u);  // only the first cycle
-  ExpectMatchesFreshEngine(**engine, opts, 1);
-}
-
-TEST(DynamicEngineTest, SequentialBatchesAccumulateCorrectly) {
-  Rng rng(53);
-  auto g = ErdosRenyi(100, 700, &rng);
-  ASSERT_TRUE(g.ok());
-  const auto opts = SmallOptions();
-  auto engine = DynamicReverseTopkEngine::Build(std::move(*g), opts);
-  ASSERT_TRUE(engine.ok());
-
-  Rng pick(54);
-  for (int round = 0; round < 3; ++round) {
-    // One insert + one delete per round.
-    std::vector<EdgeUpdate> batch;
-    const Graph& cur = (*engine)->graph();
-    for (int tries = 0; tries < 200 && batch.empty(); ++tries) {
-      const auto u = static_cast<uint32_t>(pick.Uniform(100));
-      const auto v = static_cast<uint32_t>(pick.Uniform(100));
-      if (u == v) continue;
-      const auto nbrs = cur.OutNeighbors(u);
-      if (std::find(nbrs.begin(), nbrs.end(), v) == nbrs.end()) {
-        batch.push_back(EdgeUpdate::Insert(u, v));
-      }
-    }
-    const auto nbrs = cur.OutNeighbors(round);
-    if (nbrs.size() > 1) {
-      batch.push_back(EdgeUpdate::Delete(round, nbrs[0]));
-    }
-    ASSERT_FALSE(batch.empty());
-    ASSERT_TRUE((*engine)->ApplyUpdates(batch).ok()) << "round " << round;
-  }
-  ExpectMatchesFreshEngine(**engine, opts, 9);
-}
-
-TEST(DynamicEngineTest, QueriesRefineIndexBetweenUpdates) {
-  // Query-time refinement (update mode) interleaved with graph updates:
-  // the refreshed state must stay consistent.
-  Rng rng(59);
-  auto g = ErdosRenyi(80, 560, &rng);
-  ASSERT_TRUE(g.ok());
-  const auto opts = SmallOptions();
-  auto engine = DynamicReverseTopkEngine::Build(std::move(*g), opts);
-  ASSERT_TRUE(engine.ok());
-
-  for (uint32_t q = 0; q < 20; ++q) ASSERT_TRUE((*engine)->Query(q, 5).ok());
-  ASSERT_TRUE((*engine)->ApplyUpdates({EdgeUpdate::Insert(0, 50)}).ok());
-  for (uint32_t q = 0; q < 20; ++q) ASSERT_TRUE((*engine)->Query(q, 5).ok());
-  ExpectMatchesFreshEngine(**engine, opts, 7);
-}
-
-TEST(DynamicEngineTest, RejectsBadOptions) {
-  Graph g = CycleGraph(10);
-  DynamicEngineOptions opts = SmallOptions();
-  opts.rebuild_fraction = 0.0;
-  EXPECT_FALSE(DynamicReverseTopkEngine::Build(std::move(g), opts).ok());
 }
 
 }  // namespace

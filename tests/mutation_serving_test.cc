@@ -1,21 +1,26 @@
 // Tests for live graph mutation under serving traffic: the MutationLog /
 // GraphVersion plumbing, ServingEngine::ApplyUpdates across all three
-// repair modes, the stale-refinement version gate, and the concurrent
-// mutate+query+refine stress test that ci.sh also runs under TSan.
+// repair modes and several graph shapes, option validation, the
+// stale-refinement version gate, and the concurrent mutate+query+refine
+// stress test that ci.sh also runs under TSan.
 //
-// The correctness oracle throughout is the dynamic_test.cc invariant,
-// asserted through the serving path: after any sequence of ApplyUpdates
+// The correctness oracle throughout: after any sequence of ApplyUpdates
 // batches, exact-tier answers must equal a fresh engine built on the
 // final graph (Algorithm 4 is exact for ANY valid lower bounds, so this
-// holds for repaired, invalidated and rebuilt indexes alike).
+// holds for repaired, invalidated and rebuilt indexes alike). A rebuild
+// publishes exactly the index a fresh build writes, byte for byte.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <future>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,6 +29,9 @@
 #include "core/engine.h"
 #include "dynamic/graph_updates.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
+#include "graph/toy_graphs.h"
+#include "index/index_io.h"
 #include "serving/mutation_log.h"
 #include "serving/refinement_log.h"
 #include "serving/serving_engine.h"
@@ -219,28 +227,188 @@ TEST(MutationServingTest, InvalidatedModeMatchesFreshBuild) {
   ExpectMatchesFreshEngine(**serving, 8, 13);
 }
 
-TEST(MutationServingTest, RebuildModeMatchesFreshBuild) {
-  auto engine = BuildTestEngine(121);
-  ASSERT_TRUE(engine.ok());
-  ServingOptions opts;
-  opts.num_threads = 2;
-  // Rebuild cap of max(1, 0.001 * 250) = 1 node: any real affected set
-  // truncates the reachability sweep and forces the full rebuild path.
-  opts.mutation_rebuild_fraction = 0.001;
-  auto serving = ServingEngine::Create(**engine, opts);
-  ASSERT_TRUE(serving.ok());
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
 
-  Rng rng(122);
-  auto batch =
-      MakeInsertBatch((*serving)->snapshot()->graph_version()->graph(), 3,
-                      &rng);
-  MutationResult result = (*serving)->ApplyUpdates(std::move(batch)).get();
-  ASSERT_TRUE(result.ok()) << result.status.ToString();
-  EXPECT_EQ(result.mode, MutationRepairMode::kRebuilt);
-  EXPECT_EQ(result.affected_nodes, 250u);
-  EXPECT_GT(result.affected_hubs, 0u);
-  EXPECT_EQ((*serving)->stats().mutation_rebuilds, 1u);
-  ExpectMatchesFreshEngine(**serving, 8, 13);
+TEST(MutationServingTest, RebuildModeMatchesFreshBuild) {
+  // Whichever pool the drain borrows (the query pool, none, or its own),
+  // a rebuild follows ReverseTopkEngine::Build's recipe exactly: the
+  // published index serializes to the bytes of a fresh build.
+  for (const int mutation_threads : {0, 1, 3}) {
+    SCOPED_TRACE(testing::Message() << "mutation_threads=" << mutation_threads);
+    auto engine = BuildTestEngine(121);
+    ASSERT_TRUE(engine.ok());
+    ServingOptions opts;
+    opts.num_threads = 2;
+    opts.mutation_threads = mutation_threads;
+    // Rebuild cap of max(1, 0.001 * 250) = 1 node: any real affected set
+    // truncates the reachability sweep and forces the full rebuild path.
+    opts.mutation_rebuild_fraction = 0.001;
+    auto serving = ServingEngine::Create(**engine, opts);
+    ASSERT_TRUE(serving.ok());
+
+    Rng rng(122);
+    auto batch =
+        MakeInsertBatch((*serving)->snapshot()->graph_version()->graph(), 3,
+                        &rng);
+    MutationResult result = (*serving)->ApplyUpdates(std::move(batch)).get();
+    ASSERT_TRUE(result.ok()) << result.status.ToString();
+    EXPECT_EQ(result.mode, MutationRepairMode::kRebuilt);
+    EXPECT_EQ(result.affected_nodes, 250u);
+    EXPECT_GT(result.affected_hubs, 0u);
+    EXPECT_EQ((*serving)->stats().mutation_rebuilds, 1u);
+
+    auto snap = (*serving)->snapshot();
+    auto fresh = ReverseTopkEngine::Build(snap->graph_version()->graph(),
+                                          CoarseOptions());
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    const std::string prefix = testing::TempDir() + "mutation_rebuild_" +
+                               std::to_string(mutation_threads);
+    ASSERT_TRUE(SaveIndex(snap->index(), prefix + "_served.idx").ok());
+    ASSERT_TRUE((*fresh)->SaveIndex(prefix + "_fresh.idx").ok());
+    EXPECT_EQ(ReadBytes(prefix + "_served.idx"),
+              ReadBytes(prefix + "_fresh.idx"));
+    ExpectMatchesFreshEngine(**serving, 8, 13);
+  }
+}
+
+// Graph shapes the repair-mode tests above do not reach. Queries refine
+// the index and publish before each batch, so the drain repairs (or
+// rebuilds over) refined state, not the build's.
+struct ShapeCase {
+  const char* name;
+  Result<Graph> (*make_graph)();
+  GraphUpdateBatch (*make_batch)(const Graph&);
+  double repair_fraction;
+  double rebuild_fraction;
+  MutationRepairMode mode;
+  uint64_t affected_nodes;  // 0: not checked
+  // False when the built index already answers every query exactly, so
+  // the queries before the batch have nothing to refine.
+  bool refines;
+};
+
+const ShapeCase kShapeCases[] = {
+    {"deletes of original edges",
+     [] {
+       Rng rng(41);
+       return ErdosRenyi(150, 1200, &rng);
+     },
+     [](const Graph& g) {
+       // The first out-edge of a few spread-out nodes.
+       GraphUpdateBatch batch;
+       for (uint32_t u = 3; u < g.num_nodes() && batch.size() < 5; u += 31) {
+         const auto nbrs = g.OutNeighbors(u);
+         if (!nbrs.empty()) batch.push_back(EdgeUpdate::Delete(u, nbrs[0]));
+       }
+       return batch;
+     },
+     1.0, 1.0, MutationRepairMode::kRepaired, 0, true},
+    {"weight change on a weighted graph",
+     [] {
+       GraphBuilder b(30);
+       Rng rng(43);
+       for (uint32_t u = 0; u < 30; ++u) {
+         for (int j = 0; j < 3; ++j) {
+           const auto v = static_cast<uint32_t>(rng.Uniform(30));
+           if (v != u) {
+             b.AddEdge(u, v, 1.0 + static_cast<double>(rng.Uniform(5)));
+           }
+         }
+       }
+       return b.Build({.dangling_policy = DanglingPolicy::kSelfLoop,
+                       .parallel_edges = ParallelEdgePolicy::kSumWeights});
+     },
+     [](const Graph& g) {
+       return GraphUpdateBatch{
+           EdgeUpdate::SetWeight(7, g.OutNeighbors(7)[0], 42.0)};
+     },
+     1.0, 1.0, MutationRepairMode::kRepaired, 0, true},
+    {"two disjoint 3-cycles",
+     [] {
+       GraphBuilder b(6);
+       for (uint32_t i = 0; i < 3; ++i) b.AddEdge(i, (i + 1) % 3);
+       for (uint32_t i = 3; i < 6; ++i) b.AddEdge(i, 3 + (i + 1 - 3) % 3);
+       return b.Build({.dangling_policy = DanglingPolicy::kError});
+     },
+     // Only the first cycle can reach the modified source.
+     [](const Graph&) { return GraphUpdateBatch{EdgeUpdate::Insert(0, 2)}; },
+     0.9, 0.9, MutationRepairMode::kRepaired, 3, false},
+    {"60-cycle",
+     []() -> Result<Graph> { return CycleGraph(60); },
+     // Every node reaches every other: one edge affects all 60, past both
+     // caps of 15.
+     [](const Graph&) { return GraphUpdateBatch{EdgeUpdate::Insert(0, 30)}; },
+     0.25, 0.25, MutationRepairMode::kRebuilt, 60, true},
+};
+
+TEST(MutationServingTest, GraphShapesMatchFreshBuild) {
+  constexpr uint32_t kK = 5;
+  for (const ShapeCase& shape : kShapeCases) {
+    SCOPED_TRACE(shape.name);
+    auto graph = shape.make_graph();
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    GraphUpdateBatch batch = shape.make_batch(*graph);
+    ASSERT_FALSE(batch.empty());
+    const uint32_t n = graph->num_nodes();
+    auto engine = ReverseTopkEngine::Build(std::move(*graph), CoarseOptions());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ServingOptions opts;
+    opts.num_threads = 2;
+    opts.mutation_repair_fraction = shape.repair_fraction;
+    opts.mutation_rebuild_fraction = shape.rebuild_fraction;
+    auto serving = ServingEngine::Create(**engine, opts);
+    ASSERT_TRUE(serving.ok());
+
+    for (uint32_t q = 0; q < n; ++q) {
+      ASSERT_TRUE((*serving)->Query(q, kK).ok()) << "q=" << q;
+    }
+    (*serving)->PublishPending();
+    EXPECT_EQ((*serving)->epoch() > 0, shape.refines);
+
+    MutationResult result = (*serving)->ApplyUpdates(std::move(batch)).get();
+    ASSERT_TRUE(result.ok()) << result.status.ToString();
+    EXPECT_EQ(result.mode, shape.mode);
+    if (shape.affected_nodes != 0) {
+      EXPECT_EQ(result.affected_nodes, shape.affected_nodes);
+    }
+    ExpectMatchesFreshEngine(**serving, kK, 1);
+  }
+}
+
+TEST(MutationServingTest, CreateRejectsBadMutationOptions) {
+  auto engine = BuildTestEngine(171);
+  ASSERT_TRUE(engine.ok());
+  // Each fraction becomes a node cap by a float-to-integer cast: anything
+  // outside [0, 1], NaN included, must fail at Create, not in the drain.
+  for (const double bad :
+       {-1.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    ServingOptions repair;
+    repair.mutation_repair_fraction = bad;
+    EXPECT_EQ(ServingEngine::Create(**engine, repair).status().code(),
+              StatusCode::kInvalidArgument)
+        << "repair fraction " << bad;
+    ServingOptions rebuild;
+    rebuild.mutation_rebuild_fraction = bad;
+    EXPECT_EQ(ServingEngine::Create(**engine, rebuild).status().code(),
+              StatusCode::kInvalidArgument)
+        << "rebuild fraction " << bad;
+  }
+  ServingOptions threads;
+  threads.mutation_threads = -1;
+  EXPECT_EQ(ServingEngine::Create(**engine, threads).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Both ends of the range are legal, and repair may exceed rebuild.
+  ServingOptions edges;
+  edges.num_threads = 1;
+  edges.mutation_repair_fraction = 1.0;
+  edges.mutation_rebuild_fraction = 0.0;
+  edges.mutation_threads = 0;
+  EXPECT_TRUE(ServingEngine::Create(**engine, edges).ok());
 }
 
 TEST(MutationServingTest, SequentialBatchesAccumulate) {
