@@ -36,9 +36,13 @@
 #   pass 3  ASan+UBSan          — library + tests only, runs the storage-
 #                                 heavy subset (index/serving/pipeline/
 #                                 proximity-backend/fault-injection/
-#                                 storage-tier/mutation-serving) so shard
-#                                 lifetime bugs, buffer overruns in the
-#                                 v2/v3 I/O paths, and UB surface as hard
+#                                 storage-tier/mutation-serving) plus
+#                                 dynamic_test (the CSR row splice of
+#                                 ApplyEdgeUpdates is all offset arithmetic,
+#                                 checked against a GraphBuilder rebuild)
+#                                 so shard lifetime bugs, buffer overruns
+#                                 in the v2/v3 I/O paths and the splice,
+#                                 and UB surface as hard
 #                                 failures; float-cast-overflow is added
 #                                 explicitly (GCC's -fsanitize=undefined
 #                                 leaves it out), so an out-of-range
@@ -137,7 +141,7 @@ cmake --build build-asan -j "$JOBS" \
       --target index_test fault_injection_test serving_test \
                request_scheduler_test pipeline_test proximity_backend_test \
                obs_test spmm_test storage_tier_test mutation_serving_test \
-               adaptive_test
+               adaptive_test dynamic_test
 # halt_on_error: any report fails CI instead of just logging.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/index_test
@@ -161,6 +165,8 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/mutation_serving_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/adaptive_test
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/dynamic_test
 
 echo "=== pass 4: Release build + bench smokes ==="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \

@@ -1,10 +1,9 @@
 #include "dynamic/graph_updates.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
-#include <map>
 #include <string>
-#include <utility>
 
 namespace rtk {
 
@@ -12,6 +11,42 @@ namespace {
 
 std::string EdgeName(uint32_t src, uint32_t dst) {
   return std::to_string(src) + " -> " + std::to_string(dst);
+}
+
+bool HasEdge(const Graph& graph, uint32_t src, uint32_t dst) {
+  const auto targets = graph.OutNeighbors(src);
+  return std::binary_search(targets.begin(), targets.end(), dst);
+}
+
+Status SelfLoopError(uint32_t u) {
+  return Status::InvalidArgument("self-loop at node " + std::to_string(u) +
+                                 " (set allow_self_loops to permit)");
+}
+
+// GraphBuilder::Build's per-edge checks over the final edge set: the first
+// failing edge in (src, dst) order decides the error. Untouched rows hold
+// the base graph's already-validated weights, so only a self-loop can fail
+// there.
+Status ValidateFinalEdges(const Graph& base, const std::vector<OutRow>& rows,
+                          bool allow_self_loops) {
+  auto row = rows.begin();
+  for (uint32_t u = 0; u < base.num_nodes(); ++u) {
+    if (row == rows.end() || row->node != u) {
+      if (!allow_self_loops && HasEdge(base, u, u)) return SelfLoopError(u);
+      continue;
+    }
+    for (size_t i = 0; i < row->targets.size(); ++i) {
+      const double weight = row->weights[i];
+      if (!(weight > 0.0) || !std::isfinite(weight)) {
+        return Status::InvalidArgument(
+            "edge (" + EdgeName(u, row->targets[i]) +
+            ") has non-positive or non-finite weight");
+      }
+      if (row->targets[i] == u && !allow_self_loops) return SelfLoopError(u);
+    }
+    ++row;
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -27,25 +62,38 @@ Result<Graph> ApplyEdgeUpdates(const Graph& graph,
   }
   const uint32_t n = graph.num_nodes();
 
-  // Materialize the adjacency as an ordered map so updates can be applied
-  // by key. Weight 1.0 everywhere keeps an unweighted graph unweighted
-  // through the rebuild (GraphBuilder emits weights only when some weight
-  // differs from 1).
-  std::map<std::pair<uint32_t, uint32_t>, double> adjacency;
-  for (uint32_t u = 0; u < n; ++u) {
-    const auto targets = graph.OutNeighbors(u);
-    const auto weights = graph.OutWeights(u);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      adjacency[{u, targets[i]}] = weights.empty() ? 1.0 : weights[i];
+  // Materialize the out-rows of the in-range modified sources (weights
+  // included, unit ones for an unweighted graph), in node order.
+  std::vector<uint32_t> sources = ModifiedSources(updates);
+  sources.erase(std::lower_bound(sources.begin(), sources.end(), n),
+                sources.end());
+  std::vector<OutRow> rows(sources.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    OutRow& row = rows[r];
+    row.node = sources[r];
+    const auto targets = graph.OutNeighbors(row.node);
+    const auto weights = graph.OutWeights(row.node);
+    row.targets.assign(targets.begin(), targets.end());
+    if (weights.empty()) {
+      row.weights.assign(targets.size(), 1.0);
+    } else {
+      row.weights.assign(weights.begin(), weights.end());
     }
   }
 
+  // Fold the updates into their rows in batch order.
   for (const EdgeUpdate& update : updates) {
     if (update.src >= n || update.dst >= n) {
       return Status::InvalidArgument("ApplyEdgeUpdates: endpoint out of range: " +
                                      EdgeName(update.src, update.dst));
     }
-    const std::pair<uint32_t, uint32_t> key{update.src, update.dst};
+    OutRow& row = rows[std::lower_bound(sources.begin(), sources.end(),
+                                        update.src) -
+                       sources.begin()];
+    const auto it = std::lower_bound(row.targets.begin(), row.targets.end(),
+                                     update.dst);
+    const auto i = it - row.targets.begin();
+    const bool present = it != row.targets.end() && *it == update.dst;
     switch (update.kind) {
       case EdgeUpdate::Kind::kInsert: {
         if (!(update.weight > 0.0)) {
@@ -53,18 +101,21 @@ Result<Graph> ApplyEdgeUpdates(const Graph& graph,
               "ApplyEdgeUpdates: insert weight must be > 0 for " +
               EdgeName(update.src, update.dst));
         }
-        auto [it, inserted] = adjacency.emplace(key, update.weight);
-        if (!inserted) {
+        if (present) {
           return Status::InvalidArgument("ApplyEdgeUpdates: edge exists: " +
                                          EdgeName(update.src, update.dst));
         }
+        row.targets.insert(it, update.dst);
+        row.weights.insert(row.weights.begin() + i, update.weight);
         break;
       }
       case EdgeUpdate::Kind::kDelete: {
-        if (adjacency.erase(key) == 0) {
+        if (!present) {
           return Status::NotFound("ApplyEdgeUpdates: no such edge: " +
                                   EdgeName(update.src, update.dst));
         }
+        row.targets.erase(it);
+        row.weights.erase(row.weights.begin() + i);
         break;
       }
       case EdgeUpdate::Kind::kSetWeight: {
@@ -73,22 +124,30 @@ Result<Graph> ApplyEdgeUpdates(const Graph& graph,
               "ApplyEdgeUpdates: weight must be > 0 for " +
               EdgeName(update.src, update.dst));
         }
-        auto it = adjacency.find(key);
-        if (it == adjacency.end()) {
+        if (!present) {
           return Status::NotFound("ApplyEdgeUpdates: no such edge: " +
                                   EdgeName(update.src, update.dst));
         }
-        it->second = update.weight;
+        row.weights[i] = update.weight;
         break;
       }
     }
   }
 
-  GraphBuilder builder(n);
-  for (const auto& [edge, weight] : adjacency) {
-    builder.AddEdge(edge.first, edge.second, weight);
+  RTK_RETURN_NOT_OK(
+      ValidateFinalEdges(graph, rows, options.allow_self_loops));
+  // Only a touched row can be empty: every row of a Graph has an out-edge.
+  for (OutRow& row : rows) {
+    if (!row.targets.empty()) continue;
+    if (options.dangling_policy == DanglingPolicy::kError) {
+      return Status::InvalidArgument(
+          "node " + std::to_string(row.node) +
+          " is dangling (out-degree 0) and policy is kError");
+    }
+    row.targets = {row.node};
+    row.weights = {1.0};
   }
-  return builder.Build(options);
+  return Graph::SpliceOutRows(graph, rows);
 }
 
 std::vector<uint32_t> ModifiedSources(const std::vector<EdgeUpdate>& updates) {

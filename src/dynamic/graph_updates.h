@@ -4,7 +4,8 @@
 //
 // This module provides the graph-side primitives: applying a batch of edge
 // insertions / deletions / re-weightings to an immutable CSR graph (by
-// rebuild, O(n + m)), and computing which proximity columns an update batch
+// splicing the modified sources' out-rows into a copy of the CSR, see
+// ApplyEdgeUpdates), and computing which proximity columns an update batch
 // can affect.
 //
 // Affected-set soundness. p_u can change only if a walk from u traverses
@@ -62,16 +63,30 @@ struct EdgeUpdate {
   }
 };
 
-/// \brief Applies a batch of updates to `graph` and rebuilds the CSR.
+/// \brief Applies a batch of updates to `graph` by splicing CSR rows.
 ///
-/// Updates are applied in order, so e.g. delete-then-insert of the same
-/// edge is legal within one batch. The node set is fixed: endpoints must be
-/// in range, and the dangling policy must preserve ids (kError or
-/// kSelfLoop — kRemove renumbers and kAddSink grows n, both of which would
-/// desynchronize any index built on the old graph; they are rejected).
+/// Only the out-rows of modified sources are materialized; the updates
+/// fold into them in batch order, so e.g. delete-then-insert of the same
+/// edge is legal within one batch. Graph::SpliceOutRows then copies every
+/// untouched out-row whole and rebuilds the in-CSR: O(n + m) copying with
+/// no sort, plus O(degree) per update. The result equals a GraphBuilder
+/// rebuild of the final edge set, array for array: the graph is weighted
+/// iff some final weight differs from 1, and it records no sink node and
+/// no original ids.
 ///
-/// Errors: InvalidArgument (range / weight / policy / duplicate insert),
-/// NotFound (delete or re-weight of a missing edge).
+/// The node set is fixed: endpoints must be in range, and the dangling
+/// policy must preserve ids (kError or kSelfLoop — kRemove renumbers and
+/// kAddSink grows n, both of which would desynchronize any index built on
+/// the old graph; they are rejected). `options.parallel_edges` is ignored:
+/// an insert of an existing edge is an error whatever the policy.
+///
+/// Errors, first match wins: InvalidArgument for the dangling policy;
+/// then per update in batch order InvalidArgument (endpoint range,
+/// weight <= 0 or NaN, insert of an existing edge) or NotFound (delete or
+/// re-weight of a missing edge); then GraphBuilder::Build's checks on the
+/// final edge set in (src, dst) order (a +inf weight, a self-loop when
+/// !allow_self_loops — old ones included); then the first row left empty
+/// under kError.
 Result<Graph> ApplyEdgeUpdates(const Graph& graph,
                                const std::vector<EdgeUpdate>& updates,
                                const GraphBuilderOptions& options = {

@@ -1,5 +1,6 @@
 #include "dynamic/index_repair.h"
 
+#include <optional>
 #include <utility>
 
 #include "bca/bca.h"
@@ -12,29 +13,37 @@ Result<LowerBoundIndex> RepairAffectedNodes(
     const std::vector<uint32_t>& affected, const IndexRepairOptions& options,
     ThreadPool* pool, IndexRepairReport* report) {
   IndexRepairReport local;
+  // A cold hub section that fails verification must fail the repair: the
+  // empty stand-in hub_store() returns would otherwise be published as
+  // the refreshed P_H, hiding the corruption from later queries.
+  RTK_RETURN_NOT_OK(index.EnsureHubStore());
 
   // 1. Refresh the vectors of affected hubs against the new graph;
   // unaffected vectors (and the hub set and rounding threshold) are
-  // inherited verbatim.
+  // inherited verbatim. With no affected hub the old P_H is shared as is.
   Stopwatch hub_watch;
   std::vector<uint32_t> affected_hubs;
   const HubProximityStore& old_store = index.hub_store();
   for (uint32_t u : affected) {
     if (old_store.IsHub(u)) affected_hubs.push_back(u);
   }
-  RTK_ASSIGN_OR_RETURN(
-      HubProximityStore new_store,
-      HubProximityStore::Rebuilt(old_store, op, affected_hubs, options.solver,
-                                 pool));
+  std::optional<HubProximityStore> new_store;
+  if (!affected_hubs.empty()) {
+    RTK_ASSIGN_OR_RETURN(
+        new_store, HubProximityStore::Rebuilt(old_store, op, affected_hubs,
+                                              options.solver, pool));
+  }
   local.affected_hubs = static_cast<uint32_t>(affected_hubs.size());
   local.hub_seconds = hub_watch.ElapsedSeconds();
 
-  // 2. Hub-refresh copy: shares every storage shard with the source until
-  // written, but serves the refreshed P_H. Sound because unaffected
-  // nodes' hub ink references only unaffected hubs, whose vectors the
-  // refreshed store keeps byte-identical.
+  // 2. Copy-on-write copy sharing every storage shard with the source
+  // until written, serving the refreshed P_H if there is one. Sound
+  // because unaffected nodes' hub ink references only unaffected hubs,
+  // whose vectors the refreshed store keeps byte-identical.
   Stopwatch bca_watch;
-  LowerBoundIndex next(index, std::move(new_store));
+  LowerBoundIndex next = new_store.has_value()
+                             ? LowerBoundIndex(index, std::move(*new_store))
+                             : index;
   const HubProximityStore& store = next.hub_store();
   const uint32_t capacity_k = next.capacity_k();
   const BcaOptions& bca_opts = next.bca_options();

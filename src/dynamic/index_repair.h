@@ -13,7 +13,9 @@
 //     graph (HubProximityStore::Rebuilt); unaffected hub vectors are
 //     reused verbatim. This step is NOT optional: hub rows feed hub-ink
 //     redemption for every node, so a stale row would poison bounds far
-//     outside the affected set.
+//     outside the affected set. When no affected node is a hub, nothing
+//     is re-solved or copied: the repaired index shares the old P_H
+//     object itself (O(1), not O(|P_H|)).
 //  2. Affected non-hub nodes either re-run truncated BCA from scratch
 //     (repair_bca = true, the exact incremental maintenance: rows match
 //     a fresh build) or are reset to the trivial-but-valid lower bound
@@ -63,9 +65,11 @@ struct IndexRepairReport {
 
 /// \brief Repairs `index` against the new graph behind `op` for the
 /// sorted-unique `affected` node set. Returns a new index sharing every
-/// untouched shard with `index` (copy-on-write); `index` itself is never
-/// written. Re-entrant-safe parallelism: may be called from inside a pool
-/// task of `pool`.
+/// untouched shard with `index` (copy-on-write), and its hub store too when
+/// no affected node is a hub; `index` itself is never written. Fails with
+/// the hub section's Corruption when `index` has a lazy hub store that
+/// does not verify. Re-entrant-safe parallelism: may be called from inside
+/// a pool task of `pool`.
 Result<LowerBoundIndex> RepairAffectedNodes(const LowerBoundIndex& index,
                                             const TransitionOperator& op,
                                             const std::vector<uint32_t>& affected,

@@ -18,12 +18,23 @@
 
 namespace rtk {
 
+/// \brief One replacement out-row for Graph::SpliceOutRows.
+struct OutRow {
+  uint32_t node = 0;
+  /// Ascending, unique, non-empty.
+  std::vector<uint32_t> targets;
+  /// Aligned with `targets`; each finite and > 0.
+  std::vector<double> weights;
+};
+
 /// \brief Immutable directed (optionally weighted) graph in CSR form.
 ///
 /// Node ids are dense integers [0, num_nodes). Construction goes through
 /// GraphBuilder, which validates input and applies a dangling-node policy so
 /// that every node of a Graph has at least one out-edge — the invariant the
-/// RWR theory requires (column-stochastic transition matrix).
+/// RWR theory requires (column-stochastic transition matrix). SpliceOutRows
+/// derives a graph from another by replacing out-rows; its caller keeps
+/// the invariant.
 class Graph {
  public:
   Graph() = default;
@@ -94,8 +105,23 @@ class Graph {
   /// \brief One-line summary, e.g. "Graph(n=9914, m=36854, weighted=no)".
   std::string ToString() const;
 
+  /// \brief The graph equal to `base` except that each row of `rows`
+  /// replaces the out-row of its node. Untouched out-rows are copied
+  /// whole and the in-CSR is rebuilt, so the cost is O(n + m) copying with
+  /// no sort. The result is weighted iff some edge weight differs from 1
+  /// (GraphBuilder's rule), and records no sink node and no original ids.
+  ///
+  /// Unvalidated: `rows` must be sorted by node, unique, in range, and
+  /// each row must satisfy OutRow's contract.
+  static Graph SpliceOutRows(const Graph& base,
+                             std::span<const OutRow> rows);
+
  private:
   friend class GraphBuilder;
+
+  // Counting transpose of the out-CSR into in_offsets_ / in_sources_
+  // (sources ascending within each in-row).
+  void BuildInCsr();
 
   uint32_t num_nodes_ = 0;
   std::vector<uint64_t> out_offsets_{0};

@@ -15,13 +15,12 @@ struct FinalEdge {
   double weight;
 };
 
-// Builds the CSR arrays of `g` from edges sorted by (src, dst).
+// Sorts `edges` by (src, dst) and fills the out-CSR arrays from them.
 void FillCsr(uint32_t n, std::vector<FinalEdge>& edges, bool weighted,
-             Graph* g, std::vector<uint64_t>* out_offsets,
+             std::vector<uint64_t>* out_offsets,
              std::vector<uint32_t>* out_targets,
              std::vector<double>* out_weights,
              std::vector<double>* out_weight_sums) {
-  (void)g;
   std::sort(edges.begin(), edges.end(),
             [](const FinalEdge& a, const FinalEdge& b) {
               if (a.src != b.src) return a.src < b.src;
@@ -201,15 +200,9 @@ Result<Graph> GraphBuilder::Build(const GraphBuilderOptions& options) const {
   g.num_nodes_ = n;
   g.sink_node_ = sink;
   g.original_ids_ = std::move(original_ids);
-  FillCsr(n, merged, weighted, &g, &g.out_offsets_, &g.out_targets_,
+  FillCsr(n, merged, weighted, &g.out_offsets_, &g.out_targets_,
           &g.out_weights_, &g.out_weight_sums_);
-
-  // In-CSR: re-sort by (dst, src).
-  std::vector<FinalEdge> rev = merged;
-  for (auto& e : rev) std::swap(e.src, e.dst);
-  std::vector<double> unused_w, unused_ws;
-  FillCsr(n, rev, /*weighted=*/false, &g, &g.in_offsets_, &g.in_sources_,
-          &unused_w, &unused_ws);
+  g.BuildInCsr();
   return g;
 }
 

@@ -101,10 +101,11 @@ class LowerBoundIndex {
 
   /// \brief Hub-refresh copy: shares every storage shard with `other`
   /// (copy-on-write, like the plain copy) but serves `hub_store` instead
-  /// of other's matrix. The incremental-repair path (dynamic/index_repair):
-  /// sound when the replacement store keeps the vectors of every hub whose
-  /// ink unaffected nodes hold — which HubProximityStore::Rebuilt
-  /// guarantees for unaffected hubs.
+  /// of other's matrix. The incremental-repair path (dynamic/index_repair)
+  /// when some affected node is a hub; with none, the repair takes a plain
+  /// copy and keeps sharing other's matrix. Sound when the replacement
+  /// store keeps the vectors of every hub whose ink unaffected nodes hold
+  /// — which HubProximityStore::Rebuilt guarantees for unaffected hubs.
   LowerBoundIndex(const LowerBoundIndex& other, HubProximityStore hub_store);
 
   /// \brief Wraps an existing storage (the mmap loader's path: the storage

@@ -3,11 +3,12 @@
 //
 // Callers hand in batches of edge updates and get a future<MutationResult>
 // back; the serving engine's mutation worker drains whole batches in FIFO
-// order, applies them to a copy of the current GraphVersion's graph,
-// repairs (or conservatively invalidates, or rebuilds) the index state the
-// batch can affect, and publishes one new IndexSnapshot pinned to the new
-// graph version. Batches that coalesce into one drain share one publish —
-// the mutation analogue of refinement's publish_threshold batching.
+// order, splices them into a new graph derived from the current
+// GraphVersion's, repairs (or conservatively invalidates, or rebuilds) the
+// index state the batch can affect, and publishes one new IndexSnapshot
+// pinned to the new graph version. Batches that coalesce into one drain
+// share one publish — the mutation analogue of refinement's
+// publish_threshold batching.
 //
 // Promise discipline mirrors the admission queue: a batch's promise
 // resolves exactly once — with the publish result, with its own validation

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -1085,18 +1086,20 @@ void ServingEngine::DrainMutations() {
   QueryTrace* trace_ptr = traces_.enabled() ? &trace : nullptr;
   if (trace_ptr != nullptr) trace.StartAt(drain_began);
 
-  // Phase 1 — graph: fold the batches into a working copy in FIFO order,
-  // one batch at a time so a malformed batch fails alone (ApplyEdgeUpdates
-  // validates the whole batch against the graph it receives, so a rejected
-  // batch leaves no partial updates behind).
-  Graph working = base->graph();
+  // Phase 1 — graph: splice the batches in FIFO order, one batch at a
+  // time so a malformed batch fails alone (ApplyEdgeUpdates validates the
+  // whole batch against the graph it receives, so a rejected batch leaves
+  // no partial updates behind). The first applied batch splices from the
+  // served graph itself; later ones from their predecessor's result.
+  std::optional<Graph> working;
   std::vector<Status> outcomes;
   outcomes.reserve(batches.size());
   GraphUpdateBatch all_updates;
   size_t applied_batches = 0;
   for (MutationLog::PendingBatch& batch : batches) {
     Result<Graph> next =
-        ApplyEdgeUpdates(working, batch.updates, options_.mutation_graph);
+        ApplyEdgeUpdates(working.has_value() ? *working : base->graph(),
+                         batch.updates, options_.mutation_graph);
     if (!next.ok()) {
       outcomes.push_back(next.status());
       continue;
@@ -1126,15 +1129,17 @@ void ServingEngine::DrainMutations() {
   // modified sources. Sound for multi-batch drains: any changed walk's
   // first modified traversal starts at some batch's source, and the walk
   // prefix reaching it survives into the final graph (conservative for
-  // edges a later batch reverted). The sweep is capped at the rebuild
-  // threshold — beyond it the set's exact size no longer matters.
+  // edges a later batch reverted). The sweep stops just past the rebuild
+  // threshold — beyond it the set's exact size no longer matters. (Its
+  // max_nodes is at least 1, as 0 means unlimited; a threshold of 0 still
+  // rebuilds on every batch.)
   const auto repair_cap = static_cast<uint32_t>(
       options_.mutation_repair_fraction * static_cast<double>(num_nodes_));
-  const auto rebuild_cap = std::max<uint32_t>(
-      1, static_cast<uint32_t>(options_.mutation_rebuild_fraction *
-                               static_cast<double>(num_nodes_)));
+  const auto rebuild_cap = static_cast<uint32_t>(
+      options_.mutation_rebuild_fraction * static_cast<double>(num_nodes_));
   ReverseReachability affected =
-      ReverseReachableFrom(working, ModifiedSources(all_updates), rebuild_cap);
+      ReverseReachableFrom(*working, ModifiedSources(all_updates),
+                           std::max<uint32_t>(1, rebuild_cap));
   MutationRepairMode mode = MutationRepairMode::kRepaired;
   if (affected.truncated || affected.nodes.size() > rebuild_cap) {
     mode = MutationRepairMode::kRebuilt;
@@ -1146,7 +1151,7 @@ void ServingEngine::DrainMutations() {
   }
 
   auto next_version =
-      GraphVersion::Adopt(std::move(working), base->version() + 1);
+      GraphVersion::Adopt(std::move(*working), base->version() + 1);
 
   // Phase 2 — index: exact repair / conservative invalidation (both
   // re-solve the affected hub vectors — a stale P_H row would poison

@@ -52,9 +52,9 @@
 //    published once enough accumulate (or on explicit PublishPending()).
 //  * Live graph mutation: ApplyUpdates(GraphUpdateBatch) queues edge
 //    updates into a MutationLog; a dedicated mutation worker drains them
-//    under the publish lock, applies the batches to a copy of the current
-//    GraphVersion's graph, repairs the affected index state (or
-//    conservatively invalidates it, or rebuilds — see
+//    under the publish lock, splices the batches' rows into a new graph
+//    derived from the current GraphVersion's, repairs the affected index
+//    state (or conservatively invalidates it, or rebuilds — see
 //    mutation_repair_fraction / mutation_rebuild_fraction), and publishes
 //    ONE new IndexSnapshot pinned to the new graph version. Queries never
 //    block on a mutation: in-flight requests finish against the
@@ -198,8 +198,9 @@ struct ServingOptions {
   /// the affected hubs but resets affected non-hubs to the trivial lower
   /// bound (cheap, still exact for Algorithm 4; refinement re-tightens
   /// them); beyond that the drain rebuilds the whole index (hubs
-  /// re-selected). Exact-tier results are byte-identical to a fresh build
-  /// under every mode.
+  /// re-selected), so a rebuild fraction of 0 rebuilds on every batch.
+  /// Exact-tier results are byte-identical to a fresh build under every
+  /// mode.
   double mutation_repair_fraction = 0.2;
   double mutation_rebuild_fraction = 0.75;
   /// Threads for mutation repair/rebuild work. The default (1) runs the
@@ -412,14 +413,14 @@ class ServingEngine {
   /// \brief Queues one batch of edge updates for the mutation worker and
   /// returns the future its publish resolves. Never blocks on the repair:
   /// the worker drains batches FIFO (possibly coalescing several into one
-  /// publish), applies them to a copy of the current graph, repairs /
-  /// invalidates / rebuilds the affected index state, and publishes a new
-  /// snapshot pinned to the new graph version before resolving. The batch
-  /// is atomic: if any update in it fails validation the whole batch is
-  /// rejected (its future carries the error) and sibling batches in the
-  /// same drain still apply. Queries racing the publish are unaffected —
-  /// each serves the graph+index pair its snapshot pinned. Safe from any
-  /// thread.
+  /// publish), splices them into a new graph derived from the current one,
+  /// repairs / invalidates / rebuilds the affected index state, and
+  /// publishes a new snapshot pinned to the new graph version before
+  /// resolving. The batch is atomic: if any update in it fails validation
+  /// the whole batch is rejected (its future carries the error) and
+  /// sibling batches in the same drain still apply. Queries racing the
+  /// publish are unaffected — each serves the graph+index pair its
+  /// snapshot pinned. Safe from any thread.
   std::future<MutationResult> ApplyUpdates(GraphUpdateBatch updates);
 
   /// \brief Advances one shard-residency epoch for a mmap-tier index:

@@ -337,6 +337,18 @@ const ShapeCase kShapeCases[] = {
      // Only the first cycle can reach the modified source.
      [](const Graph&) { return GraphUpdateBatch{EdgeUpdate::Insert(0, 2)}; },
      0.9, 0.9, MutationRepairMode::kRepaired, 3, false},
+    {"rebuild fraction 0",
+     [] {
+       GraphBuilder b(3);
+       b.AddEdge(0, 1);
+       b.AddEdge(1, 2);
+       b.AddEdge(2, 1);
+       return b.Build({.dangling_policy = DanglingPolicy::kError});
+     },
+     // Nothing reaches node 0, so one node is affected; a rebuild fraction
+     // of 0 must still rebuild.
+     [](const Graph&) { return GraphUpdateBatch{EdgeUpdate::Insert(0, 2)}; },
+     0.0, 0.0, MutationRepairMode::kRebuilt, 3, false},
     {"60-cycle",
      []() -> Result<Graph> { return CycleGraph(60); },
      // Every node reaches every other: one edge affects all 60, past both

@@ -12,8 +12,9 @@
 //      while the mmap open succeeds and the first touching query surfaces
 //      the same Corruption pinned to the shard (hub-blob corruption
 //      likewise: open OK, first refining query fails, prune-only queries
-//      unaffected); a dirty shard refuses demotion; a demoted clean shard
-//      refaults bit-identically;
+//      unaffected, a mutation fails with it and keeps the old snapshot);
+//      a dirty shard refuses demotion; a demoted clean shard refaults
+//      bit-identically;
 //   4. serving — ServingEngine over a mmap-tier engine publishes the same
 //      epochs as over heap (CoW publish over mapped shards), and the
 //      residency manager promotes hot shards / demotes idle ones without
@@ -27,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -312,6 +314,54 @@ TEST_F(StorageTierTest, HubBlobCorruptionDefersToFirstRefiningQuery) {
   EXPECT_EQ(refined.status().code(), StatusCode::kCorruption);
   EXPECT_NE(refined.status().ToString().find("hub"), std::string::npos)
       << refined.status().ToString();
+}
+
+TEST_F(StorageTierTest, HubBlobCorruptionFailsMutationAndKeepsSnapshot) {
+  const Graph graph = TestGraph();
+  const std::string path = MakeIndexFile(graph);
+  auto info = ReadIndexFileInfo(path);
+  ASSERT_TRUE(info.ok());
+  FlipByte(path, info->shard_offsets.front() - 1);
+  auto mmap = LoadTiered(graph, path, StorageTier::kMmap);
+  ASSERT_TRUE(mmap.ok()) << mmap.status().ToString();
+
+  // Fractions of 1: the drain repairs (the path that reads the old hub
+  // store) whatever the affected set.
+  ServingOptions options;
+  options.num_threads = 2;
+  options.mutation_repair_fraction = 1.0;
+  options.mutation_rebuild_fraction = 1.0;
+  auto serving = ServingEngine::Create(**mmap, options);
+  ASSERT_TRUE(serving.ok()) << serving.status().ToString();
+  const auto before = (*serving)->snapshot();
+
+  // The newest BA node has no in-edges, so only it is affected.
+  const uint32_t u = graph.num_nodes() - 1;
+  uint32_t v = 0;
+  while (std::ranges::binary_search(graph.OutNeighbors(u), v)) ++v;
+  MutationResult result =
+      (*serving)->ApplyUpdates({EdgeUpdate::Insert(u, v)}).get();
+  EXPECT_EQ(result.status.code(), StatusCode::kCorruption)
+      << result.status.ToString();
+  const auto after = (*serving)->snapshot();
+  EXPECT_EQ(after->graph_version()->version(),
+            before->graph_version()->version());
+  EXPECT_EQ(after->epoch(), before->epoch());
+  EXPECT_EQ(result.graph_version, before->graph_version()->version());
+  EXPECT_EQ(result.epoch, before->epoch());
+
+  // Every query either settles in the prune stage or surfaces the
+  // corruption when it starts to refine; none reads hub ink through an
+  // empty stand-in store.
+  uint32_t corrupt = 0;
+  for (uint32_t q = 0; q < graph.num_nodes(); ++q) {
+    auto answer = (*serving)->Query(q, 8);
+    if (answer.ok()) continue;
+    EXPECT_EQ(answer.status().code(), StatusCode::kCorruption) << "q=" << q;
+    ++corrupt;
+  }
+  EXPECT_GT(corrupt, 0u);
+  EXPECT_EQ((*serving)->Query(9, 8).status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(StorageTierTest, DemotedShardRefaultsIdenticallyAndDirtyRefuses) {
