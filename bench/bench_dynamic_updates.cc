@@ -13,7 +13,8 @@
 // size, which for localized updates on web-like graphs is a small
 // fraction of n — so incremental beats rebuild by a wide margin for small
 // batches, with the gap narrowing as batches grow (and a forced fallback
-// once the affected set passes the rebuild fraction).
+// once the affected set passes the rebuild fraction). The hubs column
+// counts the affected hubs, each an exact vector the repair re-solves.
 
 #include <set>
 
@@ -68,8 +69,9 @@ int main(int argc, char** argv) {
     std::printf("\n%s (stand-in for %s): n=%u m=%llu\n", named.name.c_str(),
                 named.stand_for.c_str(), named.graph.num_nodes(),
                 static_cast<unsigned long long>(named.graph.num_edges()));
-    std::printf("%-8s %-12s %-12s %-10s %-10s %-9s\n", "batch",
-                "incr-sec", "rebuild-sec", "speedup", "affected", "fallback");
+    std::printf("%-8s %-12s %-12s %-10s %-10s %-8s %-9s\n", "batch",
+                "incr-sec", "rebuild-sec", "speedup", "affected", "hubs",
+                "fallback");
 
     for (size_t batch_size : {2ul, 8ul, 32ul, 128ul}) {
       EngineOptions engine_opts;
@@ -115,9 +117,10 @@ int main(int argc, char** argv) {
       const double speedup =
           full.apply_seconds /
           (incr.apply_seconds > 0.0 ? incr.apply_seconds : 1e-9);
-      std::printf("%-8zu %-12.3f %-12.3f %-10.2f %-10llu %-9s\n", batch_size,
-                  incr.apply_seconds, full.apply_seconds, speedup,
+      std::printf("%-8zu %-12.3f %-12.3f %-10.2f %-10llu %-8llu %-9s\n",
+                  batch_size, incr.apply_seconds, full.apply_seconds, speedup,
                   static_cast<unsigned long long>(incr.affected_nodes),
+                  static_cast<unsigned long long>(incr.affected_hubs),
                   fallback ? "yes" : "no");
       json.BeginObject();
       json.Key("graph").String(named.name);
@@ -127,6 +130,7 @@ int main(int argc, char** argv) {
       json.Key("speedup").Double(speedup);
       json.Key("affected_nodes")
           .Int(static_cast<long long>(incr.affected_nodes));
+      json.Key("affected_hubs").Int(static_cast<long long>(incr.affected_hubs));
       json.Key("fallback_rebuild").Int(fallback ? 1 : 0);
       json.EndObject();
     }

@@ -40,9 +40,12 @@ void BM_TransitionForward(benchmark::State& state) {
   const Graph& g = TestGraph(static_cast<int>(state.range(0)));
   TransitionOperator op(g);
   std::vector<double> x(g.num_nodes(), 1.0 / g.num_nodes());
-  std::vector<double> y(g.num_nodes());
+  std::vector<double> y(g.num_nodes()), scaled;
   for (auto _ : state) {
-    op.ApplyForward(x, &y);
+    if (!op.ApplyForwardMulti(x, &y, &scaled, 1).ok()) {
+      state.SkipWithError("ApplyForwardMulti failed");
+      break;
+    }
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() *

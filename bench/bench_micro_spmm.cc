@@ -1,4 +1,4 @@
-// Micro-benchmark of the fused PMPN path, at two levels.
+// Micro-benchmark of the fused solve paths, at two levels.
 //
 // Kernel rows: the fused SpMM kernel (ApplyTransposeMulti at width B)
 // against B independent single-vector applies (width 1). One CSR pass
@@ -14,11 +14,14 @@
 // ComputeProximityToNodesFused call against the same 16
 // ComputeProximityToNode solves (best of several repetitions each,
 // serial), plus the per-width pass histogram: how many SpMM passes the
-// fused solve ran at each block width as its lanes retired. The bench
-// checks every fused lane equals its single-source solve bitwise.
+// fused solve ran at each block width as its lanes retired. Forward rows:
+// the same for the forward power method, with the graph's first 16 hubs
+// (the index's hub-vector block) through one ComputeProximityColumnsFused
+// call against 16 ComputeProximityColumn solves. The bench checks every
+// fused lane equals its single-source solve bitwise.
 //
 // --json <path> writes machine-readable rows; ci.sh's bench-smoke leg
-// gates the B=8 kernel speedup and the solver speedup.
+// gates the B=8 kernel speedup and both solver speedups.
 
 #include <algorithm>
 #include <cstdio>
@@ -27,10 +30,12 @@
 #include <utility>
 #include <vector>
 
+#include "bca/hub_selection.h"
 #include "bench_common.h"
 #include "common/rng.h"
 #include "rwr/pmpn.h"
 #include "rwr/pmpn_multi.h"
+#include "rwr/power_method.h"
 #include "rwr/transition.h"
 
 namespace rtk::bench {
@@ -141,28 +146,38 @@ SpmmRow RunCell(const NamedGraph& named, const TransitionOperator& op,
   return row;
 }
 
-SolverRow RunSolver(const NamedGraph& named, const TransitionOperator& op) {
-  const uint32_t n = named.graph.num_nodes();
-  Rng rng(29);
-  std::vector<PmpnLaneSpec> lanes;
-  for (uint32_t j = 0; j < kSolverLanes; ++j) {
-    lanes.push_back({static_cast<uint32_t>(rng.Uniform(n)), nullptr});
-  }
+using FusedSolve = Result<std::vector<PmpnLaneResult>> (*)(
+    const TransitionOperator&, const std::vector<PmpnLaneSpec>&,
+    const RwrOptions&, ThreadPool*, int);
+using SoloSolve = Result<std::vector<double>> (*)(const TransitionOperator&,
+                                                  uint32_t, const RwrOptions&,
+                                                  IterativeSolveStats*);
 
+Result<std::vector<double>> SoloPmpn(const TransitionOperator& op, uint32_t q,
+                                     const RwrOptions& options,
+                                     IterativeSolveStats* stats) {
+  return ComputeProximityToNode(op, q, options, stats);
+}
+
+// Times `lanes` through one fused call against one solo solve per lane.
+SolverRow RunSolver(const NamedGraph& named, const TransitionOperator& op,
+                    const std::vector<PmpnLaneSpec>& lanes, FusedSolve fused_fn,
+                    SoloSolve solo_fn) {
+  const size_t width = lanes.size();
   SolverRow row;
   row.graph = named.name;
-  row.lanes = kSolverLanes;
+  row.lanes = static_cast<uint32_t>(width);
   row.solo_seconds = row.fused_seconds = 1e300;
   std::vector<PmpnLaneResult> fused;
-  std::vector<std::vector<double>> solo(kSolverLanes);
-  std::vector<IterativeSolveStats> solo_stats(kSolverLanes);
+  std::vector<std::vector<double>> solo(width);
+  std::vector<IterativeSolveStats> solo_stats(width);
   for (int rep = 0; rep < kSolverReps; ++rep) {
     Stopwatch solo_watch;
-    for (uint32_t j = 0; j < kSolverLanes; ++j) {
-      auto result =
-          ComputeProximityToNode(op, lanes[j].query, {}, &solo_stats[j]);
+    for (size_t j = 0; j < width; ++j) {
+      auto result = solo_fn(op, lanes[j].query, {}, &solo_stats[j]);
       if (!result.ok()) {
-        std::fprintf(stderr, "pmpn: %s\n", result.status().ToString().c_str());
+        std::fprintf(stderr, "solo solve: %s\n",
+                     result.status().ToString().c_str());
         std::exit(1);
       }
       solo[j] = std::move(*result);
@@ -170,11 +185,11 @@ SolverRow RunSolver(const NamedGraph& named, const TransitionOperator& op) {
     row.solo_seconds = std::min(row.solo_seconds, solo_watch.ElapsedSeconds());
 
     Stopwatch fused_watch;
-    auto result = ComputeProximityToNodesFused(op, lanes);
+    auto result = fused_fn(op, lanes, {}, nullptr, 0);
     row.fused_seconds =
         std::min(row.fused_seconds, fused_watch.ElapsedSeconds());
     if (!result.ok()) {
-      std::fprintf(stderr, "fused pmpn: %s\n",
+      std::fprintf(stderr, "fused solve: %s\n",
                    result.status().ToString().c_str());
       std::exit(1);
     }
@@ -185,29 +200,95 @@ SolverRow RunSolver(const NamedGraph& named, const TransitionOperator& op) {
   // A lane converging at iteration t took part in passes 1..t, so the
   // block width of pass p is the number of lanes with t >= p.
   int max_iterations = 0;
-  for (uint32_t j = 0; j < kSolverLanes; ++j) {
+  for (size_t j = 0; j < width; ++j) {
     if (fused[j].row != solo[j] ||
         fused[j].stats.iterations != solo_stats[j].iterations) {
-      std::fprintf(stderr, "FATAL: fused lane %u differs from its solo solve\n",
+      std::fprintf(stderr, "FATAL: fused lane %zu differs from its solo solve\n",
                    j);
       std::exit(1);
     }
     row.lane_iterations += fused[j].stats.iterations;
     max_iterations = std::max(max_iterations, fused[j].stats.iterations);
   }
-  row.passes_at_width.assign(kSolverLanes, 0);
+  row.passes_at_width.assign(width, 0);
   for (int pass = 1; pass <= max_iterations; ++pass) {
-    uint32_t width = 0;
+    uint32_t lanes_in_pass = 0;
     for (const PmpnLaneResult& lane : fused) {
-      if (lane.stats.iterations >= pass) ++width;
+      if (lane.stats.iterations >= pass) ++lanes_in_pass;
     }
-    ++row.passes_at_width[width - 1];
+    ++row.passes_at_width[lanes_in_pass - 1];
   }
   return row;
 }
 
+SolverRow RunPmpnSolver(const NamedGraph& named, const TransitionOperator& op) {
+  const uint32_t n = named.graph.num_nodes();
+  Rng rng(29);
+  std::vector<PmpnLaneSpec> lanes;
+  for (uint32_t j = 0; j < kSolverLanes; ++j) {
+    lanes.push_back({static_cast<uint32_t>(rng.Uniform(n)), nullptr});
+  }
+  return RunSolver(named, op, lanes, &ComputeProximityToNodesFused, &SoloPmpn);
+}
+
+// The graph's first 16 hubs under the serving engine's hub budget: the
+// index build's first lane block.
+SolverRow RunForwardSolver(const NamedGraph& named,
+                           const TransitionOperator& op) {
+  const uint32_t n = named.graph.num_nodes();
+  auto hubs = SelectHubs(named.graph, {.degree_budget_b = n / 50 + 1});
+  if (!hubs.ok() || hubs->size() < kSolverLanes) {
+    std::fprintf(stderr, "hub selection on %s gave too few hubs\n",
+                 named.name.c_str());
+    std::exit(1);
+  }
+  std::vector<PmpnLaneSpec> lanes;
+  for (uint32_t j = 0; j < kSolverLanes; ++j) {
+    lanes.push_back({(*hubs)[j], nullptr});
+  }
+  return RunSolver(named, op, lanes, &ComputeProximityColumnsFused,
+                   &ComputeProximityColumn);
+}
+
+void PrintSolverRow(const char* what, const SolverRow& solver) {
+  long long passes = 0;
+  for (long long p : solver.passes_at_width) passes += p;
+  std::printf(
+      "%s, %u lanes: solo %.2f ms, fused %.2f ms, speedup %.2fx; %lld "
+      "passes, mean width %.1f\n",
+      what, solver.lanes, solver.solo_seconds * 1e3,
+      solver.fused_seconds * 1e3, solver.speedup, passes,
+      static_cast<double>(solver.lane_iterations) /
+          static_cast<double>(passes));
+  std::printf("  passes at width:");
+  for (uint32_t w = 1; w <= solver.lanes; ++w) {
+    std::printf(" %u:%lld", w, solver.passes_at_width[w - 1]);
+  }
+  std::printf("\n");
+}
+
+void WriteSolverRows(JsonWriter* json, const char* key,
+                     const std::vector<SolverRow>& rows) {
+  json->Key(key).BeginArray();
+  for (const SolverRow& row : rows) {
+    json->BeginObject();
+    json->Key("graph").String(row.graph);
+    json->Key("lanes").Int(row.lanes);
+    json->Key("solo_seconds").Double(row.solo_seconds);
+    json->Key("fused_seconds").Double(row.fused_seconds);
+    json->Key("speedup").Double(row.speedup);
+    json->Key("lane_iterations").Int(row.lane_iterations);
+    json->Key("passes_at_width").BeginArray();
+    for (long long passes : row.passes_at_width) json->Int(passes);
+    json->EndArray();
+    json->EndObject();
+  }
+  json->EndArray();
+}
+
 void WriteJson(const std::string& path, const std::vector<SpmmRow>& rows,
-               const std::vector<SolverRow>& solver_rows) {
+               const std::vector<SolverRow>& solver_rows,
+               const std::vector<SolverRow>& forward_rows) {
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").String("micro_spmm");
@@ -229,21 +310,8 @@ void WriteJson(const std::string& path, const std::vector<SpmmRow>& rows,
     json.EndObject();
   }
   json.EndArray();
-  json.Key("solver_rows").BeginArray();
-  for (const SolverRow& row : solver_rows) {
-    json.BeginObject();
-    json.Key("graph").String(row.graph);
-    json.Key("lanes").Int(row.lanes);
-    json.Key("solo_seconds").Double(row.solo_seconds);
-    json.Key("fused_seconds").Double(row.fused_seconds);
-    json.Key("speedup").Double(row.speedup);
-    json.Key("lane_iterations").Int(row.lane_iterations);
-    json.Key("passes_at_width").BeginArray();
-    for (long long passes : row.passes_at_width) json.Int(passes);
-    json.EndArray();
-    json.EndObject();
-  }
-  json.EndArray();
+  WriteSolverRows(&json, "solver_rows", solver_rows);
+  WriteSolverRows(&json, "forward_rows", forward_rows);
   json.EndObject();
   if (!json.WriteTo(path)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
@@ -258,7 +326,8 @@ void WriteJson(const std::string& path, const std::vector<SpmmRow>& rows,
 int main(int argc, char** argv) {
   using namespace rtk::bench;
   PrintHeader(
-      "Fused PMPN: SpMM kernel at every width, and the 16-lane solver",
+      "Fused solves: SpMM kernel at every width, and the 16-lane PMPN and "
+      "forward solvers",
       "edges/sec per query = per-lane edge-traversal rate, serial kernels; "
       "speedup = solo seconds / fused seconds at equal work");
   const std::string json_path = JsonPathArg(argc, argv);
@@ -269,6 +338,7 @@ int main(int argc, char** argv) {
 
   std::vector<SpmmRow> rows;
   std::vector<SolverRow> solver_rows;
+  std::vector<SolverRow> forward_rows;
   for (auto& named : MakeGraphSuite()) {
     rtk::TransitionOperator op(named.graph);
     std::printf("\n%s: n=%u m=%llu\n", named.name.c_str(),
@@ -283,23 +353,13 @@ int main(int argc, char** argv) {
                   row.fused_edges_per_sec_per_query / 1e6, row.speedup);
       rows.push_back(row);
     }
-    const SolverRow solver = RunSolver(named, op);
-    long long passes = 0;
-    for (long long p : solver.passes_at_width) passes += p;
-    std::printf(
-        "solver, %u uniform lanes: solo %.2f ms, fused %.2f ms, speedup "
-        "%.2fx; %lld passes, mean width %.1f\n",
-        solver.lanes, solver.solo_seconds * 1e3, solver.fused_seconds * 1e3,
-        solver.speedup, passes,
-        static_cast<double>(solver.lane_iterations) /
-            static_cast<double>(passes));
-    std::printf("  passes at width:");
-    for (uint32_t w = 1; w <= solver.lanes; ++w) {
-      std::printf(" %u:%lld", w, solver.passes_at_width[w - 1]);
-    }
-    std::printf("\n");
-    solver_rows.push_back(solver);
+    solver_rows.push_back(RunPmpnSolver(named, op));
+    PrintSolverRow("pmpn solver, uniform queries", solver_rows.back());
+    forward_rows.push_back(RunForwardSolver(named, op));
+    PrintSolverRow("forward solver, hubs", forward_rows.back());
   }
-  if (!json_path.empty()) WriteJson(json_path, rows, solver_rows);
+  if (!json_path.empty()) {
+    WriteJson(json_path, rows, solver_rows, forward_rows);
+  }
   return 0;
 }

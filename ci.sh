@@ -16,10 +16,10 @@
 #                                 determinism under parallel fan-out;
 #                                 obs_test: metrics registry / trace ring
 #                                 hammering with exact-total assertions;
-#                                 spmm_test: fused SpMM kernel and
-#                                 fused PMPN lanes bitwise equal to
-#                                 in-test scalar references at every
-#                                 width 1..32, batched-serving
+#                                 spmm_test: fused SpMM kernels and
+#                                 fused PMPN and forward lanes bitwise
+#                                 equal to in-test scalar references at
+#                                 every width 1..32, batched-serving
 #                                 byte-identity at every batch width
 #                                 and thread count;
 #                                 storage_tier_test: heap-vs-mmap result
@@ -64,9 +64,12 @@
 #                                 small batches must win) and the micro-SpMM
 #                                 smoke, which fails CI if the fused B=8
 #                                 kernel drops below 1.5x the solo SpMV
-#                                 edge rate or the 16-lane fused solver
-#                                 drops below 2.4x the 16 solo solves
-#                                 on rmat-web-l — so perf regressions
+#                                 edge rate, the 16-lane fused PMPN
+#                                 solver drops below 2.4x the 16 solo
+#                                 solves on rmat-web-l, or the 16-hub
+#                                 fused forward solver drops below 1.75x
+#                                 its 16 solo solves there — so perf
+#                                 regressions
 #                                 fail loudly rather than rot; plus the index
 #                                 cold-open gate (mmap open must stay
 #                                 <= 10% of a heap full-load) and the
@@ -236,7 +239,7 @@ assert rows, 'dynamic-updates JSON has no rows'
 for row in rows:
     for key in ('graph', 'batch_size', 'incremental_seconds',
                 'rebuild_seconds', 'speedup', 'affected_nodes',
-                'fallback_rebuild'):
+                'affected_hubs', 'fallback_rebuild'):
         assert key in row, (key, row)
     assert row['incremental_seconds'] > 0.0 and row['rebuild_seconds'] > 0.0
     # When the incremental path really ran (no fallback), the smallest
@@ -288,7 +291,10 @@ PYEOF
 # of 16 uniform query lanes on rmat-web-l must beat the same 16
 # single-source solves by >= 2.4x. Before every width had its own kernel
 # this measured 1.6-1.9x; with them, 2.9-3.7x. A width falling back to a
-# slow path fails here even when B=8 holds.
+# slow path fails here even when B=8 holds. The forward gate: the graph's
+# first 16 hubs in one fused forward solve (one lane block of the index's
+# hub phase) must beat their 16 single-source solves by >= 1.75x; eight
+# Release runs on a 4-vCPU Xeon VM measured 2.1-3.3x (median 2.6x).
 ./build-release/bench_micro_spmm --json build-release/BENCH_spmm.json
 test -s build-release/BENCH_spmm.json
 python3 - <<'PYEOF'
@@ -309,6 +315,15 @@ assert large['speedup'] >= 2.4, (
         large['speedup'], large['passes_at_width']))
 print('micro-SpMM ok: 16-lane fused solver %.2fx the solo solves on '
       'rmat-web-l' % large['speedup'])
+forward = {r['graph']: r for r in doc['forward_rows']}
+hubs = forward['rmat-web-l']
+assert sum(hubs['passes_at_width']) > 0, hubs
+assert hubs['speedup'] >= 1.75, (
+    'fused forward solver regressed on rmat-web-l: %.2fx the 16 solo hub '
+    'solves < 1.75x (passes at width %r)' % (
+        hubs['speedup'], hubs['passes_at_width']))
+print('micro-SpMM ok: 16-hub fused forward solver %.2fx the solo solves on '
+      'rmat-web-l' % hubs['speedup'])
 PYEOF
 # Memory-tiered storage gate: an mmap open reads only the O(|H| + shards)
 # checksummed header, so it must cost <= 10% of a heap full-load on the

@@ -1,7 +1,6 @@
 #include "bca/hub_proximity_store.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <string>
 
@@ -33,32 +32,19 @@ Result<HubProximityStore> HubProximityStore::Build(
   }
 
   const size_t h = store.hubs_.size();
-  // Per-hub exact solves are independent; run them in parallel and splice.
   std::vector<std::vector<std::pair<uint32_t, double>>> rounded(h);
   std::vector<uint64_t> dropped(h, 0);
-  std::atomic<bool> failed{false};
-  auto solve_one = [&](int64_t i) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    Result<std::vector<double>> col =
-        ComputeProximityColumn(op, store.hubs_[i], options.rwr);
-    if (!col.ok()) {
-      failed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    const std::vector<double>& v = *col;
-    auto& out = rounded[i];
-    for (uint32_t node = 0; node < n; ++node) {
-      if (v[node] >= options.rounding_omega && v[node] > 0.0) {
-        out.emplace_back(node, v[node]);
-      } else if (v[node] > 0.0) {
-        ++dropped[i];
-      }
-    }
-  };
-  ParallelFor(pool, 0, static_cast<int64_t>(h), solve_one);
-  if (failed.load()) {
-    return Status::Internal("hub proximity solve failed");
-  }
+  RTK_RETURN_NOT_OK(ForEachProximityColumn(
+      op, store.hubs_, options.rwr, pool,
+      [&](size_t i, const std::vector<double>& v) {
+        for (uint32_t node = 0; node < n; ++node) {
+          if (v[node] >= options.rounding_omega && v[node] > 0.0) {
+            rounded[i].emplace_back(node, v[node]);
+          } else if (v[node] > 0.0) {
+            ++dropped[i];
+          }
+        }
+      }));
 
   store.offsets_.assign(h + 1, 0);
   for (size_t i = 0; i < h; ++i) {
@@ -92,27 +78,17 @@ Result<HubProximityStore> HubProximityStore::Rebuilt(
 
   const uint32_t n = op.num_nodes();
   const size_t num_hubs = old.hubs_.size();
-  // Re-solve the affected vectors in parallel.
   std::vector<std::vector<std::pair<uint32_t, double>>> fresh(
       affected_hubs.size());
-  std::atomic<bool> failed{false};
-  auto solve_one = [&](int64_t i) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    Result<std::vector<double>> col =
-        ComputeProximityColumn(op, affected_hubs[i], solver);
-    if (!col.ok()) {
-      failed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    const std::vector<double>& v = *col;
-    for (uint32_t node = 0; node < n; ++node) {
-      if (v[node] >= old.rounding_omega_ && v[node] > 0.0) {
-        fresh[i].emplace_back(node, v[node]);
-      }
-    }
-  };
-  ParallelFor(pool, 0, static_cast<int64_t>(affected_hubs.size()), solve_one);
-  if (failed.load()) return Status::Internal("hub proximity solve failed");
+  RTK_RETURN_NOT_OK(ForEachProximityColumn(
+      op, affected_hubs, solver, pool,
+      [&](size_t i, const std::vector<double>& v) {
+        for (uint32_t node = 0; node < n; ++node) {
+          if (v[node] >= old.rounding_omega_ && v[node] > 0.0) {
+            fresh[i].emplace_back(node, v[node]);
+          }
+        }
+      }));
 
   // Splice: fresh vectors for affected hubs, old slices otherwise.
   HubProximityStore store;

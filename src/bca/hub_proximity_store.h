@@ -1,7 +1,8 @@
 // HubProximityStore: precomputed, rounded proximity vectors of hub nodes
 // (the matrix P_H of the paper, with the Section 4.1.3 compression).
 //
-// Each hub vector is computed exactly by the power method and then rounded:
+// Each hub vector is computed exactly by the power method, 16 hubs to one
+// fused forward solve (ForEachProximityColumn), and then rounded:
 // entries below the threshold omega are dropped. Because rounding only
 // removes mass, the compressed p^t built from it remains a valid lower
 // bound (the paper's key observation in Section 4.1.3). Theorem 1 predicts
@@ -35,8 +36,10 @@ struct HubStoreOptions {
 /// \brief Immutable store of rounded hub proximity vectors.
 class HubProximityStore {
  public:
-  /// \brief Computes exact hub vectors (in parallel when `pool` is given)
-  /// and rounds them. `hubs` must be sorted unique node ids within range.
+  /// \brief Computes exact hub vectors (lane blocks spread over `pool` when
+  /// given; the call waits for its own blocks only, so it is safe from
+  /// inside a pool task) and rounds them. `hubs` must be sorted unique node
+  /// ids within range.
   static Result<HubProximityStore> Build(const TransitionOperator& op,
                                          std::vector<uint32_t> hubs,
                                          const HubStoreOptions& options = {},
@@ -54,8 +57,8 @@ class HubProximityStore {
   /// stored); it is a Table-2 reporting statistic only and does not affect
   /// correctness.
   ///
-  /// Errors: InvalidArgument (unknown hub id / unsorted list), Internal
-  /// (solve failure).
+  /// Errors: InvalidArgument (unknown hub id / unsorted list / bad solver
+  /// options).
   static Result<HubProximityStore> Rebuilt(
       const HubProximityStore& old, const TransitionOperator& op,
       const std::vector<uint32_t>& affected_hubs,

@@ -98,35 +98,6 @@ void ThreadPool::WorkerLoop(int worker_index) {
   }
 }
 
-void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
-                 const std::function<void(int64_t)>& body) {
-  if (end <= begin) return;
-  const int64_t count = end - begin;
-  if (pool == nullptr || pool->num_threads() <= 1 || count == 1) {
-    for (int64_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  // Chunked work-stealing-free split: 4 chunks per worker gives decent load
-  // balance for skewed per-item costs (BCA from high-degree nodes is slower).
-  const int64_t num_chunks =
-      std::min<int64_t>(count, static_cast<int64_t>(pool->num_threads()) * 4);
-  std::atomic<int64_t> next_chunk{0};
-  const int64_t chunk_size = (count + num_chunks - 1) / num_chunks;
-  // Submit one pull-loop per worker; each drains chunks until exhausted.
-  for (int w = 0; w < pool->num_threads(); ++w) {
-    pool->Submit([&, chunk_size, begin, end] {
-      for (;;) {
-        const int64_t c = next_chunk.fetch_add(1);
-        const int64_t lo = begin + c * chunk_size;
-        if (lo >= end) return;
-        const int64_t hi = std::min(end, lo + chunk_size);
-        for (int64_t i = lo; i < hi; ++i) body(i);
-      }
-    });
-  }
-  pool->Wait();
-}
-
 namespace {
 
 // Shared state of one ParallelForRange call. Heap-allocated and owned

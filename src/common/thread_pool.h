@@ -1,10 +1,11 @@
-// Fixed-size thread pool with a ParallelFor helper.
+// Fixed-size thread pool with range-apply helpers.
 //
 // The paper parallelizes index construction across 100 cluster cores by
 // noting that per-node BCA runs are independent. We provide the same
 // parallelism on a single machine. The pool is deliberately simple: a
-// blocking task queue plus a join-all ParallelFor used by the index builder
-// and the brute-force baselines.
+// blocking task queue plus ParallelForRange, which joins on its own chunks
+// only, so the index builder, the brute-force baselines and the query
+// stages can share one pool with unrelated work.
 
 #ifndef RTK_COMMON_THREAD_POOL_H_
 #define RTK_COMMON_THREAD_POOL_H_
@@ -69,24 +70,14 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
-/// \brief Runs body(i) for i in [begin, end) on `pool`, splitting the range
-/// into contiguous chunks (one per worker by default). Blocks until all
-/// iterations complete. If pool is null or has 1 thread, runs inline.
-///
-/// NOT safe to call from inside a pool task: it joins via ThreadPool::Wait,
-/// which waits for ALL inflight work including the caller's own task. Use
-/// ParallelForRange for nested / intra-query parallelism.
-void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
-                 const std::function<void(int64_t)>& body);
-
 /// \brief Range-apply helper for intra-query parallelism: splits
 /// [begin, end) into contiguous chunks claimed from a shared atomic cursor
 /// and runs body(lo, hi) for each, using up to `max_parallelism` workers of
 /// `pool` (0 = the whole pool). Blocks until every chunk has completed.
 ///
-/// Unlike ParallelFor this is re-entrant: it is safe to call from inside a
-/// pool task (the serving engine runs queries as pool tasks whose stages
-/// fan out on the same pool). The calling thread participates in chunk
+/// It is re-entrant: it is safe to call from inside a pool task (the
+/// serving engine runs queries as pool tasks whose stages fan out on the
+/// same pool). The calling thread participates in chunk
 /// draining and waits only on a per-call completion count — never on the
 /// pool's global inflight count — so a fully saturated pool degrades to the
 /// caller executing every chunk inline instead of deadlocking; helper tasks

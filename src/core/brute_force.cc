@@ -1,7 +1,7 @@
 #include "core/brute_force.h"
 
 #include <algorithm>
-#include <atomic>
+#include <numeric>
 #include <string>
 
 #include "common/stopwatch.h"
@@ -11,34 +11,32 @@ namespace rtk {
 
 namespace {
 
-// Computes the exact top-K threshold rows for all columns of P by running
-// one power-method solve per node. Fills `topk` (n * K, descending per
-// node); optionally also stores the full columns into `matrix`.
+// Every node id, in order: the lanes of an all-columns solve.
+std::vector<uint32_t> AllNodes(uint32_t n) {
+  std::vector<uint32_t> nodes(n);
+  std::iota(nodes.begin(), nodes.end(), 0u);
+  return nodes;
+}
+
+// Computes the exact top-K threshold rows for all columns of P, solving
+// the columns in fused power-method blocks. Fills `topk` (n * K,
+// descending per node); optionally also stores the full columns into
+// `matrix`.
 Status ComputeAllColumns(const TransitionOperator& op, uint32_t capacity_k,
                          const RwrOptions& rwr, ThreadPool* pool,
                          std::vector<double>* topk,
                          std::vector<double>* matrix) {
   const uint32_t n = op.num_nodes();
   topk->assign(static_cast<size_t>(n) * capacity_k, 0.0);
-  std::atomic<bool> failed{false};
-  ParallelFor(pool, 0, n, [&](int64_t u) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    Result<std::vector<double>> col =
-        ComputeProximityColumn(op, static_cast<uint32_t>(u), rwr);
-    if (!col.ok()) {
-      failed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    std::vector<double> top = TopKValuesDescending(*col, capacity_k);
-    std::copy(top.begin(), top.end(),
-              topk->begin() + static_cast<size_t>(u) * capacity_k);
-    if (matrix != nullptr) {
-      std::copy(col->begin(), col->end(),
-                matrix->begin() + static_cast<size_t>(u) * n);
-    }
-  });
-  if (failed.load()) return Status::Internal("column solve failed");
-  return Status::OK();
+  return ForEachProximityColumn(
+      op, AllNodes(n), rwr, pool,
+      [&](size_t u, const std::vector<double>& col) {
+        std::vector<double> top = TopKValuesDescending(col, capacity_k);
+        std::copy(top.begin(), top.end(), topk->begin() + u * capacity_k);
+        if (matrix != nullptr) {
+          std::copy(col.begin(), col.end(), matrix->begin() + u * n);
+        }
+      });
 }
 
 }  // namespace
@@ -50,21 +48,15 @@ Result<std::vector<uint32_t>> BruteForceReverseTopk(
   if (q >= n) return Status::InvalidArgument("query node out of range");
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
   std::vector<uint8_t> in_result(n, 0);
-  std::atomic<bool> failed{false};
-  ParallelFor(pool, 0, n, [&](int64_t u) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    Result<std::vector<double>> col =
-        ComputeProximityColumn(op, static_cast<uint32_t>(u), options);
-    if (!col.ok()) {
-      failed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    std::vector<double> top = TopKValuesDescending(*col, k);
-    const double kth = top.size() >= k ? top[k - 1] : 0.0;
-    // Zero-proximity memberships excluded (see ReverseTopkSearcher docs).
-    if ((*col)[q] >= kth && (*col)[q] > 0.0) in_result[u] = 1;
-  });
-  if (failed.load()) return Status::Internal("column solve failed");
+  RTK_RETURN_NOT_OK(ForEachProximityColumn(
+      op, AllNodes(n), options, pool,
+      [&](size_t u, const std::vector<double>& col) {
+        std::vector<double> top = TopKValuesDescending(col, k);
+        const double kth = top.size() >= k ? top[k - 1] : 0.0;
+        // Zero-proximity memberships excluded (see ReverseTopkSearcher
+        // docs).
+        if (col[q] >= kth && col[q] > 0.0) in_result[u] = 1;
+      }));
   std::vector<uint32_t> result;
   for (uint32_t u = 0; u < n; ++u) {
     if (in_result[u]) result.push_back(u);

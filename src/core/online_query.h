@@ -181,7 +181,7 @@ struct QueryStats {
   /// Candidates that required refinement iterations.
   uint64_t refined_nodes = 0;
   uint64_t refine_iterations = 0;
-  /// Nodes resolved by the exact-solve safety valve (0 in practice).
+  /// Nodes resolved by the exact-solve safety valve (BCA stalled).
   uint64_t exact_fallbacks = 0;
   int pmpn_iterations = 0;
   /// Stage-1 backend the query selected (QueryOptions::proximity resolved;
@@ -223,6 +223,9 @@ struct QueryStats {
   double prune_seconds = 0.0;
   /// Stage 3: BCA refinement of undecided candidates.
   double refine_seconds = 0.0;
+  /// The part of refine_seconds spent in the fused exact-fallback solve;
+  /// > 0 exactly when exact_fallbacks > 0.
+  double exact_fallback_seconds = 0.0;
   /// Everything outside the stages (validation, merge, write-back).
   double overhead_seconds = 0.0;
   /// Derived: prune_seconds + refine_seconds (the pre-pipeline "scan").

@@ -532,6 +532,7 @@ Result<std::vector<uint32_t>> QueryPipeline::RunStages(
   local.refined_nodes = pruned.undecided.size();
   local.refine_iterations = refined.refine_iterations;
   local.exact_fallbacks = refined.exact_fallbacks;
+  local.exact_fallback_seconds = refined.exact_fallback_seconds;
   local.refine_seconds = refine_watch.ElapsedSeconds();
   if (options.trace != nullptr) {
     options.trace->AddSpan(TracePhase::kRefine, local.refine_seconds);

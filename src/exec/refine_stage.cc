@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "common/top_k.h"
 #include "core/upper_bound.h"
-#include "rwr/power_method.h"
+#include "rwr/pmpn_multi.h"
 
 namespace rtk {
 
@@ -15,6 +16,7 @@ struct RefineStage::CandidateOutcome {
   bool has_delta = false;
   IndexDelta delta;
   uint64_t refine_iterations = 0;
+  /// BCA stalled: Run decides the node from its exact column instead.
   bool exact_fallback = false;
 };
 
@@ -60,18 +62,9 @@ Status RefineStage::RefineOne(uint32_t u, double p_u_q,
     if (iters_here >= options.max_refine_iterations_per_node ||
         consecutive_stalls >= options.max_stalled_refinements) {
       // BCA's push granularity is exhausted (or the iteration cap hit):
-      // one exact solve decides the node and, in update mode, upgrades
-      // the index entry to exact once the caller applies the delta.
+      // Run decides the node from its exact column, solved together with
+      // the query's other stalled candidates.
       out->exact_fallback = true;
-      RTK_ASSIGN_OR_RETURN(std::vector<double> exact,
-                           ComputeProximityColumn(*op_, u, options.pmpn));
-      std::vector<double> top = TopKValuesDescending(exact, capacity_k);
-      out->is_result = (top.size() >= k ? top[k - 1] : 0.0) - tie <= p_u_q;
-      if (options.update_index) {
-        while (!top.empty() && top.back() <= 0.0) top.pop_back();
-        out->has_delta = true;
-        out->delta = {u, std::move(top), StoredBcaState{}, /*residue_l1=*/0.0};
-      }
       return Status::OK();
     }
     size_t pushed = runner->Step(options.refine_strategy);
@@ -132,6 +125,22 @@ Status RefineStage::RefineOne(uint32_t u, double p_u_q,
   return Status::OK();
 }
 
+void RefineStage::DecideExact(uint32_t u, double p_u_q,
+                              const std::vector<double>& column,
+                              const RefineStageOptions& options,
+                              CandidateOutcome* out) const {
+  const uint32_t k = options.k;
+  std::vector<double> top = TopKValuesDescending(column, index_->capacity_k());
+  out->is_result =
+      (top.size() >= k ? top[k - 1] : 0.0) - options.tie_epsilon <= p_u_q;
+  if (options.update_index) {
+    // Upgrades the index entry to exact once the caller applies it.
+    while (!top.empty() && top.back() <= 0.0) top.pop_back();
+    out->has_delta = true;
+    out->delta = {u, std::move(top), StoredBcaState{}, /*residue_l1=*/0.0};
+  }
+}
+
 Result<RefineResult> RefineStage::Run(const std::vector<uint32_t>& candidates,
                                       const std::vector<double>& to_q,
                                       const RefineStageOptions& options,
@@ -174,6 +183,39 @@ Result<RefineResult> RefineStage::Run(const std::vector<uint32_t>& candidates,
   for (const CandidateOutcome& out : outcomes) {
     if (!out.status.ok()) return out.status;  // first error in node order
   }
+
+  // Exact fallbacks: the stalled candidates' columns in fused forward
+  // solves, one lane each, in node order. The lanes carry the request's
+  // control, so an abort stops them all within one iteration. Groups of
+  // kMaxTransposeLanes (the solver's own grouping) bound the live rows.
+  std::vector<size_t> stalled;
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    if (outcomes[i].exact_fallback) stalled.push_back(i);
+  }
+  Stopwatch fallback_watch;
+  std::vector<PmpnLaneSpec> lanes;
+  for (size_t begin = 0; begin < stalled.size(); begin += kMaxTransposeLanes) {
+    const size_t end = std::min(stalled.size(),
+                                begin + static_cast<size_t>(kMaxTransposeLanes));
+    lanes.clear();
+    for (size_t s = begin; s < end; ++s) {
+      lanes.push_back({candidates[stalled[s]], options.control});
+    }
+    RTK_ASSIGN_OR_RETURN(
+        std::vector<PmpnLaneResult> solved,
+        ComputeProximityColumnsFused(*op_, lanes, options.pmpn, pool,
+                                     options.max_parallelism));
+    for (size_t s = begin; s < end; ++s) {
+      PmpnLaneResult& lane = solved[s - begin];
+      RTK_RETURN_NOT_OK(lane.status);
+      const uint32_t u = candidates[stalled[s]];
+      DecideExact(u, to_q[u], lane.row, options, &outcomes[stalled[s]]);
+    }
+  }
+  if (!stalled.empty()) {
+    result.exact_fallback_seconds = fallback_watch.ElapsedSeconds();
+  }
+
   // outcomes is candidate-ordered, so both outputs stay ascending.
   for (size_t i = 0; i < outcomes.size(); ++i) {
     CandidateOutcome& out = outcomes[i];

@@ -7,10 +7,15 @@
 // refined bounds. The stage therefore runs them through a work-queue —
 // each worker leases a BcaRunner from a WorkspacePool (O(n) accumulators,
 // reused across queries) and claims candidates one at a time, which
-// load-balances the heavily skewed per-candidate cost. Decisions and
-// write-back deltas are recorded per candidate and emitted in ascending
-// node order, so the stage output is byte-identical to the serial
-// one-node-at-a-time loop at every thread count.
+// load-balances the heavily skewed per-candidate cost. A candidate whose
+// BCA stalls is decided from its exact column instead: once every BCA
+// loop has finished, the stalled candidates' columns are solved together,
+// one lane each, in fused forward power-method passes
+// (ComputeProximityColumnsFused), so a query with many fallbacks streams
+// the graph once per iteration rather than once per fallback. Decisions
+// and write-back deltas are recorded per candidate and emitted in
+// ascending node order, so the stage output is byte-identical to the
+// serial one-node-at-a-time loop at every thread count.
 
 #ifndef RTK_EXEC_REFINE_STAGE_H_
 #define RTK_EXEC_REFINE_STAGE_H_
@@ -40,13 +45,15 @@ struct RefineStageOptions {
   bool update_index = true;
   /// Solver settings for the exact-fallback safety valve.
   RwrOptions pmpn;
-  /// Worker cap for the candidate queue (0 = whole pool, 1 = serial).
+  /// Worker cap for the candidate queue and the fallback solve's kernel
+  /// (0 = whole pool, 1 = serial).
   int max_parallelism = 1;
-  /// Deadline/cancellation, polled before each candidate and every few
-  /// refinement iterations inside a candidate's loop, so even one
-  /// long-refining node cannot pin an abandoned request. An aborted Run
-  /// returns the reason (kDeadlineExceeded / kCancelled) and emits no
-  /// deltas. Null skips all checks.
+  /// Deadline/cancellation, polled before each candidate, every few
+  /// refinement iterations inside a candidate's loop, and once per
+  /// iteration of the fallback solve, so even one long-refining node
+  /// cannot pin an abandoned request. An aborted Run returns the reason
+  /// (kDeadlineExceeded / kCancelled) and emits no deltas. Null skips all
+  /// checks.
   const ExecControl* control = nullptr;
 };
 
@@ -60,6 +67,8 @@ struct RefineResult {
   std::vector<IndexDelta> deltas;
   uint64_t refine_iterations = 0;
   uint64_t exact_fallbacks = 0;
+  /// Wall time of the fused exact-fallback solves (0 when none ran).
+  double exact_fallback_seconds = 0.0;
 };
 
 /// \brief Owns the BcaRunner pool; construct once per pipeline and reuse.
@@ -81,9 +90,16 @@ class RefineStage {
  private:
   struct CandidateOutcome;
 
-  /// One candidate's full refinement loop on a leased runner.
+  /// One candidate's BCA refinement loop on a leased runner; a stall only
+  /// marks the outcome for the exact fallback.
   Status RefineOne(uint32_t u, double p_u_q, const RefineStageOptions& options,
                    BcaRunner* runner, CandidateOutcome* out) const;
+
+  /// Decides a stalled candidate from its exact column p_u and records
+  /// its exact write-back delta.
+  void DecideExact(uint32_t u, double p_u_q, const std::vector<double>& column,
+                   const RefineStageOptions& options,
+                   CandidateOutcome* out) const;
 
   const TransitionOperator* op_;
   const LowerBoundIndex* index_;

@@ -26,6 +26,7 @@ uint64_t Graph::MemoryBytes() const {
   bytes += out_weight_sums_.capacity() * sizeof(double);
   bytes += in_offsets_.capacity() * sizeof(uint64_t);
   bytes += in_sources_.capacity() * sizeof(uint32_t);
+  bytes += in_weights_.capacity() * sizeof(double);
   bytes += original_ids_.capacity() * sizeof(uint32_t);
   return bytes;
 }
@@ -123,10 +124,14 @@ void Graph::BuildInCsr() {
   for (uint32_t v : out_targets_) ++in_offsets_[v + 1];
   for (uint32_t v = 0; v < n; ++v) in_offsets_[v + 1] += in_offsets_[v];
   in_sources_.resize(out_targets_.size());
+  const bool weighted = !out_weights_.empty();
+  in_weights_.resize(weighted ? out_targets_.size() : 0);
   std::vector<uint64_t> cursor(in_offsets_.begin(), in_offsets_.end() - 1);
   for (uint32_t u = 0; u < n; ++u) {
     for (uint64_t e = out_offsets_[u]; e < out_offsets_[u + 1]; ++e) {
-      in_sources_[cursor[out_targets_[e]]++] = u;
+      const uint64_t slot = cursor[out_targets_[e]]++;
+      in_sources_[slot] = u;
+      if (weighted) in_weights_[slot] = out_weights_[e];
     }
   }
 }

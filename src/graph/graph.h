@@ -1,8 +1,9 @@
 // Immutable directed graph in CSR (compressed sparse row) form.
 //
 // This is the storage substrate every other module builds on. Both the
-// out-adjacency (used by all RWR kernels) and the in-adjacency (used by hub
-// selection and analysis tools) are materialized. Graphs may carry positive
+// out-adjacency (the PMPN gather, BCA pushes, walks) and the in-adjacency
+// with its edge weights (the forward RWR gather, hub selection, analysis
+// tools) are materialized. Graphs may carry positive
 // edge weights; the RWR transition probability from u to its out-neighbor v
 // is weight(u,v) / total out-weight of u (uniform 1/OD(u) when unweighted),
 // matching the paper's Section 2.1 and the weighted variant of Section 5.4.
@@ -77,6 +78,14 @@ class Graph {
             out_weights_.data() + out_offsets_[u + 1]};
   }
 
+  /// \brief Weights aligned with InNeighbors(v): entry i is the weight of
+  /// the edge InNeighbors(v)[i] -> v. Empty when unweighted.
+  std::span<const double> InWeights(uint32_t v) const {
+    if (in_weights_.empty()) return {};
+    return {in_weights_.data() + in_offsets_[v],
+            in_weights_.data() + in_offsets_[v + 1]};
+  }
+
   /// \brief Total out-weight of u (equals OutDegree(u) when unweighted).
   /// This is the normalizer of u's transition probabilities.
   double OutWeightSum(uint32_t u) const {
@@ -119,8 +128,9 @@ class Graph {
  private:
   friend class GraphBuilder;
 
-  // Counting transpose of the out-CSR into in_offsets_ / in_sources_
-  // (sources ascending within each in-row).
+  // Counting transpose of the out-CSR into in_offsets_ / in_sources_ /
+  // in_weights_ (sources ascending within each in-row; weights only when
+  // the graph is weighted).
   void BuildInCsr();
 
   uint32_t num_nodes_ = 0;
@@ -130,6 +140,7 @@ class Graph {
   std::vector<double> out_weight_sums_;  // empty when unweighted
   std::vector<uint64_t> in_offsets_{0};
   std::vector<uint32_t> in_sources_;
+  std::vector<double> in_weights_;  // empty when unweighted
   std::optional<uint32_t> sink_node_;
   std::vector<uint32_t> original_ids_;
 };

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/stopwatch.h"
+#include "common/workspace_pool.h"
 
 namespace rtk {
 
@@ -62,59 +63,51 @@ Result<LowerBoundIndex> BuildLowerBoundIndex(const TransitionOperator& op,
   const HubProximityStore& hub_store = index.hub_store();
 
   // Phase 2: partial BCA from every node (Algorithm 1 lines 3-9). The work
-  // queue is the storage shard table itself: each worker claims a shard and
-  // emits every row of it directly, so per-shard memory is written by one
-  // thread, sequentially, in node order.
+  // queue is the storage shard table itself: each chunk is one shard, whose
+  // rows are emitted directly, so per-shard memory is written by one
+  // thread, sequentially, in node order. ParallelForRange joins on these
+  // chunks only, so a build on a shared pool never waits for unrelated
+  // tasks.
   Stopwatch bca_watch;
-  const uint32_t num_shards = index.num_shards();
-  const int num_tasks =
-      (pool == nullptr || pool->num_threads() <= 1)
-          ? 1
-          : std::min<int>(pool->num_threads(), static_cast<int>(num_shards));
+  // Runners own the O(n) workspaces; one per concurrent chunk.
+  WorkspacePool<BcaRunner> runners([&op, &hub_store, &options]() {
+    return std::make_unique<BcaRunner>(op, hub_store.hubs(), options.bca);
+  });
   std::atomic<uint64_t> iteration_total{0};
-  std::atomic<uint32_t> next_shard{0};
-
-  auto worker = [&]() {
-    // One runner per worker: it owns the O(n) workspaces.
-    BcaRunner runner(op, hub_store.hubs(), options.bca);
-    uint64_t iters = 0;
-    for (;;) {
-      const uint32_t s = next_shard.fetch_add(1);
-      if (s >= num_shards) break;
-      IndexShard& shard = index.MutableShard(s);
-      for (uint32_t u = shard.begin_node; u < shard.end_node; ++u) {
-        if (hub_store.IsHub(u)) {
-          // Hubs store their exact top-K straight from P_H; no BCA state.
-          std::vector<std::pair<uint32_t, double>> topk =
-              hub_store.TopK(u, options.capacity_k);
-          std::vector<double> values;
-          values.reserve(topk.size());
-          for (const auto& [id, v] : topk) values.push_back(v);
-          WriteRow(&shard, options.capacity_k, u, values, StoredBcaState{},
-                   /*residue_l1=*/0.0);
-          continue;
+  ParallelForRange(
+      pool, 0, index.num_shards(), /*max_parallelism=*/0, /*grain=*/1,
+      [&](int64_t lo, int64_t hi) {
+        auto runner = runners.Acquire();
+        uint64_t iters = 0;
+        for (int64_t s = lo; s < hi; ++s) {
+          IndexShard& shard = index.MutableShard(static_cast<uint32_t>(s));
+          for (uint32_t u = shard.begin_node; u < shard.end_node; ++u) {
+            if (hub_store.IsHub(u)) {
+              // Hubs store their exact top-K straight from P_H; no BCA
+              // state.
+              std::vector<std::pair<uint32_t, double>> topk =
+                  hub_store.TopK(u, options.capacity_k);
+              std::vector<double> values;
+              values.reserve(topk.size());
+              for (const auto& [id, v] : topk) values.push_back(v);
+              WriteRow(&shard, options.capacity_k, u, values,
+                       StoredBcaState{}, /*residue_l1=*/0.0);
+              continue;
+            }
+            runner->Start(u);
+            iters += static_cast<uint64_t>(
+                runner->RunToTermination(options.push_strategy));
+            std::vector<std::pair<uint32_t, double>> topk =
+                runner->TopKApprox(hub_store, options.capacity_k);
+            std::vector<double> values;
+            values.reserve(topk.size());
+            for (const auto& [id, v] : topk) values.push_back(v);
+            WriteRow(&shard, options.capacity_k, u, values, runner->Extract(),
+                     runner->ResidueL1());
+          }
         }
-        runner.Start(u);
-        iters += static_cast<uint64_t>(
-            runner.RunToTermination(options.push_strategy));
-        std::vector<std::pair<uint32_t, double>> topk =
-            runner.TopKApprox(hub_store, options.capacity_k);
-        std::vector<double> values;
-        values.reserve(topk.size());
-        for (const auto& [id, v] : topk) values.push_back(v);
-        WriteRow(&shard, options.capacity_k, u, values, runner.Extract(),
-                 runner.ResidueL1());
-      }
-    }
-    iteration_total.fetch_add(iters);
-  };
-
-  if (num_tasks == 1) {
-    worker();
-  } else {
-    for (int t = 0; t < num_tasks; ++t) pool->Submit(worker);
-    pool->Wait();
-  }
+        iteration_total.fetch_add(iters);
+      });
   local_report.bca_seconds = bca_watch.ElapsedSeconds();
   local_report.total_bca_iterations = iteration_total.load();
   local_report.total_seconds = total_watch.ElapsedSeconds();

@@ -2,8 +2,9 @@
 //
 // Per-node BCA runs are independent, which the paper exploits on a 100-core
 // cluster; we exploit it across local threads. Hub vectors are solved
-// exactly first (also in parallel), then every node's BCA is run to the
-// delta/eta termination and its top-K lower bounds extracted.
+// exactly first (fused lane blocks, also in parallel), then every node's
+// BCA is run to the delta/eta termination and its top-K lower bounds
+// extracted.
 
 #ifndef RTK_INDEX_INDEX_BUILDER_H_
 #define RTK_INDEX_INDEX_BUILDER_H_
@@ -43,7 +44,8 @@ struct IndexBuildReport {
 };
 
 /// \brief Builds the index over the given hub set. `hubs` must be sorted
-/// unique ids (see SelectHubs). Runs on `pool` when provided.
+/// unique ids (see SelectHubs). Runs on `pool` when provided, waiting for
+/// its own work only: safe on a pool that is serving other tasks.
 Result<LowerBoundIndex> BuildLowerBoundIndex(
     const TransitionOperator& op, const std::vector<uint32_t>& hubs,
     const IndexBuildOptions& options = {}, ThreadPool* pool = nullptr,

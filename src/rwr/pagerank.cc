@@ -37,10 +37,11 @@ Result<std::vector<double>> ComputePersonalizedPageRank(
   const double alpha = options.alpha;
   std::vector<double> x = preference;
   std::vector<double> next(n, 0.0);
+  std::vector<double> scaled;  // ApplyForwardMulti's scratch
   IterativeSolveStats local;
   for (local.iterations = 1; local.iterations <= options.max_iterations;
        ++local.iterations) {
-    op.ApplyForward(x, &next);
+    RTK_RETURN_NOT_OK(op.ApplyForwardMulti(x, &next, &scaled, /*block=*/1));
     for (uint32_t i = 0; i < n; ++i) {
       next[i] = (1.0 - alpha) * next[i] + alpha * preference[i];
     }

@@ -19,7 +19,7 @@ struct ActiveLane {
 };
 
 /// Width-B iteration epilogue on the fresh SpMM output `next`: scale by
-/// (1 - alpha), add the restart mass alpha at each lane's query node, and
+/// (1 - alpha), add the restart mass alpha at each lane's restart node, and
 /// accumulate each lane's L1 delta against the previous iterate `x` in
 /// ascending node order. B is a compile-time constant so the lane loops
 /// unroll and the B deltas stay in registers; a lane's arithmetic never
@@ -75,20 +75,21 @@ void RetainLanes(const std::vector<uint32_t>& keep, uint32_t n,
 }
 
 /// Runs one fused group of at most kMaxTransposeLanes lanes; results land
-/// in their pre-assigned slots of `results`.
-Status SolveGroup(const TransitionOperator& op,
-                  const std::vector<PmpnLaneSpec>& lanes, size_t begin,
-                  size_t end, const RwrOptions& options, ThreadPool* pool,
-                  int max_parallelism, std::vector<PmpnLaneResult>* results) {
-  const uint32_t n = op.num_nodes();
+/// in their pre-assigned slots of `results`. `apply(x, &next, block)` is
+/// the direction's SpMM kernel: next = A^T x or A x over `block` lanes.
+template <typename Apply>
+Status SolveGroup(uint32_t n, const std::vector<PmpnLaneSpec>& lanes,
+                  size_t begin, size_t end, const RwrOptions& options,
+                  const Apply& apply, std::vector<PmpnLaneResult>* results) {
   std::vector<ActiveLane> active;
   active.reserve(end - begin);
   for (size_t i = begin; i < end; ++i) {
     active.push_back({lanes[i].query, lanes[i].control, i});
   }
 
-  // Theorem 2 allows any initialization; x = e_q per lane converges
-  // fastest in practice.
+  // Each lane starts from e at its restart node: Theorem 2 allows any
+  // initialization for PMPN, and for the forward solve e_u is already a
+  // distribution.
   const uint32_t width = static_cast<uint32_t>(active.size());
   std::vector<double> x(static_cast<size_t>(n) * width, 0.0);
   std::vector<double> next(x.size(), 0.0);
@@ -121,8 +122,7 @@ Status SolveGroup(const TransitionOperator& op,
     // serial in ascending node order per lane, so every lane's iterate
     // sequence is bitwise identical at every width and thread count.
     const uint32_t block = static_cast<uint32_t>(active.size());
-    RTK_RETURN_NOT_OK(
-        op.ApplyTransposeMulti(x, &next, block, pool, max_parallelism));
+    RTK_RETURN_NOT_OK(apply(x, &next, block));
     LaneKernelTable<EpilogueKernel>[block - 1](
         next.data(), x.data(), n, options.alpha, active.data(), deltas);
     x.swap(next);
@@ -156,29 +156,54 @@ Status SolveGroup(const TransitionOperator& op,
   return Status::OK();
 }
 
-}  // namespace
-
-Result<std::vector<PmpnLaneResult>> ComputeProximityToNodesFused(
+/// Validates the call, then solves the lanes in groups of at most
+/// kMaxTransposeLanes (wider batches simply take several fused passes).
+template <typename Apply>
+Result<std::vector<PmpnLaneResult>> SolveLanes(
     const TransitionOperator& op, const std::vector<PmpnLaneSpec>& lanes,
-    const RwrOptions& options, ThreadPool* pool, int max_parallelism) {
+    const RwrOptions& options, const Apply& apply) {
   RTK_RETURN_NOT_OK(ValidateRwrOptions(options));
   const uint32_t n = op.num_nodes();
   for (const PmpnLaneSpec& lane : lanes) {
     if (lane.query >= n) {
       return Status::InvalidArgument(
-          "query node " + std::to_string(lane.query) + " out of range (n=" +
+          "node " + std::to_string(lane.query) + " out of range (n=" +
           std::to_string(n) + ")");
     }
   }
   std::vector<PmpnLaneResult> results(lanes.size());
-  // Wider batches than the kernel's lane cap take several fused passes.
   for (size_t begin = 0; begin < lanes.size(); begin += kMaxTransposeLanes) {
     const size_t end = std::min(lanes.size(),
                                 begin + static_cast<size_t>(kMaxTransposeLanes));
-    RTK_RETURN_NOT_OK(SolveGroup(op, lanes, begin, end, options, pool,
-                                 max_parallelism, &results));
+    RTK_RETURN_NOT_OK(
+        SolveGroup(n, lanes, begin, end, options, apply, &results));
   }
   return results;
+}
+
+}  // namespace
+
+Result<std::vector<PmpnLaneResult>> ComputeProximityToNodesFused(
+    const TransitionOperator& op, const std::vector<PmpnLaneSpec>& lanes,
+    const RwrOptions& options, ThreadPool* pool, int max_parallelism) {
+  return SolveLanes(op, lanes, options,
+                    [&](const std::vector<double>& x, std::vector<double>* y,
+                        uint32_t block) {
+                      return op.ApplyTransposeMulti(x, y, block, pool,
+                                                    max_parallelism);
+                    });
+}
+
+Result<std::vector<PmpnLaneResult>> ComputeProximityColumnsFused(
+    const TransitionOperator& op, const std::vector<PmpnLaneSpec>& lanes,
+    const RwrOptions& options, ThreadPool* pool, int max_parallelism) {
+  std::vector<double> scaled;  // the kernel's z = x / W, reused per pass
+  return SolveLanes(op, lanes, options,
+                    [&](const std::vector<double>& x, std::vector<double>* y,
+                        uint32_t block) {
+                      return op.ApplyForwardMulti(x, y, &scaled, block, pool,
+                                                  max_parallelism);
+                    });
 }
 
 }  // namespace rtk

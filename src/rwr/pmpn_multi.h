@@ -1,29 +1,35 @@
-// Fused multi-source PMPN — Algorithm 2 for B query nodes at once.
+// Fused multi-source RWR solves — Algorithm 2 (PMPN) and the forward power
+// method for B source nodes at once.
 //
-// Runs the iteration x_b <- (1-alpha) A^T x_b + alpha e_{q_b} for every
-// lane b SIMULTANEOUSLY: one blocked SpMM pass over the CSR structure
-// (TransitionOperator::ApplyTransposeMulti) feeds all B accumulators per
-// edge, so the graph is streamed once per iteration instead of once per
-// query. This is the serving layer's throughput lever under deep queues —
-// the proximity stage dominates Algorithm 4's cost (paper Section 6), and
-// fusing amortizes it across an admission batch.
+// Both run one power loop per lane SIMULTANEOUSLY:
+//   PMPN     x_b <- (1-alpha) A^T x_b + alpha e_{q_b}   (row p_{q_b,*})
+//   forward  x_b <- (1-alpha) A   x_b + alpha e_{u_b}   (column p_{u_b})
+// One blocked SpMM pass over the graph (TransitionOperator::
+// ApplyTransposeMulti over the out-CSR, or ApplyForwardMulti over the
+// in-CSR) feeds all B accumulators per edge, so the graph is streamed once
+// per iteration instead of once per lane. The two directions share
+// everything but that kernel: the scale / restart / L1-delta epilogue,
+// the convergence test and the lane compaction below. This is the serving
+// layer's throughput lever under deep queues (the proximity stage
+// dominates Algorithm 4's cost, paper Section 6), and it batches the
+// index's hub vectors and refinement's exact fallbacks the same way.
 //
-// Exactness contract: lane b's iterate sequence depends on q_b alone,
-// bitwise, at every batch width and thread count, and the single-source
-// solver ComputeProximityToNode is this solver's B = 1 lane. Per-lane
-// convergence masking makes that possible without stragglers paying for
-// finished queries: a converged lane is extracted and the accumulator
-// block COMPACTS to the surviving lanes (each lane's arithmetic never
-// depends on which lanes accompany it), preserving each column's exact
-// iteration count, convergence delta and result vector. Every width the
-// block passes through (1..kMaxTransposeLanes) runs its own fixed-width
-// instantiation of both the SpMM gather and the scale / restart / L1-delta
-// epilogue.
+// Exactness contract: lane b's iterate sequence depends on its own node
+// alone, bitwise, at every batch width and thread count, and the
+// single-source solvers ComputeProximityToNode and ComputeProximityColumn
+// are these solvers' B = 1 lanes. Per-lane convergence masking makes that
+// possible without stragglers paying for finished lanes: a converged lane
+// is extracted and the accumulator block COMPACTS to the surviving lanes
+// (each lane's arithmetic never depends on which lanes accompany it),
+// preserving each lane's exact iteration count, convergence delta and
+// result vector. Every width the block passes through
+// (1..kMaxTransposeLanes) runs its own fixed-width instantiation of both
+// the SpMM gather and the epilogue.
 //
 // Per-lane deadline/cancellation: a lane whose ExecControl trips is masked
 // out exactly like a converged one — its siblings proceed untouched, which
 // is what lets the serving batch former honor per-request aborts inside a
-// fused solve.
+// fused solve, and one request's fallbacks abort together.
 
 #ifndef RTK_RWR_PMPN_MULTI_H_
 #define RTK_RWR_PMPN_MULTI_H_
@@ -38,7 +44,8 @@
 
 namespace rtk {
 
-/// \brief One fused solve input: the query node plus an optional abort
+/// \brief One fused solve input: the lane's restart node (the query q of
+/// a PMPN lane, the source u of a forward lane) plus an optional abort
 /// control polled once per iteration (null = never aborts).
 struct PmpnLaneSpec {
   uint32_t query = 0;
@@ -46,7 +53,9 @@ struct PmpnLaneSpec {
 };
 
 /// \brief One fused solve output. `status` is OK for a completed lane
-/// (row/stats then equal ComputeProximityToNode(q) exactly) or the abort
+/// (row/stats then equal the lane's single-source solve,
+/// ComputeProximityToNode(q) or ComputeProximityColumn(u), exactly) or the
+/// abort
 /// code (kCancelled / kDeadlineExceeded) when the lane's control tripped
 /// mid-solve — the row is then empty and must not be served.
 struct PmpnLaneResult {
@@ -72,6 +81,16 @@ struct PmpnLaneResult {
 /// every lane — and therefore the whole result — is bitwise identical at
 /// any thread count.
 Result<std::vector<PmpnLaneResult>> ComputeProximityToNodesFused(
+    const TransitionOperator& op, const std::vector<PmpnLaneSpec>& lanes,
+    const RwrOptions& options = {}, ThreadPool* pool = nullptr,
+    int max_parallelism = 0);
+
+/// \brief Computes the column p_u (the proximities from u to every node)
+/// for every lane via the fused forward iteration; lane.query is the
+/// source u. Same grouping, error, abort, iteration-cap and thread-count
+/// contract as ComputeProximityToNodesFused; the kernel is
+/// ApplyForwardMulti.
+Result<std::vector<PmpnLaneResult>> ComputeProximityColumnsFused(
     const TransitionOperator& op, const std::vector<PmpnLaneSpec>& lanes,
     const RwrOptions& options = {}, ThreadPool* pool = nullptr,
     int max_parallelism = 0);

@@ -1,7 +1,10 @@
 #include "rwr/power_method.h"
 
-#include <cmath>
+#include <algorithm>
 #include <string>
+#include <utility>
+
+#include "rwr/pmpn_multi.h"
 
 namespace rtk {
 
@@ -22,46 +25,57 @@ Status ValidateRwrOptions(const RwrOptions& options) {
 Result<std::vector<double>> ComputeProximityColumn(
     const TransitionOperator& op, uint32_t u, const RwrOptions& options,
     IterativeSolveStats* stats) {
-  RTK_RETURN_NOT_OK(ValidateRwrOptions(options));
-  const uint32_t n = op.num_nodes();
-  if (u >= n) {
-    return Status::InvalidArgument("node " + std::to_string(u) +
-                                   " out of range (n=" + std::to_string(n) +
-                                   ")");
-  }
-  const double alpha = options.alpha;
-  std::vector<double> x(n, 0.0), next(n, 0.0);
-  x[u] = 1.0;  // start from e_u: already a distribution
-  IterativeSolveStats local;
-  for (local.iterations = 1; local.iterations <= options.max_iterations;
-       ++local.iterations) {
-    op.ApplyForward(x, &next);
-    for (uint32_t i = 0; i < n; ++i) next[i] *= (1.0 - alpha);
-    next[u] += alpha;
-    double delta = 0.0;
-    for (uint32_t i = 0; i < n; ++i) delta += std::abs(next[i] - x[i]);
-    x.swap(next);
-    local.final_delta = delta;
-    if (delta < options.epsilon) {
-      local.converged = true;
-      break;
-    }
-  }
-  if (stats != nullptr) *stats = local;
-  return x;
+  RTK_ASSIGN_OR_RETURN(
+      std::vector<PmpnLaneResult> lanes,
+      ComputeProximityColumnsFused(op, {PmpnLaneSpec{u, nullptr}}, options));
+  if (stats != nullptr) *stats = lanes[0].stats;
+  return std::move(lanes[0].row);
 }
 
 Result<std::vector<std::vector<double>>> ComputeProximityColumns(
     const TransitionOperator& op, const std::vector<uint32_t>& nodes,
     const RwrOptions& options) {
+  std::vector<PmpnLaneSpec> lanes;
+  lanes.reserve(nodes.size());
+  for (uint32_t u : nodes) lanes.push_back({u, nullptr});
+  RTK_ASSIGN_OR_RETURN(std::vector<PmpnLaneResult> solved,
+                       ComputeProximityColumnsFused(op, lanes, options));
   std::vector<std::vector<double>> out;
-  out.reserve(nodes.size());
-  for (uint32_t u : nodes) {
-    RTK_ASSIGN_OR_RETURN(std::vector<double> col,
-                         ComputeProximityColumn(op, u, options));
-    out.push_back(std::move(col));
-  }
+  out.reserve(solved.size());
+  for (PmpnLaneResult& lane : solved) out.push_back(std::move(lane.row));
   return out;
+}
+
+Status ForEachProximityColumn(
+    const TransitionOperator& op, const std::vector<uint32_t>& nodes,
+    const RwrOptions& options, ThreadPool* pool,
+    const std::function<void(size_t, const std::vector<double>&)>& visit) {
+  const size_t num_blocks =
+      (nodes.size() + kColumnBlockLanes - 1) / kColumnBlockLanes;
+  std::vector<Status> statuses(num_blocks);
+  ParallelForRange(
+      pool, 0, static_cast<int64_t>(num_blocks), /*max_parallelism=*/0,
+      /*grain=*/1, [&](int64_t lo, int64_t hi) {
+        std::vector<PmpnLaneSpec> lanes;
+        for (auto block = static_cast<size_t>(lo);
+             block < static_cast<size_t>(hi); ++block) {
+          const size_t begin = block * kColumnBlockLanes;
+          const size_t end = std::min(nodes.size(), begin + kColumnBlockLanes);
+          lanes.clear();
+          for (size_t i = begin; i < end; ++i) lanes.push_back({nodes[i]});
+          Result<std::vector<PmpnLaneResult>> solved =
+              ComputeProximityColumnsFused(op, lanes, options);
+          if (!solved.ok()) {
+            statuses[block] = solved.status();
+            continue;
+          }
+          for (size_t i = begin; i < end; ++i) {
+            visit(i, (*solved)[i - begin].row);
+          }
+        }
+      });
+  for (const Status& status : statuses) RTK_RETURN_NOT_OK(status);
+  return Status::OK();
 }
 
 }  // namespace rtk

@@ -26,28 +26,6 @@ TransitionOperator::TransitionOperator(const Graph& graph) : graph_(&graph) {
   }
 }
 
-void TransitionOperator::ApplyForward(const std::vector<double>& x,
-                                      std::vector<double>* y) const {
-  const uint32_t n = graph_->num_nodes();
-  assert(x.size() == n && y->size() == n && &x != y);
-  std::fill(y->begin(), y->end(), 0.0);
-  for (uint32_t u = 0; u < n; ++u) {
-    const double xu = x[u];
-    if (xu == 0.0) continue;
-    auto nbrs = graph_->OutNeighbors(u);
-    auto weights = graph_->OutWeights(u);
-    if (weights.empty()) {
-      const double share = xu * inv_out_weight_[u];
-      for (uint32_t v : nbrs) (*y)[v] += share;
-    } else {
-      const double scale = xu * inv_out_weight_[u];
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        (*y)[nbrs[i]] += scale * weights[i];
-      }
-    }
-  }
-}
-
 namespace {
 
 /// Width-B SpMM gather: fills the B-wide slabs of y for u in [lo, hi). B is
@@ -81,6 +59,68 @@ struct GatherKernel {
   }
 };
 
+/// Width-B forward scale pass: z[u] = x[u] * (1 / W(u)) for every lane of
+/// u in [lo, hi).
+template <uint32_t B>
+struct ForwardScaleKernel {
+  static void Run(const double* inv_out_weight, const double* x, double* z,
+                  uint32_t lo, uint32_t hi) {
+    for (uint32_t u = lo; u < hi; ++u) {
+      const double inv = inv_out_weight[u];
+      const double* xu = x + static_cast<size_t>(u) * B;
+      double* zu = z + static_cast<size_t>(u) * B;
+      for (uint32_t j = 0; j < B; ++j) zu[j] = xu[j] * inv;
+    }
+  }
+};
+
+/// Width-B forward gather: fills the B-wide slabs of y for v in [lo, hi)
+/// by summing the scaled sources z over v's in-row in ascending source
+/// order (one multiply by w(u, v) per term when weighted).
+template <uint32_t B>
+struct ForwardGatherKernel {
+  static void Run(const Graph& graph, const double* z, double* y,
+                  uint32_t lo, uint32_t hi) {
+    for (uint32_t v = lo; v < hi; ++v) {
+      auto sources = graph.InNeighbors(v);
+      auto weights = graph.InWeights(v);
+      double acc[B] = {0.0};
+      if (weights.empty()) {
+        for (uint32_t u : sources) {
+          const double* zu = z + static_cast<size_t>(u) * B;
+          for (uint32_t j = 0; j < B; ++j) acc[j] += zu[j];
+        }
+      } else {
+        for (size_t i = 0; i < sources.size(); ++i) {
+          const double w = weights[i];
+          const double* zu = z + static_cast<size_t>(sources[i]) * B;
+          for (uint32_t j = 0; j < B; ++j) acc[j] += zu[j] * w;
+        }
+      }
+      double* yv = y + static_cast<size_t>(v) * B;
+      for (uint32_t j = 0; j < B; ++j) yv[j] = acc[j];
+    }
+  }
+};
+
+/// The preconditions both multi-vector applies share.
+Status CheckLaneOperands(const char* direction, uint32_t n, uint32_t block,
+                         const std::vector<double>& x,
+                         const std::vector<double>* y) {
+  if (block < 1 || block > kMaxTransposeLanes) {
+    return Status::InvalidArgument(
+        std::string(direction) + " block " + std::to_string(block) +
+        " outside [1, " + std::to_string(kMaxTransposeLanes) + "]");
+  }
+  const size_t len = static_cast<size_t>(n) * block;
+  if (x.size() < len || y->size() < len || &x == y) {
+    return Status::InvalidArgument(
+        std::string(direction) + " operands need two distinct vectors of >= " +
+        std::to_string(len) + " values");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status TransitionOperator::ApplyTransposeMulti(const std::vector<double>& x,
@@ -88,18 +128,8 @@ Status TransitionOperator::ApplyTransposeMulti(const std::vector<double>& x,
                                                uint32_t block,
                                                ThreadPool* pool,
                                                int max_parallelism) const {
-  if (block < 1 || block > kMaxTransposeLanes) {
-    return Status::InvalidArgument(
-        "transpose block " + std::to_string(block) + " outside [1, " +
-        std::to_string(kMaxTransposeLanes) + "]");
-  }
   const uint32_t n = graph_->num_nodes();
-  const size_t len = static_cast<size_t>(n) * block;
-  if (x.size() < len || y->size() < len || &x == y) {
-    return Status::InvalidArgument(
-        "transpose operands need two distinct vectors of >= " +
-        std::to_string(len) + " values");
-  }
+  RTK_RETURN_NOT_OK(CheckLaneOperands("transpose", n, block, x, y));
   const auto gather = LaneKernelTable<GatherKernel>[block - 1];
   const Graph* graph = graph_;
   const double* inv = inv_out_weight_.data();
@@ -108,6 +138,40 @@ Status TransitionOperator::ApplyTransposeMulti(const std::vector<double>& x,
   ParallelForRange(pool, 0, n, max_parallelism, /*grain=*/0,
                    [=](int64_t lo, int64_t hi) {
                      gather(*graph, inv, xd, yd, static_cast<uint32_t>(lo),
+                            static_cast<uint32_t>(hi));
+                   });
+  return Status::OK();
+}
+
+Status TransitionOperator::ApplyForwardMulti(const std::vector<double>& x,
+                                             std::vector<double>* y,
+                                             std::vector<double>* scaled,
+                                             uint32_t block, ThreadPool* pool,
+                                             int max_parallelism) const {
+  const uint32_t n = graph_->num_nodes();
+  RTK_RETURN_NOT_OK(CheckLaneOperands("forward", n, block, x, y));
+  if (scaled == &x || scaled == y) {
+    return Status::InvalidArgument(
+        "forward scratch must differ from both operands");
+  }
+  scaled->resize(static_cast<size_t>(n) * block);
+  const auto scale = LaneKernelTable<ForwardScaleKernel>[block - 1];
+  const auto gather = LaneKernelTable<ForwardGatherKernel>[block - 1];
+  const Graph* graph = graph_;
+  const double* inv = inv_out_weight_.data();
+  const double* xd = x.data();
+  double* zd = scaled->data();
+  double* yd = y->data();
+  // Every z[u] must be in place before any in-row reads it: two blocked
+  // passes, joined in between.
+  ParallelForRange(pool, 0, n, max_parallelism, /*grain=*/0,
+                   [=](int64_t lo, int64_t hi) {
+                     scale(inv, xd, zd, static_cast<uint32_t>(lo),
+                           static_cast<uint32_t>(hi));
+                   });
+  ParallelForRange(pool, 0, n, max_parallelism, /*grain=*/0,
+                   [=](int64_t lo, int64_t hi) {
+                     gather(*graph, zd, yd, static_cast<uint32_t>(lo),
                             static_cast<uint32_t>(hi));
                    });
   return Status::OK();

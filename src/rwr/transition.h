@@ -3,10 +3,11 @@
 //
 // a_ij = w(j, i) / W(j) where W(j) is node j's total out-weight (Section 2.1
 // of the paper; uniform 1/OD(j) for unweighted graphs, and the weighted
-// variant of Section 5.4 for weighted ones). Both y = A x (scatter over
-// out-edges) and Y = A^T X (gather over out-edges, for 1..32 vectors in one
-// pass) are provided; the latter is the kernel of the paper's PMPN
-// algorithm and deliberately needs only the out-CSR.
+// variant of Section 5.4 for weighted ones). Both directions run as fused
+// gathers over 1..32 node-major vectors in one pass: Y = A^T X over the
+// out-CSR (the kernel of the paper's PMPN algorithm) and Y = A X over the
+// in-CSR (the forward power method behind hub vectors and exact
+// fallbacks).
 
 #ifndef RTK_RWR_TRANSITION_H_
 #define RTK_RWR_TRANSITION_H_
@@ -23,7 +24,8 @@
 
 namespace rtk {
 
-/// \brief Widest accumulator block ApplyTransposeMulti accepts. 32 doubles
+/// \brief Widest accumulator block ApplyTransposeMulti and
+/// ApplyForwardMulti accept. 32 doubles
 /// = 4 cache lines per node: wide enough to amortize one CSR pass over a
 /// full admission batch, narrow enough that a node's slab stays in L1
 /// while its edges stream.
@@ -73,10 +75,6 @@ class TransitionOperator {
     return weights[edge_index] * inv_out_weight_[u];
   }
 
-  /// \brief y = A x. y is overwritten; x and y must have size n and be
-  /// distinct.
-  void ApplyForward(const std::vector<double>& x, std::vector<double>* y) const;
-
   /// \brief Fused multi-vector transpose apply (SpMM): Y = A^T X for
   /// `block` right-hand sides in ONE pass over the CSR structure. At
   /// block = 1 this is the plain y = A^T x.
@@ -104,6 +102,33 @@ class TransitionOperator {
                                            uint32_t block,
                                            ThreadPool* pool = nullptr,
                                            int max_parallelism = 0) const;
+
+  /// \brief Fused multi-vector forward apply: Y = A X for `block`
+  /// right-hand sides in the layout of ApplyTransposeMulti, as a gather
+  /// over the in-CSR. At block = 1 this is the plain y = A x.
+  ///
+  /// Two passes: `scaled` (caller-owned scratch, resized to n * block)
+  /// first receives z[u] = x[u] * (1 / W(u)) for every node and lane, then
+  /// each y[v] lane sums z[u] (times w(u, v) when weighted) over v's
+  /// in-row, whose sources ascend. Those are the terms, roundings and
+  /// order of the textbook scatter over out-edges (for u ascending:
+  /// y[v] += (x[u] * (1 / W(u))) * w(u, v)), so every lane is bitwise
+  /// equal to it at every block width and thread count; the multiply by
+  /// 1 / W(u) stays out of the edge loop so no build can fuse it into the
+  /// add.
+  /// Both passes are blocked over node ranges like ApplyTransposeMulti
+  /// (same `pool` / `max_parallelism` contract). Safe to call from inside
+  /// a pool task.
+  ///
+  /// Errors: InvalidArgument unless 1 <= block <= kMaxTransposeLanes, x
+  /// and y hold at least n * block values, and x, y and `scaled` are
+  /// pairwise distinct. The checks hold in every build type.
+  [[nodiscard]] Status ApplyForwardMulti(const std::vector<double>& x,
+                                         std::vector<double>* y,
+                                         std::vector<double>* scaled,
+                                         uint32_t block,
+                                         ThreadPool* pool = nullptr,
+                                         int max_parallelism = 0) const;
 
   /// \brief Samples an out-neighbor of u with probability proportional to
   /// edge weight (uniform when unweighted). u must have out-degree > 0.

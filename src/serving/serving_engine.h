@@ -590,9 +590,10 @@ class ServingEngine {
 
   /// The mutation worker's thread body: waits for ApplyUpdates wake-ups
   /// and runs DrainMutations under publish_mu_. A dedicated thread, NOT a
-  /// pool ticket — the repair fans out onto the pool (ParallelForRange),
-  /// and full rebuilds use ParallelFor, which must not be entered from a
-  /// pool task.
+  /// pool ticket: with mutation_threads == 0 the repair or rebuild fans
+  /// out onto the query pool (ParallelForRange, which waits for its own
+  /// chunks only), and a drain holding a query worker while it runs
+  /// would take that worker from the queries.
   void MutationWorker();
 
   /// Drains the MutationLog and publishes one mutated snapshot. Caller

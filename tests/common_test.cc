@@ -346,24 +346,6 @@ TEST(ThreadPoolTest, WaitIsReusable) {
   EXPECT_EQ(count.load(), 2);
 }
 
-TEST(ParallelForTest, CoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(&pool, 0, 1000, [&](int64_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, WorksInline) {
-  std::vector<int> hits(64, 0);
-  ParallelFor(nullptr, 0, 64, [&](int64_t i) { hits[i]++; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelForTest, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  ParallelFor(&pool, 5, 5, [](int64_t) { FAIL(); });
-}
-
 // ------------------------------------------------------------------- misc --
 
 TEST(HumanBytesTest, Formats) {

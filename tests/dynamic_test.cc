@@ -203,6 +203,7 @@ bool SameBits(std::span<const double> a, std::span<const double> b) {
     if (!std::equal(ao.begin(), ao.end(), bo.begin(), bo.end()) ||
         !std::equal(ai.begin(), ai.end(), bi.begin(), bi.end()) ||
         !SameBits(a.OutWeights(u), b.OutWeights(u)) ||
+        !SameBits(a.InWeights(u), b.InWeights(u)) ||
         !SameBits({&as, 1}, {&bs, 1})) {
       return ::testing::AssertionFailure() << "rows of node " << u
                                            << " differ";

@@ -214,6 +214,33 @@ TEST(WeightedGraphTest, TransitionWeightsExposed) {
   EXPECT_DOUBLE_EQ(w[1], 1.0);
 }
 
+TEST(WeightedGraphTest, InWeightsMirrorOutWeights) {
+  GraphBuilder b(3);
+  b.AddEdge(0, 1, 3.0);
+  b.AddEdge(0, 2, 1.0);
+  b.AddEdge(1, 0, 2.0);
+  b.AddEdge(2, 0, 1.5);
+  b.AddEdge(2, 1, 0.5);
+  Graph g = MustBuild(b, {.dangling_policy = DanglingPolicy::kError});
+  // In-row of 1: sources 0 (weight 3) then 2 (weight 0.5), ascending.
+  auto sources = g.InNeighbors(1);
+  auto w = g.InWeights(1);
+  ASSERT_EQ(sources.size(), 2u);
+  ASSERT_EQ(w.size(), 2u);
+  EXPECT_EQ(sources[0], 0u);
+  EXPECT_DOUBLE_EQ(w[0], 3.0);
+  EXPECT_EQ(sources[1], 2u);
+  EXPECT_DOUBLE_EQ(w[1], 0.5);
+  EXPECT_DOUBLE_EQ(g.InWeights(0)[1], 1.5);  // 2 -> 0
+
+  GraphBuilder unweighted(2);
+  unweighted.AddEdge(0, 1);
+  unweighted.AddEdge(1, 0);
+  EXPECT_TRUE(MustBuild(unweighted, {.dangling_policy = DanglingPolicy::kError})
+                  .InWeights(0)
+                  .empty());
+}
+
 TEST(WeightedGraphTest, UndirectedConvenienceAddsBothDirections) {
   GraphBuilder b(2);
   b.AddUndirectedEdge(0, 1, 2.5);

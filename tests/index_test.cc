@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 
+#include "bca/hub_proximity_store.h"
 #include "bca/hub_selection.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -105,6 +109,79 @@ TEST(IndexBuilderTest, ParallelAndSerialBuildsAgree) {
     for (uint32_t k = 0; k < opts.capacity_k; ++k) {
       EXPECT_EQ(a[k], b[k]) << "u=" << u << " k=" << k;
     }
+  }
+}
+
+// Holds one worker of a pool with an unrelated task until destroyed, or
+// for at most 5 s, so a caller that wrongly waits for it finishes late
+// instead of hanging.
+class BusyWorker {
+ public:
+  explicit BusyWorker(ThreadPool* pool) {
+    pool->Submit([this] {
+      std::unique_lock<std::mutex> lock(mu_);
+      started_ = true;
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::seconds(5), [this] { return released_; });
+      finished_ = true;
+      cv_.notify_all();
+    });
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return started_; });
+  }
+  ~BusyWorker() {
+    std::unique_lock<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return finished_; });
+  }
+
+  /// True while the task still holds its worker.
+  bool busy() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return !finished_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool started_ = false;
+  bool released_ = false;
+  bool finished_ = false;
+};
+
+TEST(IndexBuilderTest, MaintenanceOnASharedPoolWaitsOnlyForItsOwnWork) {
+  // The serving engine lends its query pool to index maintenance; a hub
+  // solve, a hub re-solve or a rebuild must not wait for in-flight queries.
+  Rng rng(53);
+  Result<Graph> g = ErdosRenyi(300, 2400, &rng);
+  ASSERT_TRUE(g.ok());
+  TransitionOperator op(*g);
+  std::vector<uint32_t> hubs;
+  for (uint32_t h = 0; h < 300; h += 15) hubs.push_back(h);
+  ThreadPool pool(2);
+  {
+    BusyWorker unrelated(&pool);
+    Result<HubProximityStore> store =
+        HubProximityStore::Build(op, hubs, {}, &pool);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_TRUE(unrelated.busy()) << "Build waited for an unrelated task";
+    Result<HubProximityStore> rebuilt = HubProximityStore::Rebuilt(
+        *store, op, {hubs[1], hubs[7], hubs[12]}, {}, &pool);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    EXPECT_TRUE(unrelated.busy()) << "Rebuilt waited for an unrelated task";
+  }
+  {
+    // No hubs, so only the BCA phase runs: the hub phase is Build above.
+    BusyWorker unrelated(&pool);
+    IndexBuildOptions opts;
+    opts.capacity_k = 10;
+    opts.shard_nodes = 32;  // several shards: the BCA phase fans out
+    Result<LowerBoundIndex> index =
+        BuildLowerBoundIndex(op, /*hubs=*/{}, opts, &pool);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    EXPECT_TRUE(unrelated.busy())
+        << "BuildLowerBoundIndex waited for an unrelated task";
   }
 }
 

@@ -414,6 +414,44 @@ TEST(PipelineStatsTest, TimingInvariantsHoldByConstruction) {
   EXPECT_EQ(stats.threads_used, 1);
 }
 
+// exact_fallback_seconds times the fused fallback solve: positive exactly
+// when the query had fallbacks, and part of refine_seconds.
+TEST(PipelineStatsTest, ExactFallbackSecondsIsPartOfRefineSeconds) {
+  Graph graph = MakeSeededGraph(2);
+  TransitionOperator op(graph);
+  auto hubs = SelectHubs(graph, {.degree_budget_b = 6});
+  ASSERT_TRUE(hubs.ok());
+  IndexBuildOptions build_opts;
+  build_opts.capacity_k = 10;
+  build_opts.bca.delta = 0.5;  // loose: queries refine
+  auto index = BuildLowerBoundIndex(op, *hubs, build_opts);
+  ASSERT_TRUE(index.ok());
+  ReverseTopkSearcher searcher(op, *index);
+  ThreadPool pool(2);
+  searcher.set_thread_pool(&pool);
+
+  int with_fallbacks = 0;
+  int without_fallbacks = 0;
+  for (int threads : {1, 2}) {
+    for (uint32_t q = 0; q < 40; ++q) {
+      QueryOptions opts;
+      opts.k = 5;
+      opts.num_threads = threads;
+      // Every other query stalls out almost at once.
+      if (q % 2 == 0) opts.max_stalled_refinements = 1;
+      QueryStats stats;
+      ASSERT_TRUE(searcher.Query(q, opts, &stats).ok());
+      EXPECT_EQ(stats.exact_fallback_seconds > 0.0, stats.exact_fallbacks > 0)
+          << "q=" << q;
+      EXPECT_LE(stats.exact_fallback_seconds, stats.refine_seconds)
+          << "q=" << q;
+      (stats.exact_fallbacks > 0 ? with_fallbacks : without_fallbacks)++;
+    }
+  }
+  EXPECT_GT(with_fallbacks, 0);
+  EXPECT_GT(without_fallbacks, 0);
+}
+
 // The proximity backend seam: a stub backend slots in and the pipeline
 // consumes its row (everything prunes when the row is all zeros).
 class ZeroBackend final : public ProximityBackend {

@@ -5,16 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "bca/bca.h"
 #include "bca/hub_proximity_store.h"
 #include "bca/hub_selection.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "common/top_k.h"
 #include "core/brute_force.h"
 #include "core/online_query.h"
 #include "graph/generators.h"
 #include "graph/toy_graphs.h"
 #include "index/index_builder.h"
+#include "rwr/power_method.h"
 #include "rwr/transition.h"
 
 namespace rtk {
@@ -179,6 +183,106 @@ TEST(StallCutoverTest, NoUpdateFallbackDoesNotMutateIndex) {
   QueryStats stats;
   ASSERT_TRUE(searcher.Query(33, opts, &stats).ok());
   EXPECT_EQ(index->ComputeStats().exact_nodes, exact_before);
+}
+
+// A fallback's delta carries no BCA state: its bounds are exact.
+bool IsFallbackDelta(const IndexDelta& delta) {
+  return delta.state.residue.empty() && delta.state.retained.empty() &&
+         delta.state.hub_ink.empty() && delta.residue_l1 == 0.0;
+}
+
+void ExpectSameDeltas(const std::vector<IndexDelta>& a,
+                      const std::vector<IndexDelta>& b, int threads) {
+  ASSERT_EQ(a.size(), b.size()) << "threads=" << threads;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].node, b[i].node) << "threads=" << threads;
+    EXPECT_EQ(a[i].topk, b[i].topk) << "node " << a[i].node;
+    EXPECT_EQ(a[i].residue_l1, b[i].residue_l1) << "node " << a[i].node;
+    EXPECT_EQ(a[i].state.residue, b[i].state.residue) << "node " << a[i].node;
+    EXPECT_EQ(a[i].state.retained, b[i].state.retained) << "node " << a[i].node;
+    EXPECT_EQ(a[i].state.hub_ink, b[i].state.hub_ink) << "node " << a[i].node;
+    EXPECT_EQ(a[i].state.iterations, b[i].state.iterations)
+        << "node " << a[i].node;
+  }
+}
+
+// A query whose refinement sends dozens of candidates to the exact
+// fallback: they are solved together in fused forward lanes, and each
+// must decide exactly as its own single-source solve would, at every
+// thread count.
+TEST(StallCutoverTest, ManyFallbacksSolvedTogetherMatchSingleSourceSolves) {
+  // On R-MAT graphs BCA stalls often near popular targets, as on
+  // servebench's rmat-web-s: no forced stall budget is needed.
+  Rng rng(17);
+  auto g = Rmat(9, 4096, &rng);
+  ASSERT_TRUE(g.ok());
+  TransitionOperator op(*g);
+  auto hubs = SelectHubs(*g, {.degree_budget_b = 4});
+  ASSERT_TRUE(hubs.ok());
+  IndexBuildOptions build_opts;
+  build_opts.capacity_k = 20;
+  build_opts.bca.delta = 0.1;
+  auto index = BuildLowerBoundIndex(op, *hubs, build_opts);
+  ASSERT_TRUE(index.ok());
+  ReverseTopkSearcher searcher(op, *index);  // read-only: deltas to a sink
+  ThreadPool pool(8);
+  searcher.set_thread_pool(&pool);
+
+  QueryOptions opts;
+  opts.k = 5;
+
+  // The query with the most fallbacks among the 8 most popular targets.
+  std::vector<uint32_t> popular(g->num_nodes());
+  for (uint32_t u = 0; u < g->num_nodes(); ++u) popular[u] = u;
+  std::stable_sort(popular.begin(), popular.end(), [&](uint32_t a, uint32_t b) {
+    return g->InDegree(a) > g->InDegree(b);
+  });
+  popular.resize(8);
+  uint32_t q = 0;
+  uint64_t most = 0;
+  for (uint32_t candidate : popular) {
+    QueryStats stats;
+    ASSERT_TRUE(searcher.Query(candidate, opts, &stats).ok());
+    if (stats.exact_fallbacks > most) {
+      most = stats.exact_fallbacks;
+      q = candidate;
+    }
+  }
+  ASSERT_GE(most, 32u) << "no query reaches a full 32-lane fallback group";
+
+  auto expected = BruteForceReverseTopk(op, q, opts.k);
+  ASSERT_TRUE(expected.ok());
+  std::vector<uint32_t> base_results;
+  std::vector<IndexDelta> base_deltas;
+  for (int threads : {1, 2, 8}) {
+    opts.num_threads = threads;
+    std::vector<IndexDelta> deltas;
+    opts.delta_sink = &deltas;
+    QueryStats stats;
+    auto got = searcher.Query(q, opts, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *expected) << "threads=" << threads;
+    EXPECT_EQ(stats.exact_fallbacks, most) << "threads=" << threads;
+    if (threads == 1) {
+      uint64_t fallback_deltas = 0;
+      for (const IndexDelta& delta : deltas) {
+        if (!IsFallbackDelta(delta)) continue;
+        ++fallback_deltas;
+        auto column = ComputeProximityColumn(op, delta.node, opts.pmpn);
+        ASSERT_TRUE(column.ok());
+        std::vector<double> top =
+            TopKValuesDescending(*column, build_opts.capacity_k);
+        while (!top.empty() && top.back() <= 0.0) top.pop_back();
+        EXPECT_EQ(delta.topk, top) << "node " << delta.node;
+      }
+      EXPECT_EQ(fallback_deltas, stats.exact_fallbacks);
+      base_results = *got;
+      base_deltas = std::move(deltas);
+    } else {
+      EXPECT_EQ(*got, base_results) << "threads=" << threads;
+      ExpectSameDeltas(base_deltas, deltas, threads);
+    }
+  }
 }
 
 }  // namespace

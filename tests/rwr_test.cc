@@ -30,13 +30,21 @@ double Sum(const std::vector<double>& v) {
   return std::accumulate(v.begin(), v.end(), 0.0);
 }
 
+// y = A x through the forward kernel's single-lane width.
+std::vector<double> Forward(const TransitionOperator& op,
+                            const std::vector<double>& x) {
+  std::vector<double> y(x.size()), scaled;
+  EXPECT_TRUE(op.ApplyForwardMulti(x, &y, &scaled, 1).ok());
+  return y;
+}
+
 // ---------------------------------------------------- TransitionOperator --
 
 TEST(TransitionOperatorTest, ForwardPreservesMass) {
   Graph g = PaperToyGraph();
   TransitionOperator op(g);
   std::vector<double> x(6, 1.0 / 6), y(6);
-  op.ApplyForward(x, &y);
+  y = Forward(op, x);
   EXPECT_NEAR(Sum(y), 1.0, 1e-12);  // A is column-stochastic
 }
 
@@ -45,7 +53,7 @@ TEST(TransitionOperatorTest, ForwardMatchesHandComputation) {
   Graph g = CycleGraph(3);
   TransitionOperator op(g);
   std::vector<double> x{1.0, 0.0, 0.0}, y(3);
-  op.ApplyForward(x, &y);
+  y = Forward(op, x);
   EXPECT_DOUBLE_EQ(y[0], 0.0);
   EXPECT_DOUBLE_EQ(y[1], 1.0);
   EXPECT_DOUBLE_EQ(y[2], 0.0);
@@ -63,7 +71,7 @@ TEST(TransitionOperatorTest, TransposeIsAdjointOfForward) {
     x[i] = rng.NextDouble();
     y[i] = rng.NextDouble();
   }
-  op.ApplyForward(x, &ax);
+  ax = Forward(op, x);
   ASSERT_TRUE(op.ApplyTransposeMulti(y, &aty, 1).ok());
   double lhs = 0.0, rhs = 0.0;
   for (uint32_t i = 0; i < n; ++i) {
@@ -85,7 +93,7 @@ TEST(TransitionOperatorTest, WeightedEdgeProbabilities) {
   EXPECT_DOUBLE_EQ(op.EdgeProbability(0, 0), 0.75);
   EXPECT_DOUBLE_EQ(op.EdgeProbability(0, 1), 0.25);
   std::vector<double> x{1.0, 0.0, 0.0}, y(3);
-  op.ApplyForward(x, &y);
+  y = Forward(op, x);
   EXPECT_DOUBLE_EQ(y[1], 0.75);
   EXPECT_DOUBLE_EQ(y[2], 0.25);
 }
@@ -128,7 +136,7 @@ TEST(PowerMethodTest, SolvesLinearSystem) {
   Result<std::vector<double>> p = ComputeProximityColumn(op, 2);
   ASSERT_TRUE(p.ok());
   std::vector<double> ap(g.num_nodes());
-  op.ApplyForward(*p, &ap);
+  ap = Forward(op, *p);
   for (uint32_t i = 0; i < g.num_nodes(); ++i) {
     const double rhs = (1 - alpha) * ap[i] + (i == 2 ? alpha : 0.0);
     EXPECT_NEAR((*p)[i], rhs, 1e-9);

@@ -1,10 +1,12 @@
-// Tests for the fused multi-query (SpMM) execution path, bottom to top:
-//   1. kernel: ApplyTransposeMulti at every width 1..kMaxTransposeLanes is
-//      bitwise equal to a plain scalar gather written here, serial and on
-//      a pool; its preconditions fail with a Status in every build type;
-//   2. solver: every lane of the fused multi-source PMPN, and the
-//      single-source solve (its B = 1 lane), is bitwise equal to a plain
-//      power-iteration loop written here — values, iteration counts,
+// Tests for the fused multi-vector (SpMM) execution path, bottom to top:
+//   1. kernels: ApplyTransposeMulti and ApplyForwardMulti at every width
+//      1..kMaxTransposeLanes are bitwise equal to plain scalar loops
+//      written here (a gather over out-edges; a scatter over out-edges),
+//      serial and on a pool, on unweighted, weighted and splice-flipped
+//      graphs; their preconditions fail with a Status in every build type;
+//   2. solvers: every lane of the fused PMPN and forward solves, and the
+//      single-source solves (their B = 1 lanes), is bitwise equal to a
+//      plain power-iteration loop written here — values, iteration counts,
 //      converged flags, final deltas — including a batch whose lanes
 //      retire one at a time (every width from 16 down to 1), iteration
 //      caps and per-lane deadline/cancellation;
@@ -38,6 +40,7 @@
 #include "graph/graph_builder.h"
 #include "rwr/pmpn.h"
 #include "rwr/pmpn_multi.h"
+#include "rwr/power_method.h"
 #include "rwr/transition.h"
 #include "serving/admission_queue.h"
 #include "serving/serving_engine.h"
@@ -87,10 +90,58 @@ std::vector<double> ReferenceTranspose(const Graph& graph,
   return y;
 }
 
+// y = A x as the textbook scatter over out-edges: for u ascending,
+// y[v] += (x[u] * (1 / W(u))) * w(u, v), skipping zero sources.
+std::vector<double> ReferenceForward(const Graph& graph,
+                                     const std::vector<double>& x) {
+  std::vector<double> y(graph.num_nodes(), 0.0);
+  for (uint32_t u = 0; u < graph.num_nodes(); ++u) {
+    const double xu = x[u];
+    if (xu == 0.0) continue;
+    auto nbrs = graph.OutNeighbors(u);
+    auto weights = graph.OutWeights(u);
+    const double scale = xu * (1.0 / graph.OutWeightSum(u));
+    if (weights.empty()) {
+      for (uint32_t v : nbrs) y[v] += scale;
+    } else {
+      for (size_t i = 0; i < nbrs.size(); ++i) y[nbrs[i]] += scale * weights[i];
+    }
+  }
+  return y;
+}
+
 struct ReferenceSolve {
   std::vector<double> row;
   IterativeSolveStats stats;
 };
+
+// The power method of Eq. 12 as written: x <- (1-alpha) A x + alpha e_u
+// from x = e_u until the L1 step falls below epsilon; a capped solve
+// reports max_iterations + 1 iterations.
+ReferenceSolve ReferencePowerMethod(const Graph& graph, uint32_t u,
+                                    const RwrOptions& options) {
+  std::vector<double> x(graph.num_nodes(), 0.0);
+  x[u] = 1.0;
+  ReferenceSolve out;
+  for (int iter = 1; iter <= options.max_iterations; ++iter) {
+    std::vector<double> next = ReferenceForward(graph, x);
+    for (double& v : next) v *= (1.0 - options.alpha);
+    next[u] += options.alpha;
+    double delta = 0.0;
+    for (size_t i = 0; i < next.size(); ++i) delta += std::abs(next[i] - x[i]);
+    x.swap(next);
+    out.stats.final_delta = delta;
+    if (delta < options.epsilon) {
+      out.stats.iterations = iter;
+      out.stats.converged = true;
+      out.row = std::move(x);
+      return out;
+    }
+  }
+  out.stats.iterations = options.max_iterations + 1;
+  out.row = std::move(x);
+  return out;
+}
 
 // Paper Algorithm 2 as written: x <- (1-alpha) A^T x + alpha e_q from
 // x = e_q until the L1 step falls below epsilon; a capped solve reports
@@ -208,6 +259,109 @@ TEST(SpmmKernelTest, RejectsBadBlocksAndOperandsInEveryBuild) {
                           [](double v) { return v == -1.0; }));
   // The widest legal block, with operands longer than n * block, works.
   EXPECT_TRUE(op.ApplyTransposeMulti(x, &y, kMaxTransposeLanes).ok());
+}
+
+// The unweighted graph of UnweightedTestGraph(seed) with out-row 0
+// replaced through Graph::SpliceOutRows: by non-unit weights (the graph
+// flips to weighted, unit weights materialized on every other row), then,
+// with `back`, by unit weights again (it flips back to unweighted).
+Graph SpliceFlippedGraph(uint64_t seed, bool back) {
+  const Graph base = UnweightedTestGraph(seed);
+  auto targets = base.OutNeighbors(0);
+  OutRow row{0, {targets.begin(), targets.end()}, {}};
+  for (size_t i = 0; i < row.targets.size(); ++i) {
+    row.weights.push_back(0.5 + 0.25 * static_cast<double>(i));
+  }
+  Graph weighted = Graph::SpliceOutRows(base, {&row, 1});
+  EXPECT_TRUE(weighted.is_weighted());
+  if (!back) return weighted;
+  row.weights.assign(row.targets.size(), 1.0);
+  Graph unweighted = Graph::SpliceOutRows(weighted, {&row, 1});
+  EXPECT_FALSE(unweighted.is_weighted());
+  return unweighted;
+}
+
+void CheckForwardKernelBitwise(const Graph& graph) {
+  TransitionOperator op(graph);
+  const uint32_t n = graph.num_nodes();
+  Rng rng(98);
+  ThreadPool pool(8);
+  struct Config {
+    ThreadPool* pool;
+    int max_parallelism;
+  };
+  // 1, 2 and 8 threads.
+  const Config configs[] = {{nullptr, 1}, {&pool, 2}, {&pool, 8}};
+
+  std::vector<double> scaled;  // reused across calls and widths
+  for (uint32_t block = 1; block <= kMaxTransposeLanes; ++block) {
+    // Lane-interleaved input with some exact zeros (the reference scatter
+    // skips those sources), plus each lane's reference output.
+    std::vector<double> x(static_cast<size_t>(n) * block);
+    for (double& v : x) v = rng.Bernoulli(0.2) ? 0.0 : rng.NextDouble();
+    std::vector<std::vector<double>> expected(block);
+    for (uint32_t j = 0; j < block; ++j) {
+      std::vector<double> xj(n);
+      for (uint32_t u = 0; u < n; ++u) {
+        xj[u] = x[static_cast<size_t>(u) * block + j];
+      }
+      expected[j] = ReferenceForward(graph, xj);
+    }
+    for (const Config& config : configs) {
+      std::vector<double> y(static_cast<size_t>(n) * block, -1.0);
+      ASSERT_TRUE(op.ApplyForwardMulti(x, &y, &scaled, block, config.pool,
+                                       config.max_parallelism)
+                      .ok());
+      for (uint32_t j = 0; j < block; ++j) {
+        for (uint32_t u = 0; u < n; ++u) {
+          ASSERT_EQ(y[static_cast<size_t>(u) * block + j], expected[j][u])
+              << "block=" << block << " lane=" << j << " u=" << u
+              << " threads=" << config.max_parallelism;
+        }
+      }
+    }
+  }
+}
+
+TEST(SpmmKernelTest, ForwardEveryWidthBitwiseEqualToScatterUnweighted) {
+  CheckForwardKernelBitwise(UnweightedTestGraph(11));
+}
+
+TEST(SpmmKernelTest, ForwardEveryWidthBitwiseEqualToScatterWeighted) {
+  CheckForwardKernelBitwise(WeightedTestGraph(12));
+}
+
+TEST(SpmmKernelTest, ForwardEveryWidthBitwiseEqualToScatterAfterSpliceFlips) {
+  CheckForwardKernelBitwise(SpliceFlippedGraph(13, /*back=*/false));
+  CheckForwardKernelBitwise(SpliceFlippedGraph(13, /*back=*/true));
+}
+
+TEST(SpmmKernelTest, ForwardRejectsBadBlocksAndOperandsInEveryBuild) {
+  const Graph graph = UnweightedTestGraph(7, 50);
+  TransitionOperator op(graph);
+  const size_t n = graph.num_nodes();
+  const size_t wide = n * (kMaxTransposeLanes + 1);
+  std::vector<double> x(wide, 1.0);
+  std::vector<double> y(wide, -1.0);
+  std::vector<double> scaled;
+  for (uint32_t block : {0u, kMaxTransposeLanes + 1, 1000u}) {
+    const Status status = op.ApplyForwardMulti(x, &y, &scaled, block);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << block;
+  }
+  std::vector<double> short_x(n * 4 - 1, 1.0), short_y(n * 4 - 1, -1.0);
+  EXPECT_EQ(op.ApplyForwardMulti(short_x, &y, &scaled, 4).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(op.ApplyForwardMulti(x, &short_y, &scaled, 4).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(op.ApplyForwardMulti(x, &x, &scaled, 4).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(op.ApplyForwardMulti(x, &y, &y, 4).code(),
+            StatusCode::kInvalidArgument);
+  // A rejected call writes nothing.
+  EXPECT_TRUE(std::all_of(y.begin(), y.end(), [](double v) { return v == -1.0; }));
+  EXPECT_TRUE(std::all_of(short_y.begin(), short_y.end(),
+                          [](double v) { return v == -1.0; }));
+  EXPECT_TRUE(op.ApplyForwardMulti(x, &y, &scaled, kMaxTransposeLanes).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -370,6 +524,160 @@ TEST(PmpnMultiTest, TrippedLaneMasksOnlyItsOwnColumn) {
     ExpectSolveEqualsReference(
         (*fused)[i].row, (*fused)[i].stats,
         ReferencePmpn(graph, lanes[i].query, options), lanes[i].query);
+  }
+}
+
+// Forward lanes: every fused column and the single-source solve == the
+// scalar power loop, bitwise.
+
+void CheckFusedForwardSolver(const Graph& graph,
+                             const std::vector<uint32_t>& sources,
+                             const RwrOptions& options, ThreadPool* pool,
+                             int max_parallelism) {
+  TransitionOperator op(graph);
+  std::vector<PmpnLaneSpec> lanes;
+  for (uint32_t u : sources) lanes.push_back({u, nullptr});
+  auto fused =
+      ComputeProximityColumnsFused(op, lanes, options, pool, max_parallelism);
+  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  ASSERT_EQ(fused->size(), sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const ReferenceSolve expected =
+        ReferencePowerMethod(graph, sources[i], options);
+    const PmpnLaneResult& lane = (*fused)[i];
+    ASSERT_TRUE(lane.status.ok()) << lane.status.ToString();
+    ExpectSolveEqualsReference(lane.row, lane.stats, expected, sources[i]);
+
+    IterativeSolveStats solo_stats;
+    auto solo = ComputeProximityColumn(op, sources[i], options, &solo_stats);
+    ASSERT_TRUE(solo.ok());
+    ExpectSolveEqualsReference(*solo, solo_stats, expected, sources[i]);
+  }
+}
+
+TEST(ForwardMultiTest, MatchesReferenceAcrossWidthsAndThreads) {
+  const Graph graph = UnweightedTestGraph(14);
+  RwrOptions options;
+  options.epsilon = 1e-9;
+  ThreadPool pool(8);
+  std::vector<uint32_t> sources;
+  for (uint32_t i = 0; i < 40; ++i) {  // > kMaxTransposeLanes: two groups
+    sources.push_back((i * 41) % graph.num_nodes());
+  }
+  CheckFusedForwardSolver(graph, sources, options, nullptr, 1);
+  CheckFusedForwardSolver(graph, sources, options, &pool, 2);
+  CheckFusedForwardSolver(graph, sources, options, &pool, 8);
+}
+
+TEST(ForwardMultiTest, WeightedAndSpliceFlippedGraphs) {
+  RwrOptions options;
+  options.epsilon = 1e-8;
+  ThreadPool pool(8);
+  const std::vector<uint32_t> sources = {5, 5, 17, 0, 93, 17, 42, 0};
+  for (const Graph& graph :
+       {WeightedTestGraph(15), SpliceFlippedGraph(16, /*back=*/false),
+        SpliceFlippedGraph(16, /*back=*/true)}) {
+    CheckFusedForwardSolver(graph, sources, options, nullptr, 1);
+    CheckFusedForwardSolver(graph, sources, options, &pool, 2);
+    CheckFusedForwardSolver(graph, sources, options, &pool, 8);
+  }
+}
+
+TEST(ForwardMultiTest, LanesRetiringOneAtATimeVisitEveryWidth) {
+  // On the chain graph the forward columns converge on distinct
+  // schedules too, so the block again passes through every width.
+  const Graph graph = ChainGraph();
+  std::vector<uint32_t> sources;
+  for (uint32_t i = 0; i < 16; ++i) sources.push_back((i * 7) % 16);
+  std::set<int> schedules;
+  for (uint32_t u : sources) {
+    const ReferenceSolve expected = ReferencePowerMethod(graph, u, {});
+    ASSERT_TRUE(expected.stats.converged);
+    schedules.insert(expected.stats.iterations);
+  }
+  EXPECT_EQ(schedules.size(), sources.size());
+  ThreadPool pool(2);
+  CheckFusedForwardSolver(graph, sources, {}, nullptr, 1);
+  CheckFusedForwardSolver(graph, sources, {}, &pool, 2);
+}
+
+TEST(ForwardMultiTest, IterationCapReportsLikeReference) {
+  const Graph graph = UnweightedTestGraph(17, 80);
+  RwrOptions options;
+  options.epsilon = 1e-14;
+  options.max_iterations = 6;
+  CheckFusedForwardSolver(graph, {1, 2, 3, 4}, options, nullptr, 1);
+}
+
+TEST(ForwardMultiTest, BlockedColumnsEqualSingleSourceSolves) {
+  const Graph graph = WeightedTestGraph(18);
+  TransitionOperator op(graph);
+  const RwrOptions options;
+  std::vector<uint32_t> nodes;
+  for (uint32_t u = 0; u < 37; ++u) nodes.push_back((u * 13) % 120);
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<std::vector<double>> seen(nodes.size());
+    std::vector<int> visits(nodes.size(), 0);
+    ASSERT_TRUE(ForEachProximityColumn(op, nodes, options, p,
+                                       [&](size_t i,
+                                           const std::vector<double>& col) {
+                                         seen[i] = col;
+                                         ++visits[i];
+                                       })
+                    .ok());
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      EXPECT_EQ(visits[i], 1) << i;
+      EXPECT_EQ(seen[i], ReferencePowerMethod(graph, nodes[i], options).row)
+          << "u=" << nodes[i];
+    }
+  }
+  auto columns = ComputeProximityColumns(op, nodes, options);
+  ASSERT_TRUE(columns.ok());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ((*columns)[i], ReferencePowerMethod(graph, nodes[i], options).row);
+  }
+  RwrOptions bad;
+  bad.alpha = 0.0;
+  EXPECT_EQ(ForEachProximityColumn(op, nodes, bad, &pool,
+                                   [](size_t, const std::vector<double>&) {})
+                .ToString(),
+            ValidateRwrOptions(bad).ToString());
+  EXPECT_EQ(ComputeProximityColumn(op, graph.num_nodes()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ForwardMultiTest, TrippedLaneMasksOnlyItsOwnColumn) {
+  const Graph graph = UnweightedTestGraph(19);
+  TransitionOperator op(graph);
+  RwrOptions options;
+  options.epsilon = 1e-9;
+
+  const ExecControl expired{SteadyClock::now() - std::chrono::seconds(1),
+                            CancellationToken()};
+  CancellationToken cancelled = CancellationToken::Cancellable();
+  cancelled.RequestCancel();
+  const ExecControl cancelled_control{kNoDeadline, cancelled};
+
+  std::vector<PmpnLaneSpec> lanes = {{3, nullptr},
+                                     {11, &expired},
+                                     {23, &cancelled_control},
+                                     {42, nullptr}};
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    auto fused = ComputeProximityColumnsFused(op, lanes, options, p, 2);
+    ASSERT_TRUE(fused.ok());
+    EXPECT_EQ((*fused)[1].status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_TRUE((*fused)[1].row.empty());
+    EXPECT_EQ((*fused)[2].status.code(), StatusCode::kCancelled);
+    EXPECT_TRUE((*fused)[2].row.empty());
+    for (size_t i : {size_t{0}, size_t{3}}) {
+      ASSERT_TRUE((*fused)[i].status.ok());
+      ExpectSolveEqualsReference(
+          (*fused)[i].row, (*fused)[i].stats,
+          ReferencePowerMethod(graph, lanes[i].query, options),
+          lanes[i].query);
+    }
   }
 }
 

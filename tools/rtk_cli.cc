@@ -313,14 +313,17 @@ int CmdQuery(int argc, char** argv) {
   }
   std::printf("reverse top-%u of node %u: %zu nodes "
               "(cand=%llu hits=%llu refined=%llu, %.1f ms on %d threads: "
-              "prox %.1f + prune %.1f + refine %.1f; backend=%s%s)\n",
+              "prox %.1f + prune %.1f + refine %.1f, of which %llu exact "
+              "fallbacks %.1f; backend=%s%s)\n",
               k, q, result->size(),
               static_cast<unsigned long long>(stats.candidates),
               static_cast<unsigned long long>(stats.hits),
               static_cast<unsigned long long>(stats.refined_nodes),
               stats.total_seconds * 1e3, stats.threads_used,
               stats.pmpn_seconds * 1e3, stats.prune_seconds * 1e3,
-              stats.refine_seconds * 1e3, stats.backend.c_str(),
+              stats.refine_seconds * 1e3,
+              static_cast<unsigned long long>(stats.exact_fallbacks),
+              stats.exact_fallback_seconds * 1e3, stats.backend.c_str(),
               escalation.c_str());
   for (uint32_t u : *result) std::printf("%u\n", u);
   return 0;
