@@ -31,18 +31,24 @@
 #                                 equivalence asserted after every publish;
 #                                 adaptive_test: partial-escalation byte-
 #                                 identity at every thread count + AIMD
-#                                 budget-controller feedback under serving)
+#                                 budget-controller feedback under serving;
+#                                 refinement_test: the fused 32-lane exact
+#                                 fallback solve on the pool at 1/2/8
+#                                 threads, equal to single-source solves)
 #                                 race-detection-clean
 #   pass 3  ASan+UBSan          — library + tests only, runs the storage-
 #                                 heavy subset (index/serving/pipeline/
 #                                 proximity-backend/fault-injection/
-#                                 storage-tier/mutation-serving) plus
-#                                 dynamic_test (the CSR row splice of
-#                                 ApplyEdgeUpdates is all offset arithmetic,
-#                                 checked against a GraphBuilder rebuild)
-#                                 so shard lifetime bugs, buffer overruns
-#                                 in the v2/v3 I/O paths and the splice,
-#                                 and UB surface as hard
+#                                 storage-tier/mutation-serving/adaptive/
+#                                 refinement) plus dynamic_test (the CSR
+#                                 row splice of ApplyEdgeUpdates is all
+#                                 offset arithmetic, checked against a
+#                                 GraphBuilder rebuild) and graph_test
+#                                 (the BuildInCsr / InWeights offset
+#                                 arithmetic) so shard lifetime bugs,
+#                                 buffer overruns in the v2/v3 I/O paths,
+#                                 the splice and the in-CSR, and UB
+#                                 surface as hard
 #                                 failures; float-cast-overflow is added
 #                                 explicitly (GCC's -fsanitize=undefined
 #                                 leaves it out), so an out-of-range
@@ -117,7 +123,7 @@ cmake -B build-tsan -S . -DRTK_SANITIZE=thread \
 cmake --build build-tsan -j "$JOBS" \
       --target serving_test request_scheduler_test pipeline_test \
                proximity_backend_test obs_test spmm_test storage_tier_test \
-               mutation_serving_test adaptive_test
+               mutation_serving_test adaptive_test refinement_test
 # halt_on_error: any report fails CI instead of just logging.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/serving_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/request_scheduler_test
@@ -136,6 +142,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/mutation_serving_test
 # byte-identical to full escalation at 1/2/8 threads, and the budget
 # controller's mutex-guarded feedback path runs under real serving traffic.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/adaptive_test
+# refinement_test: a query's exact fallbacks are solved together as one
+# fused forward solve that fans out on the pool at 1, 2 and 8 threads.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/refinement_test
 
 echo "=== pass 3: ASan+UBSan build + storage suites ==="
 cmake -B build-asan -S . -DRTK_SANITIZE=address,undefined,float-cast-overflow \
@@ -144,7 +153,7 @@ cmake --build build-asan -j "$JOBS" \
       --target index_test fault_injection_test serving_test \
                request_scheduler_test pipeline_test proximity_backend_test \
                obs_test spmm_test storage_tier_test mutation_serving_test \
-               adaptive_test dynamic_test
+               adaptive_test dynamic_test refinement_test graph_test
 # halt_on_error: any report fails CI instead of just logging.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/index_test
@@ -170,6 +179,10 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/adaptive_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/dynamic_test
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/refinement_test
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/graph_test
 
 echo "=== pass 4: Release build + bench smokes ==="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \

@@ -44,22 +44,8 @@ class ThreadPool {
   /// \brief Default pool size: the hardware concurrency, at least 1.
   static int DefaultThreads();
 
-  /// \brief The calling thread's stable worker index in its pool, or -1
-  /// for threads that are not pool workers. The index is assigned once at
-  /// worker start and never changes, so it is a stable identity for
-  /// thread-affine work placement (ParallelForRangeAffine).
-  static int CurrentWorkerIndex();
-
-  /// \brief Pins worker i to CPU (i mod ncpu), so thread-affine shard
-  /// ranges become CPU-affine (and on multi-socket machines NUMA-affine:
-  /// a worker's shards are faulted and re-scanned from the same node).
-  /// Compiled to a no-op returning false unless the build enables
-  /// RTK_ENABLE_NUMA (CMake) on a platform with pthread affinity. Returns
-  /// true iff every worker was pinned.
-  bool BindWorkersToCpus();
-
  private:
-  void WorkerLoop(int worker_index);
+  void WorkerLoop();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
@@ -90,24 +76,6 @@ class ThreadPool {
 void ParallelForRange(ThreadPool* pool, int64_t begin, int64_t end,
                       int max_parallelism, int64_t grain,
                       const std::function<void(int64_t, int64_t)>& body);
-
-/// \brief Affinity-aware variant of ParallelForRange for repeated scans of
-/// the same index: [begin, end) is cut into R = min(count, P*4) STABLE
-/// contiguous ranges (boundaries are a pure function of count and the
-/// participant cap P — never of scheduling), and each participant first
-/// claims the ranges its worker index maps to, stealing forward around the
-/// ring only when its own are done. Back-to-back scans of the same index
-/// therefore send each pool worker to the same shards (warm caches; with
-/// BindWorkersToCpus, the same CPU/NUMA node), while stealing keeps skewed
-/// ranges load-balanced. Claims are per-range CAS flags, so every range
-/// runs exactly once; completion and re-entrancy semantics are identical
-/// to ParallelForRange (safe inside pool tasks, caller participates).
-/// Determinism: like ParallelForRange, callers needing deterministic
-/// output must make per-element work independent of which thread runs it
-/// (all callers in this library do).
-void ParallelForRangeAffine(ThreadPool* pool, int64_t begin, int64_t end,
-                            int max_parallelism,
-                            const std::function<void(int64_t, int64_t)>& body);
 
 }  // namespace rtk
 

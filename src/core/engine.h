@@ -51,10 +51,10 @@ struct EngineOptions {
   /// index I/O, and serving-layer copy-on-write publishes.
   uint32_t shard_nodes = 0;
   /// Memory tier for LoadFromFile (Build always constructs heap shards):
-  /// kHeap eagerly parses every shard; kMmap maps the v2 file and opens in
+  /// kHeap eagerly parses every shard; kMmap maps the file and opens in
   /// O(directory) time, faulting shard bytes on first touch — identical
   /// query results, page-cache-resident cold shards (index_storage.h).
-  /// kMmap requires a v2 index file.
+  /// kMmap requires a sharded (v2 or v3) index file.
   StorageTier storage_tier = StorageTier::kHeap;
 };
 

@@ -96,9 +96,6 @@ struct QueryOptions {
   /// targeted solve cannot certify forces the full fallback — so this is
   /// purely a latency knob (kept switchable for A/B measurement).
   bool partial_escalation = true;
-  /// Per-node push cap for targeted settles (0 = the
-  /// TargetedSettleOptions default).
-  uint64_t settle_push_budget = 0;
   /// Bound-targeted epsilon: derive the local-push stopping epsilon for
   /// this query from the index's observed smallest positive k-th bound
   /// (piggybacked on the previous prune scan at the same k) instead of the

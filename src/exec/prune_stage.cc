@@ -173,11 +173,6 @@ PruneResult RunPruneStage(const LowerBoundIndex& index,
   if (num_shards == 0) return result;
   result.shards_scanned = num_shards;
 
-  int workers = (pool == nullptr) ? 1 : pool->num_threads();
-  if (options.max_parallelism > 0) {
-    workers = std::min(workers, options.max_parallelism);
-  }
-
   std::vector<ShardResult> shards(num_shards);
   // Sticky abort flag: once any worker observes an expired deadline, a
   // cancelled token, or a corrupt mapped shard, remaining shards are
@@ -185,13 +180,12 @@ PruneResult RunPruneStage(const LowerBoundIndex& index,
   // scanned or untouched).
   std::atomic<bool> aborted{false};
   const ExecControl* control = options.control;
-  // Affinity-aware scheduling: stable contiguous shard ranges per pool
-  // worker (see ParallelForRangeAffine), so repeated scans send each
-  // worker back to the shards whose pages/lines it already owns. Range
-  // boundaries affect scheduling only — per-shard output is position-
-  // independent and the merge below is in shard order.
-  ParallelForRangeAffine(
-      pool, 0, num_shards, workers, [&](int64_t s_lo, int64_t s_hi) {
+  // Chunk boundaries and the worker that scans a shard affect scheduling
+  // only: per-shard output is position-independent and the merge below is
+  // in shard order.
+  ParallelForRange(
+      pool, 0, num_shards, options.max_parallelism, /*grain=*/0,
+      [&](int64_t s_lo, int64_t s_hi) {
         std::vector<double> scratch;  // per-range row buffer (cold scans)
         for (int64_t s = s_lo; s < s_hi; ++s) {
           if (aborted.load(std::memory_order_relaxed)) return;

@@ -34,10 +34,9 @@
 // from the mapped file through ShardPayloadCursor (lazy checksum verified
 // on first touch) — same branches, same constants, so heap and mmap scans
 // of the same index bytes emit identical lists, and a cold scan costs page
-// cache instead of heap. Scheduling is thread-affine (stable shard ranges
-// per pool worker, ParallelForRangeAffine) and each scanned shard feeds
-// its candidate count back as a residency touch signal; neither affects
-// the output.
+// cache instead of heap. Shards are scheduled on the pool with
+// ParallelForRange and each scanned shard feeds its candidate count back
+// as a residency touch signal; neither affects the output.
 
 #ifndef RTK_EXEC_PRUNE_STAGE_H_
 #define RTK_EXEC_PRUNE_STAGE_H_

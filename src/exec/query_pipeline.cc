@@ -288,9 +288,6 @@ bool QueryPipeline::SettleUndecided(uint32_t q, const QueryOptions& options,
 
   TargetedSettleOptions settle_opts;
   settle_opts.alpha = pmpn_opts.alpha;
-  if (options.settle_push_budget > 0) {
-    settle_opts.max_pushes = options.settle_push_budget;
-  }
 
   const uint32_t k = options.k;
   const double tie = options.tie_epsilon;

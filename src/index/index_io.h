@@ -52,8 +52,9 @@ struct SaveIndexOptions {
 
 /// \brief Knobs for LoadIndex.
 struct LoadIndexOptions {
-  /// Reads + verifies v2 shards in parallel when provided (heap tier), and
-  /// is forwarded to the engine for later use either way.
+  /// Reads + verifies the shards of a sharded (v2 or v3) file in parallel
+  /// when provided (heap tier), and is forwarded to the engine for later
+  /// use either way.
   ThreadPool* pool = nullptr;
   /// kHeap parses every shard eagerly (the classic load). kMmap maps the
   /// file and returns after validating the header — O(directory) — with
@@ -85,17 +86,17 @@ struct IndexFileInfo {
 };
 
 /// \brief Writes the index to `path` (atomically: temp file + rename) in
-/// format version 2.
+/// format version 3.
 Status SaveIndex(const LowerBoundIndex& index, const std::string& path);
 
 /// \brief SaveIndex with explicit format version / parallelism.
 Status SaveIndex(const LowerBoundIndex& index, const std::string& path,
                  const SaveIndexOptions& options);
 
-/// \brief Reads an index previously written by SaveIndex (either format
-/// version). `expected_nodes` guards against loading an index built for a
-/// different graph (pass the graph's node count). With a pool, v2 shards
-/// are read and verified in parallel.
+/// \brief Reads an index previously written by SaveIndex (format version
+/// 1, 2 or 3). `expected_nodes` guards against loading an index built for
+/// a different graph (pass the graph's node count). With a pool, the
+/// shards of a v2 or v3 file are read and verified in parallel.
 Result<LowerBoundIndex> LoadIndex(const std::string& path,
                                   uint32_t expected_nodes,
                                   ThreadPool* pool = nullptr);

@@ -20,19 +20,6 @@ bool AdmissionQueue::TryPush(PendingQuery& item) {
   return true;
 }
 
-std::optional<PendingQuery> AdmissionQueue::TryPop() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& lane : lanes_) {  // array order == urgency order
-    if (lane.empty()) continue;
-    PendingQuery item = std::move(lane.front());
-    lane.pop_front();
-    --depth_;
-    ++popped_;
-    return item;
-  }
-  return std::nullopt;
-}
-
 std::vector<PendingQuery> AdmissionQueue::PopUpTo(size_t n) {
   std::vector<PendingQuery> batch;
   std::lock_guard<std::mutex> lock(mu_);

@@ -21,7 +21,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -66,16 +65,10 @@ class AdmissionQueue {
   /// deliver the shed response through it.
   bool TryPush(PendingQuery& item);
 
-  /// \brief Pops the oldest request of the most urgent non-empty class;
-  /// nullopt when empty.
-  std::optional<PendingQuery> TryPop();
-
-  /// \brief Pops up to `n` requests under ONE lock acquisition, in the
-  /// same order n TryPop calls would produce (strict priority, FIFO within
-  /// a class); empty when the queue is. The batch former's entry point:
-  /// gathering a fused batch costs one mutex round-trip instead of one per
-  /// request, so deep queues do not turn the queue lock into the
-  /// bottleneck the fused kernel just removed from the solver.
+  /// \brief Pops up to `n` requests under ONE lock acquisition: the most
+  /// urgent non-empty class first, FIFO within a class; empty when the
+  /// queue is. Every dispatch ticket gathers its batch here, so a fused
+  /// batch costs one mutex round-trip instead of one per request.
   std::vector<PendingQuery> PopUpTo(size_t n);
 
   /// \brief Current backlog across all classes.

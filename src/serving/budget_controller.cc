@@ -4,6 +4,18 @@
 
 namespace rtk {
 
+namespace {
+
+// The feedback rule (see the header): scale multipliers on a full and a
+// partial escalation, the per-certified-answer decay of the excess over
+// 1.0, and the upper clamp.
+constexpr double kFullEscalationMultiplier = 2.0;
+constexpr double kPartialEscalationMultiplier = 1.25;
+constexpr double kCertifyDecay = 0.98;
+constexpr double kMaxScale = 64.0;
+
+}  // namespace
+
 BackendBudgetState* BudgetController::FindOrCreateLocked(
     std::string_view backend) {
   for (BackendBudgetState& state : states_) {
@@ -27,21 +39,18 @@ void BudgetController::Record(std::string_view backend, EscalationMode mode) {
   switch (mode) {
     case EscalationMode::kFull:
       ++state->full_escalations;
-      state->scale = std::min(
-          state->scale * std::max(1.0, options_.full_escalation_multiplier),
-          options_.max_scale);
+      state->scale =
+          std::min(state->scale * kFullEscalationMultiplier, kMaxScale);
       break;
     case EscalationMode::kPartial:
       ++state->partial_escalations;
-      state->scale = std::min(
-          state->scale * std::max(1.0, options_.partial_escalation_multiplier),
-          options_.max_scale);
+      state->scale =
+          std::min(state->scale * kPartialEscalationMultiplier, kMaxScale);
       break;
     case EscalationMode::kNone:
       ++state->certified;
       // Decay the excess over 1.0, never below it.
-      state->scale = 1.0 + (state->scale - 1.0) *
-                               std::clamp(options_.certify_decay, 0.0, 1.0);
+      state->scale = 1.0 + (state->scale - 1.0) * kCertifyDecay;
       break;
   }
 }
@@ -49,12 +58,6 @@ void BudgetController::Record(std::string_view backend, EscalationMode mode) {
 void BudgetController::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   states_.clear();
-  ++resets_;
-}
-
-uint64_t BudgetController::resets() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resets_;
 }
 
 std::vector<BackendBudgetState> BudgetController::Snapshot() const {

@@ -12,22 +12,23 @@
 // This controller closes the loop per backend name with an AIMD-style
 // rule driven by the pipeline's escalation outcomes:
 //   * FULL escalation (the exact re-run)  — multiplicative increase of
-//     the budget scale (default x2): the budget was badly short.
+//     the budget scale (x2): the budget was badly short.
 //   * PARTIAL escalation (targeted settles resolved every uncertain
-//     node) — gentle increase (default x1.25): close, but uncertain
-//     nodes still cost settle pushes.
+//     node) — gentle increase (x1.25): close, but uncertain nodes still
+//     cost settle pushes.
 //   * certified answer (no escalation)    — slow multiplicative decay of
-//     the excess toward 1.0 (default x0.98): cheap probes for a tighter
-//     budget, so transient hard stretches don't pin the budget high.
-// The scale is clamped to [1, max_scale] and consumed by
+//     the excess toward 1.0 (x0.98): cheap probes for a tighter budget,
+//     so transient hard stretches don't pin the budget high.
+// The scale is clamped to [1, 64] and consumed by
 // QueryOptions::approx_budget_scale, which DIVIDES the local-push epsilon
 // or MULTIPLIES the Monte-Carlo walk budget (exec/query_pipeline.h).
 // Soundness is never the controller's job: every answer is still
 // certified or escalated, so the scale only moves latency.
 //
 // Reset() zeroes the state back to scale 1.0 — called on every mutation
-// publish, because the new graph version invalidates what the feedback
-// measured. Thread-safe; the per-record mutex guards a two-entry vector,
+// publish (rtk_serving_adaptive_budget_resets_total counts them), because
+// the new graph version invalidates what the feedback measured.
+// Thread-safe; the per-record mutex guards a two-entry vector,
 // far off any hot path's critical section.
 
 #ifndef RTK_SERVING_BUDGET_CONTROLLER_H_
@@ -43,18 +44,6 @@
 
 namespace rtk {
 
-/// \brief Feedback rule knobs (see the file header for the rule).
-struct BudgetControllerOptions {
-  /// Scale multiplier on a full escalation (>= 1).
-  double full_escalation_multiplier = 2.0;
-  /// Scale multiplier on a partial escalation (>= 1, <= full's).
-  double partial_escalation_multiplier = 1.25;
-  /// Per-certified-answer decay of the excess: scale' = 1 + (scale-1)*d.
-  double certify_decay = 0.98;
-  /// Upper clamp of the budget scale.
-  double max_scale = 64.0;
-};
-
 /// \brief One backend's controller state (Snapshot element).
 struct BackendBudgetState {
   std::string backend;
@@ -67,9 +56,6 @@ struct BackendBudgetState {
 /// \brief Per-backend-name AIMD budget controller. Thread-safe.
 class BudgetController {
  public:
-  explicit BudgetController(const BudgetControllerOptions& options = {})
-      : options_(options) {}
-
   /// \brief Current budget scale for `backend` (1.0 until feedback says
   /// otherwise). Feed into QueryOptions::approx_budget_scale.
   double ScaleFor(std::string_view backend) const;
@@ -79,11 +65,8 @@ class BudgetController {
   void Record(std::string_view backend, EscalationMode mode);
 
   /// \brief Drops all state back to scale 1.0 (mutation publish: the new
-  /// graph version invalidates the measured feedback) and counts it.
+  /// graph version invalidates the measured feedback).
   void Reset();
-
-  /// \brief Controller resets so far.
-  uint64_t resets() const;
 
   /// \brief Per-backend state, in first-seen order.
   std::vector<BackendBudgetState> Snapshot() const;
@@ -91,10 +74,8 @@ class BudgetController {
  private:
   BackendBudgetState* FindOrCreateLocked(std::string_view backend);
 
-  BudgetControllerOptions options_;
   mutable std::mutex mu_;
   std::vector<BackendBudgetState> states_;
-  uint64_t resets_ = 0;
 };
 
 }  // namespace rtk

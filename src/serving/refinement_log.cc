@@ -51,17 +51,7 @@ void RefinementLog::AppendLocked(std::vector<IndexDelta> deltas) {
   }
 }
 
-std::vector<IndexDelta> RefinementLog::Drain() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<IndexDelta> out;
-  out.reserve(tightest_.size());
-  for (auto& [node, delta] : tightest_) out.push_back(std::move(delta));
-  tightest_.clear();
-  return out;
-}
-
-std::vector<ShardDeltaGroup> RefinementLog::DrainByShard(
-    uint32_t shard_nodes, size_t min_shard_pending) {
+std::vector<ShardDeltaGroup> RefinementLog::DrainByShard(uint32_t shard_nodes) {
   assert(shard_nodes > 0);
   std::lock_guard<std::mutex> lock(mu_);
   // Sorted node order makes both the shard grouping and the within-group
@@ -71,30 +61,22 @@ std::vector<ShardDeltaGroup> RefinementLog::DrainByShard(
   for (const auto& [node, delta] : tightest_) nodes.push_back(node);
   std::sort(nodes.begin(), nodes.end());
 
-  const size_t threshold = std::max<size_t>(1, min_shard_pending);
   std::vector<ShardDeltaGroup> groups;
   size_t i = 0;
   while (i < nodes.size()) {
     const uint32_t shard = nodes[i] / shard_nodes;
     size_t j = i;
     while (j < nodes.size() && nodes[j] / shard_nodes == shard) ++j;
-    if (j - i >= threshold) {
-      ShardDeltaGroup group;
-      group.shard = shard;
-      group.deltas.reserve(j - i);
-      for (size_t p = i; p < j; ++p) {
-        auto it = tightest_.find(nodes[p]);
-        group.deltas.push_back(std::move(it->second));
-        tightest_.erase(it);
-      }
-      groups.push_back(std::move(group));
-    } else {
-      // Below the per-shard batching threshold: the shard's deltas stay
-      // pending (they drain on a later eager pass or an explicit flush).
-      deferred_ += j - i;
+    ShardDeltaGroup group;
+    group.shard = shard;
+    group.deltas.reserve(j - i);
+    for (size_t p = i; p < j; ++p) {
+      group.deltas.push_back(std::move(tightest_.find(nodes[p])->second));
     }
+    groups.push_back(std::move(group));
     i = j;
   }
+  tightest_.clear();
   return groups;
 }
 
@@ -109,7 +91,6 @@ RefinementLogStats RefinementLog::stats() const {
   stats.appended = appended_;
   stats.superseded = superseded_;
   stats.pending = tightest_.size();
-  stats.deferred = deferred_;
   stats.dropped_stale = dropped_stale_;
   return stats;
 }

@@ -39,10 +39,6 @@ struct RefinementLogStats {
   uint64_t superseded = 0;
   /// Deltas currently waiting to be drained.
   uint64_t pending = 0;
-  /// Deltas left pending by thresholded DrainByShard calls because their
-  /// shard was below min_shard_pending (cumulative across calls; the same
-  /// delta counts once per deferring drain).
-  uint64_t deferred = 0;
   /// Deltas discarded by the graph-version contract: tagged with a stale
   /// version at Append, or pending when AdvanceGraphVersion purged.
   uint64_t dropped_stale = 0;
@@ -86,22 +82,12 @@ class RefinementLog {
   /// \brief The version Append currently accepts (0 until advanced).
   uint64_t graph_version() const;
 
-  /// \brief Removes and returns all pending deltas (unordered).
-  std::vector<IndexDelta> Drain();
-
-  /// \brief Removes pending deltas grouped by the storage shard that owns
-  /// each node (`shard_nodes` is the index's shard width). Groups are in
-  /// ascending shard order and each group's deltas in ascending node
+  /// \brief Removes every pending delta, grouped by the storage shard that
+  /// owns each node (`shard_nodes` is the index's shard width). Groups are
+  /// in ascending shard order and each group's deltas in ascending node
   /// order, so the publisher dirties every copy-on-write shard exactly
   /// once, with sequential writes within it.
-  ///
-  /// Per-shard publish batching: only shards with at least
-  /// `min_shard_pending` pending deltas drain; the rest stay in the log
-  /// (counted in stats().deferred), so hot shards publish eagerly while
-  /// cold shards accumulate instead of forcing a copy-on-write clone for a
-  /// single delta. 0 (default) drains every dirty shard.
-  std::vector<ShardDeltaGroup> DrainByShard(uint32_t shard_nodes,
-                                            size_t min_shard_pending = 0);
+  std::vector<ShardDeltaGroup> DrainByShard(uint32_t shard_nodes);
 
   /// \brief Number of pending deltas.
   size_t pending() const;
@@ -115,7 +101,6 @@ class RefinementLog {
   std::unordered_map<uint32_t, IndexDelta> tightest_;
   uint64_t appended_ = 0;
   uint64_t superseded_ = 0;
-  uint64_t deferred_ = 0;
   uint64_t dropped_stale_ = 0;
   uint64_t graph_version_ = 0;
 };

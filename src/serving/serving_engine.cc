@@ -63,7 +63,6 @@ ServingEngine::ServingEngine(const ReverseTopkEngine& engine,
     : options_(options),
       engine_options_(engine.options()),
       num_nodes_(engine.graph().num_nodes()),
-      budgets_(options.adaptive_controller),
       queue_(options.max_pending),
       cache_(options.cache),
       traces_(options.trace_ring_capacity),
@@ -72,7 +71,6 @@ ServingEngine::ServingEngine(const ReverseTopkEngine& engine,
   const int threads = options_.num_threads > 0 ? options_.num_threads
                                                : ThreadPool::DefaultThreads();
   pool_ = std::make_unique<ThreadPool>(threads);
-  if (options_.pin_workers) pool_->BindWorkersToCpus();
   snapshot_ = std::make_shared<const IndexSnapshot>(
       LowerBoundIndex(engine.index()), /*epoch=*/0, std::move(version0));
   shared_backends_ = std::move(backends);
@@ -252,11 +250,11 @@ ServingEngine::~ServingEngine() {
   pool_->Wait();
   pool_.reset();
   // Fail whatever is still queued — a promise must never be dropped.
-  while (std::optional<PendingQuery> item = queue_.TryPop()) {
-    QueryResponse response = MakeResponseHeader(item->request);
+  for (PendingQuery& item : queue_.PopUpTo(queue_.depth())) {
+    QueryResponse response = MakeResponseHeader(item.request);
     response.status = Status::Cancelled("serving engine shut down");
-    response.timings.total_seconds = SecondsSince(item->enqueued_at);
-    item->deliver(std::move(response));
+    response.timings.total_seconds = SecondsSince(item.enqueued_at);
+    item.deliver(std::move(response));
   }
 }
 
@@ -414,26 +412,21 @@ void ServingEngine::Submit(QueryRequest request, ResponseCallback on_done) {
 
 void ServingEngine::DispatchOne() {
   if (paused_.load(std::memory_order_acquire)) return;
-  if (options_.max_batch <= 1) {
-    std::optional<PendingQuery> item = queue_.TryPop();
-    if (!item) return;  // raced another ticket (or a Resume surplus)
-    ExecuteRequest(std::move(*item));
-    return;
-  }
-  // Batched dispatch: drain up to max_batch in ONE queue lock. Each
-  // admitted request issued its own ticket, so a ticket that pops k
-  // requests leaves k-1 later tickets to no-op — requests can never
-  // strand (tickets outstanding always >= queued requests).
-  std::vector<PendingQuery> batch = queue_.PopUpTo(options_.max_batch);
-  if (batch.empty()) return;
-  if (batch.size() < options_.max_batch && options_.batch_window > 0.0) {
+  // Drain up to max_batch (at least one: PopUpTo(0) pops nothing, which
+  // would strand max_batch = 0 traffic) in ONE queue lock. Each admitted
+  // request issued its own ticket, so a ticket that pops k requests leaves
+  // k-1 later tickets to no-op — requests can never strand (tickets
+  // outstanding always >= queued requests).
+  const size_t max_batch = std::max<size_t>(1, options_.max_batch);
+  std::vector<PendingQuery> batch = queue_.PopUpTo(max_batch);
+  if (batch.empty()) return;  // raced another ticket (or a Resume surplus)
+  if (batch.size() < max_batch && options_.batch_window > 0.0) {
     // Gather window: trade a bounded latency hit for a wider fused block.
     // The popped requests are already ours, so the sleep delays only them
     // — and their deadlines are still honored at execution/solve time.
     std::this_thread::sleep_for(
         std::chrono::duration<double>(options_.batch_window));
-    std::vector<PendingQuery> more =
-        queue_.PopUpTo(options_.max_batch - batch.size());
+    std::vector<PendingQuery> more = queue_.PopUpTo(max_batch - batch.size());
     for (PendingQuery& item : more) batch.push_back(std::move(item));
   }
   ExecuteBatch(std::move(batch));
@@ -457,13 +450,16 @@ void ServingEngine::ExecuteBatch(std::vector<PendingQuery> items) {
           std::move(item));
     }
   }
-  std::shared_ptr<const IndexSnapshot> snap = snapshot();
+  // Loaded only once a group forms: a lone request takes its own snapshot
+  // in ExecuteAdmitted, so single-request dispatch pays for one load.
+  std::shared_ptr<const IndexSnapshot> snap;
   for (int approx = 0; approx < 2; ++approx) {
     std::vector<PendingQuery>& live = tiers[approx];
     if (live.size() >= 2) {
       // The pooled searcher is built over the snapshot's graph version, so
       // the backend it resolves reads the operator the group's prune and
       // refine run against.
+      if (snap == nullptr) snap = snapshot();
       PooledSearcher pooled = AcquireSearcher(snap);
       Result<ProximityBackend*> backend =
           pooled.searcher->pipeline().ResolveBackend(
@@ -926,15 +922,8 @@ void ServingEngine::MaybePublish() {
   // delta-producing query).
   while (log_.pending() >= options_.publish_threshold) {
     if (!publish_mu_.try_lock()) return;
-    size_t drained = 0;
-    {
-      std::lock_guard<std::mutex> lock(publish_mu_, std::adopt_lock);
-      PublishLocked(options_.shard_publish_threshold, &drained);
-    }
-    // Per-shard batching can leave every pending shard below its
-    // threshold: nothing drained means nothing will drain until more
-    // deltas arrive (or PublishPending flushes) — don't spin on it.
-    if (drained == 0) return;
+    std::lock_guard<std::mutex> lock(publish_mu_, std::adopt_lock);
+    PublishLocked();
   }
 }
 
@@ -942,9 +931,7 @@ uint64_t ServingEngine::PublishPending() {
   uint64_t applied;
   {
     std::lock_guard<std::mutex> lock(publish_mu_);
-    // Explicit flush: drain every dirty shard regardless of the per-shard
-    // batching threshold.
-    applied = PublishLocked(/*min_shard_pending=*/0);
+    applied = PublishLocked();
   }
   // Deltas appended while we held the lock may have crossed the automatic
   // threshold with their MaybePublish losing the try_lock; re-check so
@@ -953,22 +940,15 @@ uint64_t ServingEngine::PublishPending() {
   return applied;
 }
 
-uint64_t ServingEngine::PublishLocked(size_t min_shard_pending,
-                                      size_t* drained) {
+uint64_t ServingEngine::PublishLocked() {
   const SteadyTimePoint publish_began = SteadyClock::now();
   std::shared_ptr<const IndexSnapshot> current = snapshot();
   // Deltas arrive grouped by storage shard so the copy-on-write clone
   // privatizes each dirty shard exactly once and writes it sequentially;
   // clean shards stay shared with the outgoing snapshot, making the
-  // publish cost O(dirty shards), not O(n*K). Shards below
-  // min_shard_pending keep their deltas in the log (hot shards publish
-  // eagerly, cold shards accumulate).
-  std::vector<ShardDeltaGroup> groups = log_.DrainByShard(
-      current->index().shard_nodes(), min_shard_pending);
-  if (drained != nullptr) {
-    *drained = 0;
-    for (const ShardDeltaGroup& group : groups) *drained += group.deltas.size();
-  }
+  // publish cost O(dirty shards), not O(n*K).
+  std::vector<ShardDeltaGroup> groups =
+      log_.DrainByShard(current->index().shard_nodes());
   if (groups.empty()) return 0;
   LowerBoundIndex next(current->index());  // shares every shard until written
   uint64_t applied = 0;

@@ -117,13 +117,6 @@ struct ServingOptions {
   /// batch — O(dirty shards) — not with n; the default 64 keeps epochs
   /// fresh at any index size.
   size_t publish_threshold = 64;
-  /// Per-shard publish batching: an AUTOMATIC publish only drains storage
-  /// shards with at least this many pending deltas, so hot shards publish
-  /// eagerly while cold shards accumulate instead of being copied for a
-  /// single delta each epoch. 0 (default) drains every dirty shard (the
-  /// pre-batching behavior). Explicit PublishPending() always flushes
-  /// everything; deltas are never lost, only deferred.
-  size_t shard_publish_threshold = 0;
   /// Proximity backend per accuracy tier (exec/proximity_backends.h).
   /// kExact requests run exact_tier_backend — results stay byte-identical
   /// to PMPN for ANY backend here, because an approximate row either
@@ -149,11 +142,11 @@ struct ServingOptions {
   /// requests and, per accuracy tier, runs ONE fused blocked-SpMM
   /// proximity solve for that tier's requests (rwr/pmpn_multi.h), served
   /// against one snapshot, before fanning back into per-query
-  /// prune/refine. <= 1 (default) disables batching entirely — the
-  /// single-pop dispatch path, byte for byte. A tier fuses when its
-  /// backend does (ProximityBackend::fused_multi()): PMPN, the default,
-  /// under any of its names. Popped requests that do not fuse (another
-  /// backend, a lone request of its tier) run side by side on the pool.
+  /// prune/refine. <= 1 (default) pops one request per ticket, which runs
+  /// inline as a lone request. A tier fuses when its backend does
+  /// (ProximityBackend::fused_multi()): PMPN, the default, under any of
+  /// its names. Popped requests that do not fuse (another backend, a lone
+  /// request of its tier) run side by side on the pool.
   /// Every fused lane is bitwise identical to its solo solve and reports
   /// backend "pmpn", so batching is purely a scheduling decision.
   /// Priority order is preserved (the batch is popped in strict
@@ -185,10 +178,6 @@ struct ServingOptions {
   /// invisible: they republish the SAME epoch (no cache purge).
   uint64_t shard_promote_touches = 64;
   uint32_t shard_demote_epochs = 2;
-  /// Pins pool workers to CPUs (ThreadPool::BindWorkersToCpus) so the
-  /// thread-affine prune ranges become CPU/NUMA-affine. No-op unless the
-  /// build enables RTK_ENABLE_NUMA.
-  bool pin_workers = false;
   /// Live-mutation repair policy, as fractions of n in [0, 1] (Create
   /// rejects anything else, NaN included). A mutation drain whose
   /// affected set (reverse reachability from the modified sources) is at
@@ -230,7 +219,6 @@ struct ServingOptions {
   /// graph version invalidates the measured feedback). Off by default:
   /// fixed budgets, bitwise-unchanged behavior.
   bool adaptive = false;
-  BudgetControllerOptions adaptive_controller;
 };
 
 /// \brief Aggregate serving counters (all monotone except the *_depth /
@@ -493,10 +481,10 @@ class ServingEngine {
                 std::shared_ptr<const GraphVersion> version0,
                 std::shared_ptr<const VersionedBackends> backends);
 
-  /// One dispatch ticket: pops and executes the highest-priority pending
-  /// request — or, with max_batch > 1, up to max_batch of them as one
-  /// fused batch (no-op while paused or when the backlog is empty;
-  /// surplus tickets always no-op, so over-ticketing is harmless).
+  /// One dispatch ticket: pops up to max(1, max_batch) pending requests in
+  /// priority order and hands them to ExecuteBatch (no-op while paused or
+  /// when the backlog is empty; surplus tickets always no-op, so
+  /// over-ticketing is harmless).
   void DispatchOne();
 
   /// Runs one admitted request end to end and delivers its response.
@@ -557,14 +545,11 @@ class ServingEngine {
 
   void MaybePublish();
 
-  /// Drains shards with >= min_shard_pending deltas (0 = all) and
-  /// publishes when anything tightened. Returns deltas applied;
-  /// `drained` (optional) receives the number of deltas taken out of the
-  /// log — 0 means every pending shard was below the threshold and the
-  /// caller must not retry until more deltas arrive. A delta publish also
-  /// advances the residency epoch (mmap tier), folding promotions /
-  /// demotions into the same snapshot swap.
-  uint64_t PublishLocked(size_t min_shard_pending, size_t* drained = nullptr);
+  /// Drains every pending delta and publishes when anything tightened.
+  /// Returns deltas applied. A delta publish also advances the residency
+  /// epoch (mmap tier), folding promotions / demotions into the same
+  /// snapshot swap.
+  uint64_t PublishLocked();
 
   /// Applies one residency epoch to the publisher's private clone
   /// (promote hot, demote cold-clean). Caller holds publish_mu_. Returns

@@ -31,14 +31,38 @@ namespace {
 // ---------------------------------------------------------------------------
 // ParallelForRange
 
+// The prune scan's shard loop runs at grain 0 and the serving engine's
+// singles at grain 1: every (count, max_parallelism) cell must cover each
+// element exactly once, also when the call is nested inside pool tasks.
 TEST(ParallelForRangeTest, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(1000);
-  ParallelForRange(&pool, 0, 1000, 0, /*grain=*/0,
-                   [&](int64_t lo, int64_t hi) {
-                     for (int64_t i = lo; i < hi; ++i) counts[i]++;
-                   });
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(counts[i].load(), 1) << i;
+  for (int64_t grain : {0, 1}) {
+    for (int64_t count : {1, 2, 7, 64, 1000}) {
+      for (int parallelism : {0, 1, 2, 4}) {
+        std::vector<std::atomic<uint32_t>> seen(count);
+        for (auto& c : seen) c.store(0);
+        ParallelForRange(&pool, 0, count, parallelism, grain,
+                         [&](int64_t lo, int64_t hi) {
+                           ASSERT_LE(lo, hi);
+                           for (int64_t i = lo; i < hi; ++i) {
+                             seen[i].fetch_add(1);
+                           }
+                         });
+        for (int64_t i = 0; i < count; ++i) {
+          ASSERT_EQ(seen[i].load(), 1u)
+              << "grain=" << grain << " count=" << count
+              << " parallelism=" << parallelism << " i=" << i;
+        }
+      }
+    }
+    std::atomic<int64_t> total{0};
+    ParallelForRange(&pool, 0, 4, 4, /*grain=*/1, [&](int64_t, int64_t) {
+      ParallelForRange(&pool, 0, 100, 4, grain, [&](int64_t lo, int64_t hi) {
+        total.fetch_add(hi - lo);
+      });
+    });
+    EXPECT_EQ(total.load(), 400) << "grain=" << grain;
+  }
 }
 
 TEST(ParallelForRangeTest, GrainOneActsAsWorkQueue) {

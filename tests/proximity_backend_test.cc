@@ -29,7 +29,6 @@
 #include "rwr/monte_carlo.h"
 #include "rwr/pmpn.h"
 #include "rwr/transition.h"
-#include "serving/refinement_log.h"
 #include "serving/serving_engine.h"
 
 namespace rtk {
@@ -462,81 +461,26 @@ TEST(ServingBackendTest, CreateRejectsUnknownTierBackend) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard publish batching
+// Automatic publish
 
-TEST(RefinementLogTest, DrainByShardHonorsPerShardThreshold) {
-  RefinementLog log;
-  auto delta_for = [](uint32_t node) {
-    IndexDelta delta;
-    delta.node = node;
-    delta.residue_l1 = 0.5;
-    return delta;
-  };
-  // Shard 0 (nodes 0-255): 3 deltas. Shard 2 (512-767): 1 delta.
-  std::vector<IndexDelta> deltas;
-  deltas.push_back(delta_for(10));
-  deltas.push_back(delta_for(20));
-  deltas.push_back(delta_for(30));
-  deltas.push_back(delta_for(600));
-  log.Append(std::move(deltas));
-
-  // Thresholded drain: the hot shard publishes, the cold one accumulates.
-  auto groups = log.DrainByShard(/*shard_nodes=*/256, /*min_shard_pending=*/2);
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0].shard, 0u);
-  EXPECT_EQ(groups[0].deltas.size(), 3u);
-  EXPECT_EQ(log.pending(), 1u);
-  EXPECT_EQ(log.stats().deferred, 1u);
-
-  // More deltas push the cold shard over the threshold.
-  deltas.clear();
-  deltas.push_back(delta_for(700));
-  log.Append(std::move(deltas));
-  groups = log.DrainByShard(256, 2);
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0].shard, 2u);
-  ASSERT_EQ(groups[0].deltas.size(), 2u);
-  EXPECT_EQ(groups[0].deltas[0].node, 600u);  // ascending node order
-  EXPECT_EQ(groups[0].deltas[1].node, 700u);
-  EXPECT_EQ(log.pending(), 0u);
-
-  // An unthresholded drain flushes singleton shards (the explicit-publish
-  // path).
-  deltas.clear();
-  deltas.push_back(delta_for(5));
-  log.Append(std::move(deltas));
-  groups = log.DrainByShard(256);
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(log.pending(), 0u);
-}
-
-TEST(ServingBackendTest, ShardPublishThresholdNeverStrandsOrSpins) {
+TEST(ServingBackendTest, EagerPublishThresholdLeavesNothingPending) {
   auto engine = BuildTestEngine(62);
   ASSERT_TRUE(engine.ok());
   ServingOptions serving_opts;
   serving_opts.num_threads = 2;
-  serving_opts.publish_threshold = 1;  // eager: publish on every delta...
-  // ...but with an unreachable per-shard floor, so automatic publishes
-  // must defer (and must not spin) while explicit PublishPending flushes.
-  serving_opts.shard_publish_threshold = 1u << 20;
+  serving_opts.publish_threshold = 1;  // publish on every delta
   auto serving = ServingEngine::Create(**engine, serving_opts);
   ASSERT_TRUE(serving.ok());
 
+  // Synchronous queries: each request's write-back is published before its
+  // response resolves, so no delta is ever left behind.
   for (uint32_t q = 0; q < 30; ++q) {
     auto result = (*serving)->Query(q, 5);
     ASSERT_TRUE(result.ok()) << q;
   }
-  ServingStats stats = (*serving)->stats();
-  EXPECT_EQ(stats.epochs_published, 0u);  // every auto publish deferred
-  EXPECT_GT(stats.log.deferred, 0u);
-  EXPECT_GT(stats.pending_deltas, 0u);
-
-  // The explicit flush drains everything the coarse index accumulated.
-  const uint64_t applied = (*serving)->PublishPending();
-  EXPECT_GT(applied, 0u);
-  stats = (*serving)->stats();
+  const ServingStats stats = (*serving)->stats();
   EXPECT_EQ(stats.pending_deltas, 0u);
-  EXPECT_EQ(stats.epochs_published, 1u);
+  EXPECT_GT(stats.epochs_published, 0u);
 }
 
 }  // namespace

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -102,10 +104,19 @@ TEST(AdmissionQueueTest, PriorityOrderThenFifoWithinClass) {
   push(3, RequestPriority::kBatch);
   push(4, RequestPriority::kInteractive);
 
+  // PopUpTo(0) pops nothing: the dispatcher clamps max_batch to >= 1.
+  EXPECT_TRUE(queue.PopUpTo(0).empty());
+  EXPECT_EQ(queue.depth(), 5u);
+
+  // One at a time, as a dispatch ticket pops at max_batch <= 1.
   std::vector<uint32_t> order;
-  while (auto item = queue.TryPop()) order.push_back(item->request.query);
+  for (auto popped = queue.PopUpTo(1); !popped.empty();
+       popped = queue.PopUpTo(1)) {
+    ASSERT_EQ(popped.size(), 1u);
+    order.push_back(popped[0].request.query);
+  }
   EXPECT_EQ(order, (std::vector<uint32_t>{2, 4, 1, 0, 3}));
-  EXPECT_FALSE(queue.TryPop().has_value());
+  EXPECT_EQ(queue.depth(), 0u);
 }
 
 TEST(AdmissionQueueTest, BoundedCapacityShedsAndPreservesItem) {
@@ -135,7 +146,7 @@ TEST(AdmissionQueueTest, BoundedCapacityShedsAndPreservesItem) {
   EXPECT_EQ(stats.peak_depth, 2u);
 
   // Popping frees a slot.
-  ASSERT_TRUE(queue.TryPop().has_value());
+  ASSERT_EQ(queue.PopUpTo(1).size(), 1u);
   item.request = MakeRequest(4, 1);
   item.deliver = [](QueryResponse) {};
   EXPECT_TRUE(queue.TryPush(item));
@@ -385,45 +396,59 @@ TEST(RequestSchedulerTest, MidFlightCancellationLeavesEngineConsistent) {
 // ---------------------------------------------------------------------------
 // Priority ordering and shedding under a full admission queue
 
+// Every ticket pops up to max(1, max_batch) requests: at max_batch 0 and 1
+// one at a time, at 4 as fused groups of 4 and 2 whose responses fan back
+// in pop order — the completion order is the same at all three.
 TEST(RequestSchedulerTest, PriorityOrderedDispatchUnderBacklog) {
   auto engine = BuildTestEngine(61);
   ASSERT_TRUE(engine.ok());
-  ServingOptions serving_opts;
-  serving_opts.num_threads = 1;  // single worker: completion order == dispatch
-  auto serving = ServingEngine::Create(**engine, serving_opts);
-  ASSERT_TRUE(serving.ok());
+  for (size_t max_batch : {0, 1, 4}) {
+    SCOPED_TRACE("max_batch=" + std::to_string(max_batch));
+    // Declared before the engine: a request stranded by a broken dispatch
+    // is cancelled into these when the engine is destroyed.
+    std::mutex mu;
+    std::vector<uint32_t> completion_order;
+    ServingOptions serving_opts;
+    serving_opts.num_threads = 1;  // one worker: completion order == dispatch
+    serving_opts.max_batch = max_batch;
+    auto serving = ServingEngine::Create(**engine, serving_opts);
+    ASSERT_TRUE(serving.ok());
 
-  (*serving)->Pause();
-  std::mutex mu;
-  std::vector<uint32_t> completion_order;
-  std::vector<std::future<QueryResponse>> futures;
-  // Submission order is worst case: batch first, interactive last.
-  const std::vector<std::pair<uint32_t, RequestPriority>> submissions = {
-      {10, RequestPriority::kBatch},       {11, RequestPriority::kBatch},
-      {20, RequestPriority::kStandard},    {21, RequestPriority::kStandard},
-      {30, RequestPriority::kInteractive}, {31, RequestPriority::kInteractive},
-  };
-  for (const auto& [q, priority] : submissions) {
-    auto promise = std::make_shared<std::promise<QueryResponse>>();
-    futures.push_back(promise->get_future());
-    (*serving)->Submit(MakeRequest(q, 6, priority),
-                       [&mu, &completion_order, promise](QueryResponse r) {
-                         {
-                           std::lock_guard<std::mutex> lock(mu);
-                           completion_order.push_back(r.query);
-                         }
-                         // Outside the lock: set_value unblocks the main
-                         // thread, which destroys mu on scope exit.
-                         promise->set_value(std::move(r));
-                       });
+    (*serving)->Pause();
+    std::vector<std::future<QueryResponse>> futures;
+    // Submission order is worst case: batch first, interactive last.
+    const std::vector<std::pair<uint32_t, RequestPriority>> submissions = {
+        {10, RequestPriority::kBatch},       {11, RequestPriority::kBatch},
+        {20, RequestPriority::kStandard},    {21, RequestPriority::kStandard},
+        {30, RequestPriority::kInteractive}, {31, RequestPriority::kInteractive},
+    };
+    for (const auto& [q, priority] : submissions) {
+      auto promise = std::make_shared<std::promise<QueryResponse>>();
+      futures.push_back(promise->get_future());
+      (*serving)->Submit(MakeRequest(q, 6, priority),
+                         [&mu, &completion_order, promise](QueryResponse r) {
+                           {
+                             std::lock_guard<std::mutex> lock(mu);
+                             completion_order.push_back(r.query);
+                           }
+                           // Outside the lock: set_value unblocks the main
+                           // thread, which destroys mu on scope exit.
+                           promise->set_value(std::move(r));
+                         });
+    }
+    EXPECT_EQ((*serving)->stats().queue_depth, submissions.size());
+    (*serving)->Resume();
+    // Bounded wait: a dispatch that pops nothing fails here, not by hanging.
+    for (auto& future : futures) {
+      ASSERT_EQ(future.wait_for(std::chrono::seconds(60)),
+                std::future_status::ready)
+          << "a request was never dispatched";
+      ASSERT_TRUE(future.get().ok());
+    }
+    EXPECT_EQ(completion_order,
+              (std::vector<uint32_t>{30, 31, 20, 21, 10, 11}))
+        << "strict priority order, FIFO within a class";
   }
-  EXPECT_EQ((*serving)->stats().queue_depth, submissions.size());
-  (*serving)->Resume();
-  for (auto& future : futures) {
-    ASSERT_TRUE(future.get().ok());
-  }
-  EXPECT_EQ(completion_order, (std::vector<uint32_t>{30, 31, 20, 21, 10, 11}))
-      << "strict priority order, FIFO within a class";
 }
 
 TEST(RequestSchedulerTest, FullQueueShedsWithResourceExhausted) {

@@ -110,14 +110,15 @@ TEST(RefinementLogTest, KeepsTightestDeltaPerNode) {
   EXPECT_EQ(stats.appended, 4u);
   EXPECT_EQ(stats.superseded, 2u);
 
-  auto drained = log.Drain();
-  ASSERT_EQ(drained.size(), 2u);
-  for (const auto& delta : drained) {
-    if (delta.node == 3) EXPECT_DOUBLE_EQ(delta.residue_l1, 0.2);
-    if (delta.node == 5) EXPECT_DOUBLE_EQ(delta.residue_l1, 0.6);
-  }
+  auto drained = log.DrainByShard(/*shard_nodes=*/256);
+  ASSERT_EQ(drained.size(), 1u);
+  ASSERT_EQ(drained[0].deltas.size(), 2u);
+  EXPECT_EQ(drained[0].deltas[0].node, 3u);
+  EXPECT_DOUBLE_EQ(drained[0].deltas[0].residue_l1, 0.2);
+  EXPECT_EQ(drained[0].deltas[1].node, 5u);
+  EXPECT_DOUBLE_EQ(drained[0].deltas[1].residue_l1, 0.6);
   EXPECT_EQ(log.pending(), 0u);
-  EXPECT_TRUE(log.Drain().empty());
+  EXPECT_TRUE(log.DrainByShard(256).empty());
 }
 
 TEST(RefinementLogTest, DrainByShardGroupsAndSortsByNode) {

@@ -19,9 +19,8 @@
 //      epochs as over heap (CoW publish over mapped shards), and the
 //      residency manager promotes hot shards / demotes idle ones without
 //      changing any answer;
-//   5. scheduling — ParallelForRangeAffine covers every element exactly
-//      once for any (count, parallelism); RefinementLog's batched Append
-//      keeps the sequential form's dedup winners.
+//   5. write-back — RefinementLog's batched Append keeps the sequential
+//      form's dedup winners.
 //
 // ci.sh runs this file under TSan and ASan (the concurrency tests double
 // as race detectors for the lazy fault/verify paths).
@@ -40,7 +39,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "graph/generators.h"
 #include "index/index_io.h"
@@ -573,38 +571,7 @@ TEST_F(StorageTierTest, ResidencyManagerPromotesHotAndDemotesIdleShards) {
   EXPECT_TRUE(after.status.ok());
 }
 
-// ----------------------------------------------------------- scheduling --
-
-TEST_F(StorageTierTest, AffineRangeCoversEveryElementExactlyOnce) {
-  ThreadPool pool(4);
-  for (int64_t count : {1, 2, 7, 64, 1000}) {
-    for (int parallelism : {0, 1, 2, 4}) {
-      std::vector<std::atomic<uint32_t>> seen(count);
-      for (auto& c : seen) c.store(0);
-      ParallelForRangeAffine(&pool, 0, count, parallelism,
-                             [&](int64_t lo, int64_t hi) {
-                               ASSERT_LE(lo, hi);
-                               for (int64_t i = lo; i < hi; ++i) {
-                                 seen[i].fetch_add(1);
-                               }
-                             });
-      for (int64_t i = 0; i < count; ++i) {
-        ASSERT_EQ(seen[i].load(), 1u)
-            << "count=" << count << " parallelism=" << parallelism
-            << " i=" << i;
-      }
-    }
-  }
-  // Re-entrant: affine scans issued from inside pool tasks must not
-  // deadlock (workers participate in their own drain).
-  std::atomic<int64_t> total{0};
-  ParallelForRange(&pool, 0, 4, 4, 1, [&](int64_t, int64_t) {
-    ParallelForRangeAffine(&pool, 0, 100, 4, [&](int64_t lo, int64_t hi) {
-      total.fetch_add(hi - lo);
-    });
-  });
-  EXPECT_EQ(total.load(), 400);
-}
+// ------------------------------------------------------------ write-back --
 
 TEST_F(StorageTierTest, RefinementLogBatchAppendMatchesSequential) {
   // The same per-producer delta vectors, appended one by one vs as one
@@ -635,18 +602,16 @@ TEST_F(StorageTierTest, RefinementLogBatchAppendMatchesSequential) {
   EXPECT_EQ(sequential.stats().superseded, batched.stats().superseded);
   EXPECT_EQ(sequential.stats().pending, batched.stats().pending);
 
-  auto a = sequential.Drain();
-  auto b = batched.Drain();
-  const auto by_node = [](const IndexDelta& x, const IndexDelta& y) {
-    return x.node < y.node;
-  };
-  std::sort(a.begin(), a.end(), by_node);
-  std::sort(b.begin(), b.end(), by_node);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].node, b[i].node);
-    EXPECT_EQ(a[i].topk, b[i].topk);
-    EXPECT_EQ(a[i].residue_l1, b[i].residue_l1);
+  // One shard holds every node, so each drain is one node-sorted group.
+  auto a = sequential.DrainByShard(/*shard_nodes=*/64);
+  auto b = batched.DrainByShard(/*shard_nodes=*/64);
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  ASSERT_EQ(a[0].deltas.size(), b[0].deltas.size());
+  for (size_t i = 0; i < a[0].deltas.size(); ++i) {
+    EXPECT_EQ(a[0].deltas[i].node, b[0].deltas[i].node);
+    EXPECT_EQ(a[0].deltas[i].topk, b[0].deltas[i].topk);
+    EXPECT_EQ(a[0].deltas[i].residue_l1, b[0].deltas[i].residue_l1);
   }
 }
 

@@ -75,8 +75,9 @@ size_t g_max_batch = 1;
 double g_batch_window = 0.0;
 
 // --storage-tier heap|mmap: memory tier for index loads (query, stats,
-// index-info, serve-bench). mmap opens the v2 file in O(directory) time
-// and faults shard bytes on demand; results are identical.
+// index-info, serve-bench). mmap opens a sharded (v2 or v3) file in
+// O(directory) time and faults shard bytes on demand; results are
+// identical.
 std::string g_storage_tier = "heap";
 
 // --mutation-rate <updates/s>: serve-bench races a background edge-update
@@ -221,8 +222,8 @@ int Usage() {
                "pins a new graph version)\n"
                "\n"
                "index-loading commands also accept --storage-tier heap|mmap\n"
-               "  (mmap: O(directory) open of a v2 file, shard bytes faulted\n"
-               "  on demand; identical results to heap).\n"
+               "  (mmap: O(directory) open of a sharded v2/v3 file, shard\n"
+               "  bytes faulted on demand; identical results to heap).\n"
                "\n"
                "registered proximity backends (--backend): %s\n"
                "  exact results at every choice: approximate backends run\n"
@@ -580,7 +581,7 @@ int CmdServeBench(int argc, char** argv) {
   serving_opts.approximate_tier_backend.name = g_backend;
   // --max-batch / --batch-window: the fused multi-query batch former
   // (PMPN tiers fuse; other backends' requests run side by side).
-  serving_opts.max_batch = std::max<size_t>(1, g_max_batch);
+  serving_opts.max_batch = g_max_batch;
   serving_opts.batch_window = g_batch_window;
   // --adaptive on: per-backend AIMD budget controller (escalations tighten
   // the approximation budget, certified queries decay it back).
