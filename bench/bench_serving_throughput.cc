@@ -90,9 +90,13 @@ struct PublishRow {
   uint32_t num_nodes = 0;
   uint32_t shard_nodes = 0;
   uint32_t num_shards = 0;
+  uint32_t capacity_k = 0;
   size_t deltas = 0;
   uint64_t applied = 0;
   uint64_t shards_copied = 0;
+  /// Bytes one publish's privatizations copied, and per privatized shard.
+  uint64_t bytes_copied = 0;
+  double bytes_per_shard = 0.0;
   double publish_ms = 0.0;
 };
 
@@ -742,7 +746,9 @@ void RunMutationSweep(std::vector<MutationRow>* rows) {
 // Publish-cost sweep: clone-and-apply a synthetic delta batch against one
 // index resharded to several widths. The point the numbers make: publish
 // cost (time and shards copied) tracks the batch size, never n — the CoW
-// table shares every clean shard with the outgoing snapshot.
+// table shares every clean shard with the outgoing snapshot — and a
+// privatized shard copies its bound and residue arrays plus one BCA-state
+// pointer per row (bytes per shard), never the states themselves.
 void RunPublishSweep(std::vector<PublishRow>* rows) {
   for (auto& named : MakeGraphSuite(1)) {
     const uint32_t n = named.graph.num_nodes();
@@ -771,8 +777,9 @@ void RunPublishSweep(std::vector<PublishRow>* rows) {
 
     std::printf("\npublish cost on %s (n=%u): CoW clone + delta batch\n",
                 named.name.c_str(), n);
-    std::printf("%-12s %8s %8s %10s %13s %12s\n", "shard-nodes", "shards",
-                "deltas", "applied", "shards-copied", "ms/publish");
+    std::printf("%-12s %8s %8s %10s %13s %14s %12s\n", "shard-nodes",
+                "shards", "deltas", "applied", "shards-copied",
+                "bytes/shard", "ms/publish");
     for (uint32_t shard_nodes : {64u, 256u, 1024u}) {
       const LowerBoundIndex sharded(*base, shard_nodes);
       for (size_t deltas : {1u, 8u, 64u, 512u}) {
@@ -794,7 +801,7 @@ void RunPublishSweep(std::vector<PublishRow>* rows) {
         }
 
         constexpr int kReps = 20;
-        uint64_t applied = 0, copied = 0;
+        uint64_t applied = 0, copied = 0, bytes = 0;
         Stopwatch watch;
         for (int rep = 0; rep < kReps; ++rep) {
           LowerBoundIndex next(sharded);  // the epoch clone
@@ -803,14 +810,20 @@ void RunPublishSweep(std::vector<PublishRow>* rows) {
             if (next.ApplyIfTighter(delta)) ++applied;
           }
           copied = next.cow_shard_copies();
+          bytes = next.cow_bytes_copied();
         }
         const double ms = watch.ElapsedSeconds() / kReps * 1e3;
-        std::printf("%-12u %8u %8zu %10llu %13llu %12.3f\n", shard_nodes,
-                    sharded.num_shards(), batch,
+        const double per_shard =
+            copied == 0 ? 0.0
+                        : static_cast<double>(bytes) /
+                              static_cast<double>(copied);
+        std::printf("%-12u %8u %8zu %10llu %13llu %14.0f %12.3f\n",
+                    shard_nodes, sharded.num_shards(), batch,
                     static_cast<unsigned long long>(applied),
-                    static_cast<unsigned long long>(copied), ms);
+                    static_cast<unsigned long long>(copied), per_shard, ms);
         rows->push_back({named.name, n, shard_nodes, sharded.num_shards(),
-                         batch, applied, copied, ms});
+                         build_opts.capacity_k, batch, applied, copied, bytes,
+                         per_shard, ms});
       }
     }
   }
@@ -917,9 +930,12 @@ void WriteJson(const std::string& path,
     json.Key("num_nodes").Int(row.num_nodes);
     json.Key("shard_nodes").Int(row.shard_nodes);
     json.Key("num_shards").Int(row.num_shards);
+    json.Key("capacity_k").Int(row.capacity_k);
     json.Key("deltas").Int(static_cast<long long>(row.deltas));
     json.Key("applied").Int(static_cast<long long>(row.applied));
     json.Key("shards_copied").Int(static_cast<long long>(row.shards_copied));
+    json.Key("bytes_copied").Int(static_cast<long long>(row.bytes_copied));
+    json.Key("bytes_per_shard").Double(row.bytes_per_shard);
     json.Key("publish_ms").Double(row.publish_ms);
     json.EndObject();
   }

@@ -59,7 +59,11 @@
 #                                 serving throughput bench — whose JSON now
 #                                 includes the overload sweep (latency
 #                                 percentiles + shed counts), the CoW
-#                                 publish-cost sweep, the batch-former
+#                                 publish-cost sweep (count-gated: a
+#                                 privatized shard copies at most its
+#                                 rows' top-K and residue arrays plus
+#                                 one BCA-state pointer per row), the
+#                                 batch-former
 #                                 occupancy block, and the mixed
 #                                 read/write mutation sweep (gated: p95
 #                                 read latency under a background
@@ -236,6 +240,21 @@ for row in rows:
           '%d live publishes (ratio %.2fx <= 2x)' % (
               row['graph'], row['read_only_p95_ms'], row['mutation_p95_ms'],
               row['mutations_applied'], row['p95_ratio']))
+# Copy-on-write count gate (bytes, not time): a publish's privatized shard
+# copies its rows' top-K and residue arrays plus one pointer per row to
+# the row's shared, immutable BCA state (a std::shared_ptr, 16 bytes on
+# LP64). Copying the states themselves, most of the index, fails here.
+sweep = [r for r in doc['publish_sweep'] if r['shards_copied'] > 0]
+assert sweep, 'publish sweep privatized no shard'
+for row in sweep:
+    bound = row['shard_nodes'] * ((row['capacity_k'] + 1) * 8 + 16)
+    assert row['bytes_per_shard'] <= bound, (
+        'CoW privatization copied %.0f bytes per shard > %d on %s '
+        '(%d-node shards, K=%d)' % (
+            row['bytes_per_shard'], bound, row['graph'], row['shard_nodes'],
+            row['capacity_k']))
+print('CoW publish sweep ok: max %.0f bytes per privatized shard over %d rows'
+      % (max(r['bytes_per_shard'] for r in sweep), len(sweep)))
 PYEOF
 # Evolving-graph bench: incremental maintenance must beat (or legitimately
 # fall back to) a full rebuild, and its JSON rides the perf-trajectory

@@ -1,10 +1,12 @@
 #include "dynamic/index_repair.h"
 
+#include <memory>
 #include <optional>
 #include <utility>
 
 #include "bca/bca.h"
 #include "common/stopwatch.h"
+#include "common/workspace_pool.h"
 
 namespace rtk {
 
@@ -58,9 +60,15 @@ Result<LowerBoundIndex> RepairAffectedNodes(
     double residue_l1 = 1.0;
   };
   std::vector<RepairedRow> rows(affected.size());
+  // Runners own the O(n) workspaces; one per concurrent chunk, leased on
+  // its first BCA re-run. Start() resets a reused runner completely.
+  WorkspacePool<BcaRunner> runners([&op, &store, &bca_opts]() {
+    return std::make_unique<BcaRunner>(op, store.hubs(), bca_opts);
+  });
   ParallelForRange(
       pool, 0, static_cast<int64_t>(affected.size()), /*max_parallelism=*/0,
       /*grain=*/1, [&](int64_t lo, int64_t hi) {
+        std::optional<WorkspacePool<BcaRunner>::Lease> runner;
         for (int64_t i = lo; i < hi; ++i) {
           const uint32_t u = affected[i];
           RepairedRow& row = rows[i];
@@ -82,16 +90,15 @@ Result<LowerBoundIndex> RepairAffectedNodes(
             row.state.residue = {{u, 1.0}};
             continue;
           }
-          // One runner per node keeps this trivially thread-safe; the
-          // runner's O(n) workspace is dwarfed by the BCA run itself.
-          BcaRunner runner(op, store.hubs(), bca_opts);
-          runner.Start(u);
-          runner.RunToTermination();
-          auto topk = runner.TopKApprox(store, capacity_k);
+          if (!runner.has_value()) runner.emplace(runners.Acquire());
+          BcaRunner& bca = **runner;
+          bca.Start(u);
+          bca.RunToTermination();
+          auto topk = bca.TopKApprox(store, capacity_k);
           row.values.reserve(topk.size());
           for (const auto& [id, value] : topk) row.values.push_back(value);
-          row.state = runner.Extract();
-          row.residue_l1 = runner.ResidueL1();
+          row.state = bca.Extract();
+          row.residue_l1 = bca.ResidueL1();
         }
       });
   if (!options.repair_bca) {

@@ -26,7 +26,7 @@ void WriteRow(IndexShard* shard, uint32_t capacity_k, uint32_t u,
       shard->topk_values.data() + static_cast<size_t>(local) * capacity_k;
   std::copy(topk.begin(), topk.end(), row);
   std::fill(row + topk.size(), row + capacity_k, 0.0);
-  shard->states[local] = std::move(state);
+  shard->states[local] = ShareBcaState(std::move(state));
   shard->residue_l1[local] = residue_l1;
 }
 

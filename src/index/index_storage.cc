@@ -6,6 +6,14 @@
 
 namespace rtk {
 
+SharedBcaState ShareBcaState(StoredBcaState state) {
+  if (state.residue.empty() && state.retained.empty() &&
+      state.hub_ink.empty() && state.iterations == 0) {
+    return nullptr;
+  }
+  return std::make_shared<const StoredBcaState>(std::move(state));
+}
+
 IndexStorage::IndexStorage(uint32_t num_nodes, uint32_t capacity_k,
                            uint32_t shard_nodes)
     : num_nodes_(num_nodes),
@@ -38,8 +46,7 @@ IndexStorage::IndexStorage(const IndexStorage& other)
     : num_nodes_(other.num_nodes_),
       capacity_k_(other.capacity_k_),
       shard_nodes_(other.shard_nodes_),
-      source_(other.source_),
-      cow_copies_(0) {
+      source_(other.source_) {
   std::lock_guard<std::mutex> lock(other.fault_mu_);
   slots_ = other.slots_;
 }
@@ -51,6 +58,7 @@ IndexStorage& IndexStorage::operator=(const IndexStorage& other) {
   shard_nodes_ = other.shard_nodes_;
   source_ = other.source_;
   cow_copies_ = 0;
+  cow_bytes_ = 0;
   std::lock_guard<std::mutex> lock(other.fault_mu_);
   slots_ = other.slots_;
   return *this;
@@ -62,7 +70,8 @@ IndexStorage::IndexStorage(IndexStorage&& other) noexcept
       shard_nodes_(other.shard_nodes_),
       slots_(std::move(other.slots_)),
       source_(std::move(other.source_)),
-      cow_copies_(other.cow_copies_) {}
+      cow_copies_(other.cow_copies_),
+      cow_bytes_(other.cow_bytes_) {}
 
 IndexStorage& IndexStorage::operator=(IndexStorage&& other) noexcept {
   if (this == &other) return *this;
@@ -72,6 +81,7 @@ IndexStorage& IndexStorage::operator=(IndexStorage&& other) noexcept {
   slots_ = std::move(other.slots_);
   source_ = std::move(other.source_);
   cow_copies_ = other.cow_copies_;
+  cow_bytes_ = other.cow_bytes_;
   return *this;
 }
 
@@ -97,6 +107,7 @@ IndexShard& IndexStorage::MutableShard(uint32_t s) {
   if (slot.owned.use_count() > 1) {
     slot.owned = std::make_shared<IndexShard>(*slot.owned);
     ++cow_copies_;
+    cow_bytes_ += slot.owned->CopyBytes();
   }
   slot.view.store(slot.owned.get(), std::memory_order_release);
   return *slot.owned;

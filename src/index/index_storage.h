@@ -5,9 +5,15 @@
 // are split into S contiguous node shards, each owned by a shared_ptr.
 // Copying an IndexStorage copies only the shard slot table — O(S), not
 // O(n*K) — and the first write to a shard whose ownership is shared
-// replaces it with a private deep copy (copy-on-write). Publishing a
-// serving snapshot therefore costs O(dirty shards): shards untouched by
-// the refinement batch are shared between the old and new epoch forever.
+// replaces it with a private copy (copy-on-write). Publishing a serving
+// snapshot therefore costs O(dirty shards): shards untouched by the
+// refinement batch are shared between the old and new epoch forever.
+//
+// A row's BCA state is immutable once installed and held by shared
+// pointer, so a privatization copies the shard's bound and residue arrays
+// plus one pointer per row — never the residue lists, which are most of
+// the index. A write replaces one row's pointer; the state it drops stays
+// alive for every other shard copy (and older snapshot) still holding it.
 //
 // Storage tiers (shard_backing.h):
 //  * heap  — every shard heap-resident from construction (builders, v1
@@ -58,6 +64,22 @@ namespace rtk {
 
 class MmapShardSource;
 
+/// \brief One row's resumable BCA state as a shard stores it: immutable,
+/// shared by every shard copy holding the row. Null stands for the empty
+/// state (exact and hub nodes, fresh storage).
+using SharedBcaState = std::shared_ptr<const StoredBcaState>;
+
+/// \brief Wraps `state` for a shard row: null for the empty state (every
+/// list empty, zero iterations), otherwise one shared allocation.
+SharedBcaState ShareBcaState(StoredBcaState state);
+
+/// \brief The state a row's pointer stands for (null: the empty state).
+/// The reference lives as long as some holder of `state`.
+inline const StoredBcaState& StateOf(const SharedBcaState& state) {
+  static const StoredBcaState kEmpty;
+  return state != nullptr ? *state : kEmpty;
+}
+
 /// \brief One contiguous slice of nodes [begin_node, end_node) with its
 /// rows of every per-node index array.
 struct IndexShard {
@@ -67,10 +89,17 @@ struct IndexShard {
   std::vector<double> topk_values;
   /// Cached |r_u|_1 per node; 0 means the stored bounds are exact.
   std::vector<double> residue_l1;
-  /// Resumable BCA state per node (empty lists for exact/hub nodes).
-  std::vector<StoredBcaState> states;
+  /// Resumable BCA state per node, shared with every copy of the shard.
+  std::vector<SharedBcaState> states;
 
   uint32_t num_local_nodes() const { return end_node - begin_node; }
+
+  /// \brief Bytes a copy of this shard copies: the bound and residue
+  /// arrays plus one state pointer per row (the states are shared).
+  uint64_t CopyBytes() const {
+    return (topk_values.size() + residue_l1.size()) * sizeof(double) +
+           states.size() * sizeof(decltype(states)::value_type);
+  }
 };
 
 /// \brief Where a storage's shard payloads live (see file header).
@@ -124,9 +153,9 @@ class IndexStorage {
   explicit IndexStorage(std::shared_ptr<MmapShardSource> source);
 
   /// Shallow copy: shares every shard and the source; the copy's
-  /// cow_copies() restarts at 0 so a publisher can read "shards this clone
-  /// dirtied" off it. Locks the source's fault path (safe to clone a
-  /// storage other threads are reading).
+  /// cow_copies() and cow_bytes() restart at 0 so a publisher can read
+  /// "shards this clone dirtied" off it. Locks the source's fault path
+  /// (safe to clone a storage other threads are reading).
   IndexStorage(const IndexStorage& other);
   IndexStorage& operator=(const IndexStorage& other);
   /// Moves require exclusive access to both sides (like writes).
@@ -162,9 +191,10 @@ class IndexStorage {
   }
 
   /// \brief Write access to shard s; faults it in first (mmap mode) and
-  /// deep-copies it iff its ownership is shared (see the class concurrency
-  /// contract). In mmap mode the shard is marked dirty in the source: its
-  /// file bytes are stale from here on and it is never demoted.
+  /// copies it iff its ownership is shared (see the class concurrency
+  /// contract; the copy shares every row's BCA state). In mmap mode the
+  /// shard is marked dirty in the source: its file bytes are stale from
+  /// here on and it is never demoted.
   IndexShard& MutableShard(uint32_t s);
 
   // ------------------------------------------------------ tier control --
@@ -210,11 +240,15 @@ class IndexStorage {
   /// source (sticky); OK for heap storages.
   Status backing_status() const;
 
-  /// \brief Shards deep-copied by copy-on-write since this storage was
+  /// \brief Shards copied by copy-on-write since this storage was
   /// constructed/copied/moved-into — i.e. the number of shards this
   /// particular view has dirtied. (In mmap mode a first write to a cold
   /// shard materializes and privatizes it: that counts, same meaning.)
   uint64_t cow_copies() const { return cow_copies_; }
+
+  /// \brief Bytes those copies copied (IndexShard::CopyBytes each), over
+  /// the same window as cow_copies().
+  uint64_t cow_bytes() const { return cow_bytes_; }
 
  private:
   /// One shard slot. `owned` keeps the materialization alive; `view` is
@@ -252,6 +286,7 @@ class IndexStorage {
   mutable std::mutex fault_mu_;
   std::shared_ptr<MmapShardSource> source_;  // null in heap mode
   uint64_t cow_copies_ = 0;
+  uint64_t cow_bytes_ = 0;
 };
 
 }  // namespace rtk

@@ -89,7 +89,7 @@ void LowerBoundIndex::SetNode(uint32_t u, const std::vector<double>& topk,
       shard.topk_values.data() + static_cast<size_t>(local) * capacity_k_;
   std::copy(topk.begin(), topk.end(), row);
   std::fill(row + topk.size(), row + capacity_k_, 0.0);
-  shard.states[local] = std::move(state);
+  shard.states[local] = ShareBcaState(std::move(state));
   shard.residue_l1[local] = residue_l1;
 }
 
@@ -135,13 +135,14 @@ IndexStats LowerBoundIndex::ComputeStats() const {
     const uint64_t topk_bytes =
         (shard.topk_values.capacity() + shard.residue_l1.capacity()) *
         sizeof(double);
-    // The states vector's own footprint (three vector headers + iteration
-    // counter per node) is real heap the index owns; counting only the
-    // pair-list allocations undercounts RSS by sizeof(StoredBcaState) per
-    // node.
-    uint64_t state_bytes = shard.states.capacity() * sizeof(StoredBcaState);
-    for (const StoredBcaState& state : shard.states) {
-      state_bytes += state.MemoryBytes();
+    // Per row: the state pointer, and the state it points to (three
+    // vector headers + iteration counter, then the pair lists). A state
+    // shared with other copies counts in each index holding it.
+    uint64_t state_bytes = shard.states.capacity() * sizeof(SharedBcaState);
+    for (const SharedBcaState& state : shard.states) {
+      if (state != nullptr) {
+        state_bytes += sizeof(StoredBcaState) + state->MemoryBytes();
+      }
     }
     stats.topk_bytes += topk_bytes;
     stats.state_bytes += state_bytes;

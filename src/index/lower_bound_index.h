@@ -14,9 +14,10 @@
 // arrays live in S contiguous node shards behind shared pointers. Copying
 // a LowerBoundIndex is therefore O(S) and shares every shard with the
 // source; a write (SetNode / ApplyIfTighter) privatizes only the one shard
-// it touches. This is what makes serving-layer snapshot publishes cost
-// O(dirty shards) instead of O(n*K). The hub matrix is likewise shared
-// between copies (it is immutable once built).
+// it touches, and that copy shares every row's (immutable) BCA state. This
+// is what makes serving-layer snapshot publishes cost O(dirty shards)
+// instead of O(n*K). The hub matrix is likewise shared between copies (it
+// is immutable once built).
 
 #ifndef RTK_INDEX_LOWER_BOUND_INDEX_H_
 #define RTK_INDEX_LOWER_BOUND_INDEX_H_
@@ -48,8 +49,9 @@ struct IndexStats {
   /// Bytes of the mmap'd index file backing cold shards (0 in heap tier).
   uint64_t mmap_bytes = 0;
   uint64_t topk_bytes = 0;       // the K x n lower-bound matrix P_hat
-  uint64_t state_bytes = 0;      // R, W, S sparse states (incl. the
-                                 // StoredBcaState vector footprint itself)
+  uint64_t state_bytes = 0;      // R, W, S sparse states: per row the
+                                 // state pointer plus the state it points
+                                 // to (lists included)
   uint64_t hub_store_bytes = 0;  // rounded P_H
   uint64_t hub_entries_stored = 0;
   uint64_t hub_entries_dropped = 0;  // removed by rounding
@@ -95,8 +97,9 @@ class LowerBoundIndex {
                   uint32_t shard_nodes = 0);
 
   /// \brief Resharding copy: same contents as `other`, laid out over
-  /// `shard_nodes`-wide shards. Deep-copies every row (no sharing; in mmap
-  /// mode this materializes every source shard).
+  /// `shard_nodes`-wide shards. Copies every row's bounds and residue and
+  /// shares its BCA state (no shard is shared; in mmap mode this
+  /// materializes every source shard).
   LowerBoundIndex(const LowerBoundIndex& other, uint32_t shard_nodes);
 
   /// \brief Hub-refresh copy: shares every storage shard with `other`
@@ -178,10 +181,14 @@ class LowerBoundIndex {
   /// thread-safety note); copy-on-write like SetNode.
   IndexShard& MutableShard(uint32_t s) { return storage_.MutableShard(s); }
 
-  /// \brief Shards this object has privatized (deep-copied) since it was
+  /// \brief Shards this object has privatized (copied) since it was
   /// constructed or copied — the publish-cost observable: a snapshot clone
   /// that applied deltas to d shards reports cow_shard_copies() == d.
   uint64_t cow_shard_copies() const { return storage_.cow_copies(); }
+
+  /// \brief Bytes those privatizations copied: per shard its bound and
+  /// residue arrays plus one state pointer per row.
+  uint64_t cow_bytes_copied() const { return storage_.cow_bytes(); }
 
   // ----------------------------------------------------- storage tiers --
 
@@ -253,16 +260,19 @@ class LowerBoundIndex {
   bool IsExact(uint32_t u) const { return ResidueL1(u) == 0.0; }
 
   /// \brief The stored BCA state of u (empty lists for exact/hub nodes).
-  /// The reference is invalidated by writes to this index object.
+  /// States are immutable and shared between copies: the reference stays
+  /// valid until this index object replaces u's state (a write of u) or
+  /// is destroyed, and outlives both while a copy still holds the state.
   const StoredBcaState& State(uint32_t u) const {
     const IndexShard& shard = storage_.shard(storage_.ShardOf(u));
-    return shard.states[u - shard.begin_node];
+    return StateOf(shard.states[u - shard.begin_node]);
   }
 
   /// \brief Installs new per-node data; used by the builder and by
   /// query-time refinement write-back. `topk` must be descending with
   /// exactly min(capacity_k, available) entries; missing tail is zero.
-  /// Copy-on-write: privatizes u's shard iff it is shared.
+  /// Copy-on-write: privatizes u's shard iff it is shared, then replaces
+  /// u's state pointer (the old state stays with the copies holding it).
   void SetNode(uint32_t u, const std::vector<double>& topk,
                StoredBcaState state, double residue_l1);
 

@@ -82,7 +82,7 @@ Status ParseShardRecords(std::string_view payload, uint32_t num_nodes,
       return Status::Corruption("bad BCA state for node " + std::to_string(u));
     }
     st.iterations = iters;
-    shard->states[local] = std::move(st);
+    shard->states[local] = ShareBcaState(std::move(st));
   }
   if (pos != payload.size()) {
     return Status::Corruption("trailing bytes in shard of node " +
@@ -222,7 +222,7 @@ std::shared_ptr<IndexShard> MmapShardSource::Materialize(uint32_t s) const {
   const uint32_t local = shard->num_local_nodes();
   shard->topk_values.assign(static_cast<size_t>(local) * capacity_k(), 0.0);
   shard->residue_l1.assign(local, 1.0);
-  shard->states.assign(local, StoredBcaState{});
+  shard->states.assign(local, nullptr);
 
   Status st = VerifyShard(s);
   if (st.ok()) {
@@ -237,7 +237,7 @@ std::shared_ptr<IndexShard> MmapShardSource::Materialize(uint32_t s) const {
       // readers stay safe; the scan path reports the Corruption.
       std::fill(shard->topk_values.begin(), shard->topk_values.end(), 0.0);
       std::fill(shard->residue_l1.begin(), shard->residue_l1.end(), 1.0);
-      shard->states.assign(local, StoredBcaState{});
+      shard->states.assign(local, nullptr);
     }
   }
   cache_[s] = shard;

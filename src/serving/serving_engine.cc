@@ -116,6 +116,8 @@ ServingEngine::ServingEngine(const ReverseTopkEngine& engine,
       &registry_.GetCounter("rtk_serving_epochs_published_total");
   ins_.shards_copied =
       &registry_.GetCounter("rtk_serving_shards_copied_total");
+  ins_.cow_bytes_copied =
+      &registry_.GetCounter("rtk_serving_cow_bytes_copied_total");
   ins_.shard_faults =
       &registry_.GetCounter("rtk_serving_shard_faults_total");
   ins_.shard_evictions =
@@ -136,6 +138,10 @@ ServingEngine::ServingEngine(const ReverseTopkEngine& engine,
       &registry_.GetCounter("rtk_serving_mutation_invalidations_total");
   ins_.mutation_rebuilds =
       &registry_.GetCounter("rtk_serving_mutation_rebuilds_total");
+  ins_.mutation_shards_copied =
+      &registry_.GetCounter("rtk_serving_mutation_shards_copied_total");
+  ins_.mutation_cow_bytes_copied =
+      &registry_.GetCounter("rtk_serving_mutation_cow_bytes_copied_total");
   ins_.refinements_dropped_stale =
       &registry_.GetCounter("rtk_serving_refinements_dropped_stale_total");
   ins_.queue_wait = &registry_.GetHistogram("rtk_serving_queue_wait_seconds");
@@ -962,6 +968,7 @@ uint64_t ServingEngine::PublishLocked() {
   // and demotions ride the same snapshot swap instead of paying their own.
   ApplyResidencyLocked(&next);
   ins_.shards_copied->Increment(next.cow_shard_copies());
+  ins_.cow_bytes_copied->Increment(next.cow_bytes_copied());
   // A refinement publish keeps the graph version: only mutations move it.
   auto fresh = std::make_shared<const IndexSnapshot>(
       std::move(next), current->epoch() + 1, current->graph_version());
@@ -1197,6 +1204,9 @@ void ServingEngine::DrainMutations() {
   if (trace_ptr != nullptr) {
     trace.EndSpan(TracePhase::kMutateRepair, repair_began);
   }
+  // The repair's copy-on-write privatizations (a rebuild copies none).
+  ins_.mutation_shards_copied->Increment(rebuilt->cow_shard_copies());
+  ins_.mutation_cow_bytes_copied->Increment(rebuilt->cow_bytes_copied());
 
   // Phase 3 — publish. Version-advance the refinement log BEFORE the
   // snapshot swap: a pending delta tagged with the old version is purged
@@ -1334,6 +1344,7 @@ ServingStats ServingEngine::stats() const {
   stats.deltas_applied = ins_.deltas_applied->value();
   stats.epochs_published = ins_.epochs_published->value();
   stats.shards_copied = ins_.shards_copied->value();
+  stats.cow_bytes_copied = ins_.cow_bytes_copied->value();
   SyncBackingMetrics();
   SyncLogMetrics();
   stats.shard_faults = ins_.shard_faults->value();
@@ -1345,6 +1356,8 @@ ServingStats ServingEngine::stats() const {
   stats.mutation_invalidations = ins_.mutation_invalidations->value();
   stats.mutation_rebuilds = ins_.mutation_rebuilds->value();
   stats.mutation_affected_nodes = ins_.mutation_affected->value();
+  stats.mutation_shards_copied = ins_.mutation_shards_copied->value();
+  stats.mutation_cow_bytes_copied = ins_.mutation_cow_bytes_copied->value();
   stats.refinements_dropped_stale = ins_.refinements_dropped_stale->value();
   stats.mutations = mutations_.stats();
   stats.pending_mutations = stats.mutations.pending;

@@ -162,10 +162,14 @@ struct ServingOptions {
   /// Base per-query options; k / tier / update_index / num_threads are
   /// overridden per request, delta_sink and control are managed by the
   /// engine, and pmpn is inherited from the source engine's solver
-  /// settings in Create(). Set query.num_threads to 0 (or > 1) to let idle
-  /// pool workers parallelize individual requests — best for latency under
-  /// light load; the default 1 keeps every worker serving its own request,
-  /// which maximizes saturated throughput.
+  /// settings in Create(). query.num_threads 0 (or > 1) lets idle pool
+  /// workers split one request's stages; the default 1 keeps every worker
+  /// serving its own request. The split has not paid off at the suite's
+  /// sizes: on a 4-vCPU host (bench_fig5_query_time, Release, 0.25 scale,
+  /// two single runs) 4 threads ran queries at 0.30-0.47x the 1-thread
+  /// speed on rmat-web-s, 0.36-0.98x on ba-social and 0.70-0.99x on
+  /// rmat-web-l — the fan-out costs more than the stages it splits.
+  /// Measure before raising it.
   QueryOptions query;
   /// Memory-tier residency knobs — only meaningful when the served index
   /// is mmap-backed (StorageTier::kMmap; heap indexes are always fully
@@ -260,10 +264,12 @@ struct ServingStats {
   /// Deltas that actually tightened a published snapshot.
   uint64_t deltas_applied = 0;
   uint64_t epochs_published = 0;
-  /// Storage shards deep-copied across all publishes (copy-on-write dirty
+  /// Storage shards copied by refinement publishes (copy-on-write dirty
   /// shards; the publish-cost observable — compare against deltas_applied
-  /// and index_shards).
+  /// and index_shards), and the bytes those copies copied: per shard its
+  /// bound and residue arrays plus one BCA-state pointer per row.
   uint64_t shards_copied = 0;
+  uint64_t cow_bytes_copied = 0;
   /// Storage shards in the current snapshot (gauge).
   uint64_t index_shards = 0;
   uint64_t current_epoch = 0;
@@ -296,6 +302,11 @@ struct ServingStats {
   uint64_t mutation_invalidations = 0;
   uint64_t mutation_rebuilds = 0;
   uint64_t mutation_affected_nodes = 0;
+  /// Storage shards the mutation drains' index repairs copied, and the
+  /// bytes they copied (same measure as shards_copied / cow_bytes_copied,
+  /// which count refinement publishes only).
+  uint64_t mutation_shards_copied = 0;
+  uint64_t mutation_cow_bytes_copied = 0;
   /// Refinement deltas dropped by the graph-version tag (== log.dropped_stale).
   uint64_t refinements_dropped_stale = 0;
   /// Graph version of the current snapshot (gauge; 0 until a mutation).
@@ -660,6 +671,7 @@ class ServingEngine {
     Counter* deltas_applied = nullptr;
     Counter* epochs_published = nullptr;
     Counter* shards_copied = nullptr;
+    Counter* cow_bytes_copied = nullptr;
     Counter* shard_faults = nullptr;
     Counter* shard_evictions = nullptr;
     Counter* mutation_batches = nullptr;
@@ -670,6 +682,8 @@ class ServingEngine {
     Counter* mutation_repairs = nullptr;
     Counter* mutation_invalidations = nullptr;
     Counter* mutation_rebuilds = nullptr;
+    Counter* mutation_shards_copied = nullptr;
+    Counter* mutation_cow_bytes_copied = nullptr;
     Counter* refinements_dropped_stale = nullptr;
     Histogram* queue_wait = nullptr;
     Histogram* fused_proximity_seconds = nullptr;

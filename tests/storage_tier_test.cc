@@ -20,7 +20,11 @@
 //      residency manager promotes hot shards / demotes idle ones without
 //      changing any answer;
 //   5. write-back — RefinementLog's batched Append keeps the sequential
-//      form's dedup winners.
+//      form's dedup winners;
+//   6. copy-on-write — a shard copy shares every row's BCA state (a write
+//      replaces one row's pointer, older snapshots keep their states),
+//      and the serving engine counts the bytes publishes and mutation
+//      drains copy.
 //
 // ci.sh runs this file under TSan and ASan (the concurrency tests double
 // as race detectors for the lazy fault/verify paths).
@@ -613,6 +617,121 @@ TEST_F(StorageTierTest, RefinementLogBatchAppendMatchesSequential) {
     EXPECT_EQ(a[0].deltas[i].topk, b[0].deltas[i].topk);
     EXPECT_EQ(a[0].deltas[i].residue_l1, b[0].deltas[i].residue_l1);
   }
+}
+
+// -------------------------------------------------------- copy-on-write --
+
+TEST_F(StorageTierTest, CowCopySharesRowStatesAndOldSnapshotsKeepTheirs) {
+  const Graph graph = TestGraph();
+  auto built = ReverseTopkEngine::Build(Graph(graph), CoarseOptions());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const LowerBoundIndex& index = (*built)->index();
+
+  // A node the coarse build left refinable, so its state has lists.
+  uint32_t u = UINT32_MAX;
+  for (uint32_t v = 0; v < index.num_nodes(); ++v) {
+    if (index.ResidueL1(v) > 0.0 && !index.State(v).residue.empty()) {
+      u = v;
+      break;
+    }
+  }
+  ASSERT_NE(u, UINT32_MAX) << "coarse build left every node exact";
+  const StoredBcaState old_state = index.State(u);  // value copy
+  const StoredBcaState* old_address = &index.State(u);
+  StoredBcaState replacement;
+  replacement.residue = {{u, 0.125}};
+  replacement.iterations = old_state.iterations + 1;
+
+  const auto [lo, hi] = index.ShardNodeRange(index.ShardOf(u));
+  {
+    LowerBoundIndex next(index);
+    next.SetNode(u, {0.9, 0.5}, replacement, 0.125);
+    ASSERT_EQ(next.cow_shard_copies(), 1u);
+    // The privatization copied the rows' bounds and residues plus one
+    // pointer per row, and no state.
+    const uint64_t rows = hi - lo;
+    EXPECT_EQ(next.cow_bytes_copied(),
+              rows * (next.capacity_k() + 1) * sizeof(double) +
+                  rows * sizeof(SharedBcaState));
+    for (uint32_t v = lo; v < hi; ++v) {
+      if (v == u) continue;
+      EXPECT_EQ(&next.State(v), &index.State(v))
+          << "row " << v << " must share its state with the source";
+    }
+    EXPECT_EQ(next.State(u).residue, replacement.residue);
+    EXPECT_EQ(next.State(u).iterations, replacement.iterations);
+    // The source still holds its old lists, where they were.
+    EXPECT_EQ(&index.State(u), old_address);
+    EXPECT_EQ(index.State(u).residue, old_state.residue);
+    EXPECT_EQ(index.State(u).retained, old_state.retained);
+    EXPECT_EQ(index.State(u).hub_ink, old_state.hub_ink);
+  }
+
+  // A reference taken from an older snapshot outlives a newer copy that
+  // replaced the row and was destroyed, and the source it was copied
+  // from being written too (ASan turns a dangling read into a failure).
+  LowerBoundIndex older(index);
+  const StoredBcaState& ref = older.State(u);
+  {
+    LowerBoundIndex newer(older);
+    newer.SetNode(u, {0.8}, replacement, 0.0625);
+    EXPECT_EQ(newer.State(u).residue, replacement.residue);
+  }
+  LowerBoundIndex source_writer(index);
+  source_writer.SetNode(u, {0.7}, StoredBcaState{}, 0.0);
+  EXPECT_EQ(&ref, old_address);
+  EXPECT_EQ(ref.residue, old_state.residue);
+  EXPECT_EQ(ref.retained, old_state.retained);
+  EXPECT_EQ(ref.hub_ink, old_state.hub_ink);
+  EXPECT_EQ(ref.iterations, old_state.iterations);
+  EXPECT_EQ(older.State(u).residue, old_state.residue);
+}
+
+TEST_F(StorageTierTest, PublishesAndMutationDrainsCountBytesTheyCopy) {
+  const Graph graph = TestGraph();
+  auto built = ReverseTopkEngine::Build(Graph(graph), CoarseOptions());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const uint32_t shard_nodes = (*built)->index().shard_nodes();
+  // The most one privatization may copy: a full shard's bound and
+  // residue arrays plus one state pointer per row.
+  const uint64_t shard_bytes =
+      shard_nodes * ((*built)->index().capacity_k() + 1) * sizeof(double) +
+      shard_nodes * sizeof(SharedBcaState);
+
+  ServingOptions options;
+  options.num_threads = 2;
+  options.publish_threshold = 1;
+  options.mutation_repair_fraction = 1.0;  // keep the exact repair path
+  options.mutation_rebuild_fraction = 1.0;
+  auto serving = ServingEngine::Create(**built, options);
+  ASSERT_TRUE(serving.ok());
+  for (const QueryRequest& request : ServingWorkload(graph.num_nodes(), 16)) {
+    ASSERT_TRUE((*serving)->Submit(request).get().status.ok());
+  }
+  (*serving)->PublishPending();
+  const ServingStats refined = (*serving)->stats();
+  ASSERT_GT(refined.shards_copied, 0u);
+  EXPECT_GT(refined.cow_bytes_copied, 0u);
+  EXPECT_LE(refined.cow_bytes_copied, refined.shards_copied * shard_bytes);
+  EXPECT_EQ(refined.mutation_shards_copied, 0u);
+  EXPECT_EQ(refined.mutation_cow_bytes_copied, 0u);
+
+  // One inserted edge: the drain's repair privatizes the affected shards
+  // and counts them apart from refinement publishes.
+  uint32_t v = 1;
+  const auto row = graph.OutNeighbors(0);
+  while (std::binary_search(row.begin(), row.end(), v)) ++v;
+  MutationResult mutated =
+      (*serving)->ApplyUpdates({EdgeUpdate::Insert(0, v)}).get();
+  ASSERT_TRUE(mutated.ok()) << mutated.status.ToString();
+  ASSERT_EQ(mutated.mode, MutationRepairMode::kRepaired);
+  const ServingStats after = (*serving)->stats();
+  EXPECT_EQ(after.shards_copied, refined.shards_copied);
+  EXPECT_EQ(after.cow_bytes_copied, refined.cow_bytes_copied);
+  ASSERT_GT(after.mutation_shards_copied, 0u);
+  EXPECT_GT(after.mutation_cow_bytes_copied, 0u);
+  EXPECT_LE(after.mutation_cow_bytes_copied,
+            after.mutation_shards_copied * shard_bytes);
 }
 
 }  // namespace
