@@ -99,17 +99,19 @@ void RunGraph(const NamedGraph& named, uint32_t capacity_k,
       continue;
     }
     const IndexStats stats = index->ComputeStats();
-    // "No rounding" adds back the dropped hub entries at 12 bytes each
-    // (id + value), mirroring the paper's no-rounding line.
+    // A hub entry is an id and a value, 12 bytes: what the paper prices
+    // and what P_H stores (two flat arrays).
+    constexpr uint64_t kHubEntryBytes = sizeof(uint32_t) + sizeof(double);
+    // "No rounding" adds back the dropped hub entries at 12 bytes each,
+    // mirroring the paper's no-rounding line.
     const uint64_t no_round_bytes =
-        stats.TotalBytes() +
-        stats.hub_entries_dropped * sizeof(std::pair<uint32_t, double>);
+        stats.TotalBytes() + stats.hub_entries_dropped * kHubEntryBytes;
     // Theorem 1: per-hub entries l*, 12 bytes each, plus the top-K floor —
     // once with the paper's beta = 0.76 and once with the fitted beta.
     auto predicted_bytes = [&](double beta) {
       return static_cast<double>(n) * capacity_k * 8.0 +
              HubProximityStore::PredictedEntriesPerHub(n, 1e-6, beta) *
-                 stats.num_hubs * sizeof(std::pair<uint32_t, double>);
+                 stats.num_hubs * kHubEntryBytes;
     };
     std::printf(
         "%-8u %-6u %-9.2f %-14s %-14s %-14s %-14s\n", b, stats.num_hubs,

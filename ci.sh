@@ -87,7 +87,15 @@
 #                                 smoke (100 read-only queries through
 #                                 the mmap tier under 96 MiB of
 #                                 anonymous memory — the heap tier must
-#                                 NOT fit under the same cap) — and the
+#                                 NOT fit under the same cap), the
+#                                 packed-payload count gate on that
+#                                 smoke index (BCA states and P_H at 12
+#                                 bytes per entry plus fixed per-state
+#                                 and per-hub overhead), the lane-kernel
+#                                 alignment check (nm: every GatherKernel,
+#                                 EpilogueKernel, ForwardScaleKernel and
+#                                 ForwardGatherKernel instantiation on a
+#                                 64-byte boundary) — and the
 #                                 approx-mode adaptive sweep (partial
 #                                 escalation byte-identical AND no slower
 #                                 than full escalation; the AIMD budget
@@ -194,6 +202,27 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build build-release -j "$JOBS" \
       --target bench_fig5_query_time bench_serving_throughput bench_micro_spmm \
                bench_index_load bench_dynamic_updates bench_approx_mode rtk_cli
+# Code placement gate: every lane kernel instantiation (the SpMM gathers,
+# the forward scale and gather, the PMPN epilogue, widths 1..32) is 64-byte
+# aligned in source (kLaneKernelAlignment), so its timing follows its work
+# and not where the linker put it. Checked on the linked CLI.
+python3 - <<'PYEOF'
+import re, subprocess
+out = subprocess.run(['nm', '-C', 'build-release/rtk_cli'], check=True,
+                     capture_output=True, text=True).stdout
+kernels = {}
+for line in out.splitlines():
+    m = re.match(r'([0-9a-f]+) [tTwW] .*::(GatherKernel|EpilogueKernel|'
+                 r'ForwardScaleKernel|ForwardGatherKernel)<(\d+)u>::Run\(', line)
+    if m:
+        kernels[(m.group(2), int(m.group(3)))] = int(m.group(1), 16)
+assert len(kernels) == 4 * 32, 'found %d lane kernels, expected 128: %r' % (
+    len(kernels), sorted(kernels)[:8])
+bad = sorted('%s<%d> at %#x' % (k[0], k[1], a)
+             for k, a in kernels.items() if a % 64)
+assert not bad, 'lane kernels off a 64-byte boundary: %s' % ', '.join(bad)
+print('lane kernels ok: all %d instantiations 64-byte aligned' % len(kernels))
+PYEOF
 RTK_BENCH_QUERIES=20 RTK_BENCH_SCALE=0.25 \
     ./build-release/bench_fig5_query_time --json build-release/BENCH_fig5.json
 test -s build-release/BENCH_fig5.json
@@ -393,6 +422,40 @@ bash -c "ulimit -d $SMOKE_CAP_KB; exec ./build-release/rtk_cli serve-bench \
     10 100 2 --storage-tier mmap --read-only" \
     | grep "storage tier: mmap"
 echo "ulimit smoke ok: 100 queries served via mmap under a ${SMOKE_CAP_KB}KB cap"
+# Packed-payload count gate (bytes, not time) on the smoke index: a BCA
+# state is one record blob and P_H two flat arrays, so both cost 12 bytes
+# per (id, value) entry plus a fixed overhead — per row its 16-byte state
+# pointer, per stored state its 28-byte record header; per hub its id and
+# offset, plus the final offset and the n-entry hub lookup. A padded
+# 16-byte pair layout, or over-reserved lists, fails here.
+./build-release/rtk_cli index-info build-release/ci_smoke.rtki \
+    > build-release/ci_smoke_info.txt
+python3 - <<'PYEOF'
+import re
+text = open('build-release/ci_smoke_info.txt').read()
+def field(pattern):
+    m = re.search(pattern, text, re.M)
+    assert m, 'index-info output lacks %r:\n%s' % (pattern, text)
+    return [int(g) for g in m.groups()]
+(n,) = field(r'^nodes:\s+(\d+)')
+hubs, hub_entries = field(r'^hubs:\s+(\d+) \((\d+) stored entries\)')
+state_bytes, states, entries = field(
+    r'^state bytes:\s+(\d+) \((\d+) states, (\d+) entries\)')
+(hub_bytes,) = field(r'^hub bytes:\s+(\d+)')
+assert entries > 0 and hub_entries > 0, text
+expected_states = n * 16 + states * 28 + entries * 12
+assert state_bytes == expected_states, (
+    'state bytes %d != %d = 16 x %d rows + 28 x %d states + 12 x %d '
+    'entries' % (state_bytes, expected_states, n, states, entries))
+expected_hubs = hub_entries * 12 + hubs * (4 + 8) + 8 + n * 4
+assert hub_bytes == expected_hubs, (
+    'hub bytes %d != %d = 12 x %d entries + 12 x %d hubs + 8 + 4 x %d '
+    'nodes' % (hub_bytes, expected_hubs, hub_entries, hubs, n))
+print('packed payload count gate ok: %d state entries in %.1f MiB, %d hub '
+      'entries in %.1f MiB (12 bytes each)' % (
+          entries, state_bytes / 1048576.0, hub_entries,
+          hub_bytes / 1048576.0))
+PYEOF
 # Serving benchmark: nothing else builds servebench/, which drives the
 # library through ServingEngine, the backend factory (the traced replay
 # resolves "batched-pmpn"), ComputeMulti and QueryStats. Both runs exit

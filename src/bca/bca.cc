@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "common/top_k.h"
 
@@ -21,6 +22,7 @@ BcaRunner::BcaRunner(const TransitionOperator& op,
   retained_.Resize(n);
   hub_ink_.Resize(n);
   approx_.Resize(n);
+  dense_.assign(n, 0.0);
 }
 
 void BcaRunner::Start(uint32_t u) {
@@ -34,16 +36,29 @@ void BcaRunner::Start(uint32_t u) {
   tracking_store_ = nullptr;
 }
 
-void BcaRunner::Load(const StoredBcaState& state) {
+Status BcaRunner::Load(const StoredBcaState& state) {
+  const BcaEntryList hub_ink = state.hub_ink();
+  for (size_t i = 0; i < hub_ink.size(); ++i) {
+    if (!is_hub_[hub_ink.id(i)]) {
+      return Status::Corruption("BCA state holds hub ink at non-hub node " +
+                                std::to_string(hub_ink.id(i)));
+    }
+  }
   residue_.Clear();
   retained_.Clear();
   hub_ink_.Clear();
-  residue_.FromPairs(state.residue);
-  retained_.FromPairs(state.retained);
-  hub_ink_.FromPairs(state.hub_ink);
-  iterations_ = state.iterations;
+  const auto load = [](const BcaEntryList& list, SparseAccumulator* acc) {
+    for (size_t i = 0; i < list.size(); ++i) {
+      acc->Add(list.id(i), list.value(i));
+    }
+  };
+  load(state.residue(), &residue_);
+  load(state.retained(), &retained_);
+  load(hub_ink, &hub_ink_);
+  iterations_ = state.iterations();
   residue_l1_ = residue_.Sum();
   tracking_store_ = nullptr;
+  return Status::OK();
 }
 
 void BcaRunner::BeginApproxTracking(const HubProximityStore& store) {
@@ -60,19 +75,35 @@ void BcaRunner::RebuildApprox(const HubProximityStore& store) const {
   for (uint32_t h : hub_ink_.touched()) {
     const double ink = hub_ink_.Get(h);
     if (ink <= 0.0) continue;
-    for (const auto& [node, value] : store.Vector(h)) {
-      approx_.Add(node, ink * value);
+    const HubVector vec = store.Vector(h);
+    for (size_t i = 0; i < vec.size(); ++i) {
+      approx_.Add(vec.ids[i], ink * vec.values[i]);
     }
   }
 }
 
-StoredBcaState BcaRunner::Extract() const {
-  StoredBcaState state;
-  state.residue = residue_.ToSortedPairs();
-  state.retained = retained_.ToSortedPairs();
-  state.hub_ink = hub_ink_.ToSortedPairs();
-  state.iterations = iterations_;
-  return state;
+SharedBcaState BcaRunner::Extract() const {
+  const SparseAccumulator* lists[3] = {&residue_, &retained_, &hub_ink_};
+  size_t ends[3];
+  extract_ids_.clear();
+  for (int l = 0; l < 3; ++l) {
+    const size_t begin = extract_ids_.size();
+    for (uint32_t v : lists[l]->touched()) {
+      if (lists[l]->Get(v) > 0.0) extract_ids_.push_back(v);
+    }
+    std::sort(extract_ids_.begin() + begin, extract_ids_.end());
+    ends[l] = extract_ids_.size();
+  }
+  if (extract_ids_.empty() && iterations_ == 0) return nullptr;
+  BcaStateWriter writer(iterations_, extract_ids_.size());
+  size_t i = 0;
+  for (int l = 0; l < 3; ++l) {
+    writer.BeginList(ends[l] - i);
+    for (; i < ends[l]; ++i) {
+      writer.Add(extract_ids_[i], lists[l]->Get(extract_ids_[i]));
+    }
+  }
+  return std::move(writer).Finish();
 }
 
 void BcaRunner::PushNodes(const std::vector<uint32_t>& nodes) {
@@ -118,8 +149,9 @@ size_t BcaRunner::AbsorbHubResidue() {
     hub_ink_.Add(v, ink);  // Eq. (6)
     residue_.Set(v, 0.0);
     if (tracking_store_ != nullptr) {
-      for (const auto& [node, value] : tracking_store_->Vector(v)) {
-        approx_.Add(node, ink * value);
+      const HubVector vec = tracking_store_->Vector(v);
+      for (size_t i = 0; i < vec.size(); ++i) {
+        approx_.Add(vec.ids[i], ink * vec.values[i]);
       }
     }
     ++absorbed;
@@ -188,8 +220,9 @@ void BcaRunner::MaterializeApprox(const HubProximityStore& store,
   for (uint32_t h : hub_ink_.touched()) {
     const double ink = hub_ink_.Get(h);
     if (ink <= 0.0) continue;
-    for (const auto& [node, value] : store.Vector(h)) {
-      (*out)[node] += ink * value;
+    const HubVector vec = store.Vector(h);
+    for (size_t i = 0; i < vec.size(); ++i) {
+      (*out)[vec.ids[i]] += ink * vec.values[i];
     }
   }
 }
@@ -198,12 +231,49 @@ std::vector<std::pair<uint32_t, double>> BcaRunner::TopKApprox(
     const HubProximityStore& store, size_t k) const {
   // Mixing stores on one runner would corrupt the tracked accumulator.
   assert(tracking_store_ == nullptr || tracking_store_ == &store);
-  // Tracked mode keeps approx_ current; otherwise rebuild it.
-  if (tracking_store_ != &store) RebuildApprox(store);
   TopKSelector selector(k);
-  for (uint32_t v : approx_.touched()) {
-    const double p = approx_.Get(v);
-    if (p > 0.0) selector.Offer(v, p);
+  if (tracking_store_ == &store) {
+    for (uint32_t v : approx_.touched()) {
+      const double p = approx_.Get(v);
+      if (p > 0.0) selector.Offer(v, p);
+    }
+    return selector.TakeSortedDescending();
+  }
+  // Untracked: scatter p^t = w + P_H s into the dense workspace, adding
+  // RebuildApprox's terms in RebuildApprox's order, so every entry has the
+  // tracked accumulator's bits.
+  double* p = dense_.data();
+  size_t adds = 0;
+  for (uint32_t v : retained_.touched()) {
+    const double w = retained_.Get(v);
+    if (w > 0.0) p[v] += w;
+  }
+  adds += retained_.touched().size();
+  for (uint32_t h : hub_ink_.touched()) {
+    const double ink = hub_ink_.Get(h);
+    if (ink <= 0.0) continue;
+    const HubVector vec = store.Vector(h);
+    for (size_t i = 0; i < vec.size(); ++i) {
+      p[vec.ids[i]] += ink * vec.values[i];
+    }
+    adds += vec.size();
+  }
+  // Offer each positive entry once and re-zero the workspace. The selector
+  // orders by (value, id), so its result does not depend on offer order:
+  // sweep the whole workspace when the adds covered it anyway, else revisit
+  // the scattered ids (an entry is zeroed on its first visit).
+  const auto take = [&](uint32_t v) {
+    if (p[v] > 0.0) selector.Offer(v, p[v]);
+    p[v] = 0.0;
+  };
+  if (adds >= dense_.size()) {
+    for (uint32_t v = 0; v < dense_.size(); ++v) take(v);
+  } else {
+    for (uint32_t v : retained_.touched()) take(v);
+    for (uint32_t h : hub_ink_.touched()) {
+      if (hub_ink_.Get(h) <= 0.0) continue;
+      for (uint32_t v : store.Vector(h).ids) take(v);
+    }
   }
   return selector.TakeSortedDescending();
 }

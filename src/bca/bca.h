@@ -24,9 +24,10 @@
 #include <utility>
 #include <vector>
 
+#include "bca/bca_state.h"
+#include "bca/hub_proximity_store.h"
 #include "common/result.h"
 #include "common/sparse_accumulator.h"
-#include "bca/hub_proximity_store.h"
 #include "rwr/transition.h"
 
 namespace rtk {
@@ -53,29 +54,6 @@ enum class PushStrategy {
   kThresholdQueue,
 };
 
-/// \brief Serializable snapshot of a partially-run BCA from one node.
-/// All pair lists are sorted by node id; `residue` may include hub nodes
-/// (ink pending absorption into `hub_ink`).
-struct StoredBcaState {
-  std::vector<std::pair<uint32_t, double>> residue;   // r
-  std::vector<std::pair<uint32_t, double>> retained;  // w (non-hub)
-  std::vector<std::pair<uint32_t, double>> hub_ink;   // s (hubs only)
-  uint32_t iterations = 0;
-
-  /// \brief |r|_1 recomputed from the pairs.
-  double ResidueL1() const {
-    double s = 0.0;
-    for (const auto& [id, v] : residue) s += v;
-    return s;
-  }
-
-  /// \brief Heap bytes of the three pair lists.
-  uint64_t MemoryBytes() const {
-    return (residue.capacity() + retained.capacity() + hub_ink.capacity()) *
-           sizeof(std::pair<uint32_t, double>);
-  }
-};
-
 /// \brief Runs (and resumes) BCA for one node at a time over a fixed graph
 /// and hub set. Holds O(n) workspaces, so construct once and reuse across
 /// nodes; not thread-safe (use one runner per thread).
@@ -96,11 +74,15 @@ class BcaRunner {
   void Start(uint32_t u);
 
   /// \brief Loads a previously extracted state (e.g. from the index) so it
-  /// can be refined further.
-  void Load(const StoredBcaState& state);
+  /// can be refined further. Corruption, loading nothing, when a hub-ink
+  /// entry names a node that is not a hub: the state does not belong to
+  /// this hub set (a stored record's ids are only checked against n).
+  Status Load(const StoredBcaState& state);
 
-  /// \brief Snapshots the workspace into a serializable state.
-  StoredBcaState Extract() const;
+  /// \brief Snapshots the workspace into one state record (bca_state.h):
+  /// each list keeps its positive entries in ascending id order. Null for
+  /// the empty state.
+  SharedBcaState Extract() const;
 
   /// \brief Executes one propagation iteration with the given strategy:
   /// first moves all residue parked at hubs into s (Eq. 6), then pushes the
@@ -132,9 +114,11 @@ class BcaRunner {
   void MaterializeApprox(const HubProximityStore& store,
                          std::vector<double>* out) const;
 
-  /// \brief The K largest entries of p^t in descending value order,
-  /// computed sparsely (touched entries only). O(nnz(w) + sum of hub
-  /// vector sizes) per call — or O(nnz(p^t)) when approx tracking is on.
+  /// \brief The K largest entries of p^t in descending value order (ties
+  /// toward smaller ids). O(nnz(w) + sum of hub vector sizes) per call —
+  /// or O(nnz(p^t)) when approx tracking is on. Untracked calls scatter
+  /// into a dense workspace: each entry sums the same terms in the same
+  /// order as the tracked accumulator, so both modes agree bit for bit.
   std::vector<std::pair<uint32_t, double>> TopKApprox(
       const HubProximityStore& store, size_t k) const;
 
@@ -161,9 +145,12 @@ class BcaRunner {
   size_t last_step_pushed_ = 0;
   // Scratch reused by Step to collect the push set.
   std::vector<uint32_t> push_list_;
-  // Scratch reused by TopKApprox; authoritative p^t while tracking_store_
-  // is set.
+  // Scratch reused by Extract: the three lists' ids, segment by segment.
+  mutable std::vector<uint32_t> extract_ids_;
+  // Authoritative p^t while tracking_store_ is set.
   mutable SparseAccumulator approx_;
+  // All-zero between calls; the untracked TopKApprox scatters p^t here.
+  mutable std::vector<double> dense_;
   const HubProximityStore* tracking_store_ = nullptr;
 };
 

@@ -2,11 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "common/top_k.h"
 
 namespace rtk {
+
+namespace {
+
+// One hub's rounded vector while its column is being solved.
+struct RoundedVector {
+  std::vector<uint32_t> ids;
+  std::vector<double> values;
+};
+
+}  // namespace
+
+void HubProximityStore::Reserve(size_t num_hubs, uint64_t num_entries) {
+  offsets_.reserve(num_hubs + 1);
+  offsets_.assign(1, 0);
+  ids_.reserve(num_entries);
+  values_.reserve(num_entries);
+}
+
+void HubProximityStore::Append(HubVector vec) {
+  ids_.insert(ids_.end(), vec.ids.begin(), vec.ids.end());
+  values_.insert(values_.end(), vec.values.begin(), vec.values.end());
+  offsets_.push_back(ids_.size());
+}
 
 Result<HubProximityStore> HubProximityStore::Build(
     const TransitionOperator& op, std::vector<uint32_t> hubs,
@@ -32,30 +56,29 @@ Result<HubProximityStore> HubProximityStore::Build(
   }
 
   const size_t h = store.hubs_.size();
-  std::vector<std::vector<std::pair<uint32_t, double>>> rounded(h);
+  std::vector<RoundedVector> rounded(h);
   std::vector<uint64_t> dropped(h, 0);
   RTK_RETURN_NOT_OK(ForEachProximityColumn(
       op, store.hubs_, options.rwr, pool,
       [&](size_t i, const std::vector<double>& v) {
         for (uint32_t node = 0; node < n; ++node) {
           if (v[node] >= options.rounding_omega && v[node] > 0.0) {
-            rounded[i].emplace_back(node, v[node]);
+            rounded[i].ids.push_back(node);
+            rounded[i].values.push_back(v[node]);
           } else if (v[node] > 0.0) {
             ++dropped[i];
           }
         }
       }));
-
-  store.offsets_.assign(h + 1, 0);
+  uint64_t total = 0;
   for (size_t i = 0; i < h; ++i) {
-    store.offsets_[i + 1] = store.offsets_[i] + rounded[i].size();
+    total += rounded[i].ids.size();
     store.dropped_entries_ += dropped[i];
   }
-  store.entries_.reserve(store.offsets_[h]);
-  for (auto& vec : rounded) {
-    store.entries_.insert(store.entries_.end(), vec.begin(), vec.end());
-    vec.clear();
-    vec.shrink_to_fit();
+  store.Reserve(h, total);
+  for (RoundedVector& vec : rounded) {
+    store.Append({vec.ids, vec.values});
+    vec = {};  // freed as it is copied, as the arrays fill
   }
   return store;
 }
@@ -77,40 +100,37 @@ Result<HubProximityStore> HubProximityStore::Rebuilt(
   }
 
   const uint32_t n = op.num_nodes();
-  const size_t num_hubs = old.hubs_.size();
-  std::vector<std::vector<std::pair<uint32_t, double>>> fresh(
-      affected_hubs.size());
+  std::vector<RoundedVector> fresh(affected_hubs.size());
   RTK_RETURN_NOT_OK(ForEachProximityColumn(
       op, affected_hubs, solver, pool,
       [&](size_t i, const std::vector<double>& v) {
         for (uint32_t node = 0; node < n; ++node) {
           if (v[node] >= old.rounding_omega_ && v[node] > 0.0) {
-            fresh[i].emplace_back(node, v[node]);
+            fresh[i].ids.push_back(node);
+            fresh[i].values.push_back(v[node]);
           }
         }
       }));
 
   // Splice: fresh vectors for affected hubs, old slices otherwise.
+  std::vector<size_t> fresh_of(old.hubs_.size(), SIZE_MAX);
+  for (size_t j = 0; j < affected_hubs.size(); ++j) {
+    fresh_of[old.hub_index_[affected_hubs[j]]] = j;
+  }
+  const auto vector_of = [&](size_t i) {
+    if (fresh_of[i] == SIZE_MAX) return old.Vector(old.hubs_[i]);
+    const RoundedVector& vec = fresh[fresh_of[i]];
+    return HubVector{vec.ids, vec.values};
+  };
+  uint64_t total = 0;
+  for (size_t i = 0; i < old.hubs_.size(); ++i) total += vector_of(i).size();
   HubProximityStore store;
   store.rounding_omega_ = old.rounding_omega_;
   store.dropped_entries_ = old.dropped_entries_;
   store.hubs_ = old.hubs_;
   store.hub_index_ = old.hub_index_;
-  store.offsets_.assign(num_hubs + 1, 0);
-  size_t next_affected = 0;
-  for (size_t i = 0; i < num_hubs; ++i) {
-    const uint32_t h = store.hubs_[i];
-    if (next_affected < affected_hubs.size() &&
-        affected_hubs[next_affected] == h) {
-      const auto& vec = fresh[next_affected];
-      store.entries_.insert(store.entries_.end(), vec.begin(), vec.end());
-      ++next_affected;
-    } else {
-      const auto span = old.Vector(h);
-      store.entries_.insert(store.entries_.end(), span.begin(), span.end());
-    }
-    store.offsets_[i + 1] = store.entries_.size();
-  }
+  store.Reserve(old.hubs_.size(), total);
+  for (size_t i = 0; i < old.hubs_.size(); ++i) store.Append(vector_of(i));
   return store;
 }
 
@@ -124,7 +144,10 @@ HubProximityStore HubProximityStore::Empty(uint32_t num_nodes) {
 std::vector<std::pair<uint32_t, double>> HubProximityStore::TopK(
     uint32_t h, size_t k) const {
   TopKSelector selector(k);
-  for (const auto& [node, value] : Vector(h)) selector.Offer(node, value);
+  const HubVector vec = Vector(h);
+  for (size_t i = 0; i < vec.size(); ++i) {
+    selector.Offer(vec.ids[i], vec.values[i]);
+  }
   return selector.TakeSortedDescending();
 }
 
@@ -145,19 +168,53 @@ double HubProximityStore::RoundingErrorBound(uint32_t n, double omega,
   return std::clamp(bound, 0.0, 1.0);
 }
 
-HubProximityStore HubProximityStore::FromRaw(
+std::string HubProximityStore::PackedEntries() const {
+  constexpr size_t kEntryBytes = sizeof(uint32_t) + sizeof(double);
+  std::string packed(ids_.size() * kEntryBytes, '\0');
+  char* p = packed.data();
+  for (size_t i = 0; i < ids_.size(); ++i, p += kEntryBytes) {
+    std::memcpy(p, &ids_[i], sizeof(uint32_t));
+    std::memcpy(p + sizeof(uint32_t), &values_[i], sizeof(double));
+  }
+  return packed;
+}
+
+Result<HubProximityStore> HubProximityStore::FromRaw(
     uint32_t num_nodes, std::vector<uint32_t> hubs,
-    std::vector<uint64_t> offsets,
-    std::vector<std::pair<uint32_t, double>> entries, double rounding_omega,
-    uint64_t dropped_entries) {
+    std::vector<uint64_t> offsets, std::string_view packed_entries,
+    double rounding_omega, uint64_t dropped_entries) {
+  constexpr size_t kEntryBytes = sizeof(uint32_t) + sizeof(double);
+  for (size_t i = 0; i < hubs.size(); ++i) {
+    if (hubs[i] >= num_nodes || (i > 0 && hubs[i] <= hubs[i - 1])) {
+      return Status::Corruption("hub ids not sorted, unique and below n");
+    }
+  }
+  if (offsets.size() != hubs.size() + 1 || offsets.front() != 0 ||
+      !std::is_sorted(offsets.begin(), offsets.end()) ||
+      packed_entries.size() / kEntryBytes != offsets.back() ||
+      packed_entries.size() % kEntryBytes != 0) {
+    return Status::Corruption("hub offsets do not match the hub entries");
+  }
   HubProximityStore store;
+  store.ids_.resize(offsets.back());
+  store.values_.resize(offsets.back());
+  const char* p = packed_entries.data();
+  for (size_t i = 0; i < store.ids_.size(); ++i, p += kEntryBytes) {
+    std::memcpy(&store.ids_[i], p, sizeof(uint32_t));
+    std::memcpy(&store.values_[i], p + sizeof(uint32_t), sizeof(double));
+    if (store.ids_[i] >= num_nodes) {
+      return Status::Corruption("hub entry id " +
+                                std::to_string(store.ids_[i]) +
+                                " out of range for n=" +
+                                std::to_string(num_nodes));
+    }
+  }
   store.hubs_ = std::move(hubs);
   store.hub_index_.assign(num_nodes, UINT32_MAX);
   for (uint32_t i = 0; i < store.hubs_.size(); ++i) {
     store.hub_index_[store.hubs_[i]] = i;
   }
   store.offsets_ = std::move(offsets);
-  store.entries_ = std::move(entries);
   store.rounding_omega_ = rounding_omega;
   store.dropped_entries_ = dropped_entries;
   return store;

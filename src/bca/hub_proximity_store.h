@@ -3,17 +3,21 @@
 //
 // Each hub vector is computed exactly by the power method, 16 hubs to one
 // fused forward solve (ForEachProximityColumn), and then rounded:
-// entries below the threshold omega are dropped. Because rounding only
-// removes mass, the compressed p^t built from it remains a valid lower
-// bound (the paper's key observation in Section 4.1.3). Theorem 1 predicts
-// the storage from the power-law shape of proximity vectors; both the
-// prediction and the actual footprint are exposed for the Table 2 bench.
+// entries below the threshold omega are dropped. The kept entries live in
+// two flat arrays, node ids and values, so an entry costs the 12 bytes
+// Table 2 prices it at. Because rounding only removes mass, the
+// compressed p^t built from it remains a valid lower bound (the paper's
+// key observation in Section 4.1.3). Theorem 1 predicts the storage from
+// the power-law shape of proximity vectors; both the prediction and the
+// actual footprint are exposed for the Table 2 bench.
 
 #ifndef RTK_BCA_HUB_PROXIMITY_STORE_H_
 #define RTK_BCA_HUB_PROXIMITY_STORE_H_
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,6 +35,15 @@ struct HubStoreOptions {
   /// Rounding threshold omega; entries < omega are dropped (0 disables
   /// rounding). Paper default 1e-6 (5e-6 for the largest graph).
   double rounding_omega = 1e-6;
+};
+
+/// \brief One hub's rounded proximity vector: parallel id and value
+/// arrays, sorted by node id.
+struct HubVector {
+  std::span<const uint32_t> ids;
+  std::span<const double> values;
+
+  size_t size() const { return ids.size(); }
 };
 
 /// \brief Immutable store of rounded hub proximity vectors.
@@ -74,10 +87,11 @@ class HubProximityStore {
 
   /// \brief Rounded sparse proximity vector of hub h (sorted by node id).
   /// h must be a hub.
-  std::span<const std::pair<uint32_t, double>> Vector(uint32_t h) const {
+  HubVector Vector(uint32_t h) const {
     const uint32_t idx = hub_index_[h];
-    return {entries_.data() + offsets_[idx],
-            entries_.data() + offsets_[idx + 1]};
+    const size_t begin = offsets_[idx];
+    const size_t count = offsets_[idx + 1] - begin;
+    return {{ids_.data() + begin, count}, {values_.data() + begin, count}};
   }
 
   /// \brief The exact top-K (value-descending) of hub h's vector; exact
@@ -86,15 +100,17 @@ class HubProximityStore {
   std::vector<std::pair<uint32_t, double>> TopK(uint32_t h, size_t k) const;
 
   /// \brief Total stored entries across all hub vectors.
-  uint64_t TotalEntries() const { return entries_.size(); }
+  uint64_t TotalEntries() const { return ids_.size(); }
 
   /// \brief Entries that rounding dropped (for the Table 2 "no rounding"
   /// line: dropped + stored = full).
   uint64_t DroppedEntries() const { return dropped_entries_; }
 
-  /// \brief Heap bytes of the store.
+  /// \brief Heap bytes of the store: 12 per entry, plus per hub its id
+  /// and offset, plus the n-entry hub lookup.
   uint64_t MemoryBytes() const {
-    return entries_.capacity() * sizeof(std::pair<uint32_t, double>) +
+    return ids_.capacity() * sizeof(uint32_t) +
+           values_.capacity() * sizeof(double) +
            offsets_.capacity() * sizeof(uint64_t) +
            hubs_.capacity() * sizeof(uint32_t) +
            hub_index_.capacity() * sizeof(uint32_t);
@@ -109,25 +125,37 @@ class HubProximityStore {
   /// caused by rounding: 1 - ((1-beta)/(omega n))^(1/beta - 1).
   static double RoundingErrorBound(uint32_t n, double omega, double beta);
 
-  // -- Internal accessors used by index serialization ------------------------
+  // -- Index serialization ---------------------------------------------------
   const std::vector<uint64_t>& offsets() const { return offsets_; }
-  const std::vector<std::pair<uint32_t, double>>& entries() const {
-    return entries_;
-  }
-  static HubProximityStore FromRaw(uint32_t num_nodes,
-                                   std::vector<uint32_t> hubs,
-                                   std::vector<uint64_t> offsets,
-                                   std::vector<std::pair<uint32_t, double>> entries,
-                                   double rounding_omega,
-                                   uint64_t dropped_entries);
+
+  /// \brief Every entry in hub order as the index file stores it: packed
+  /// 12-byte (u32 id, f64 value) pairs.
+  std::string PackedEntries() const;
+
+  /// \brief Rebuilds a store from its file sections. Corruption unless the
+  /// hub ids are sorted, unique and below `num_nodes`, the offsets start
+  /// at 0, never decrease and end at the packed entry count, and every
+  /// entry id is below `num_nodes`.
+  static Result<HubProximityStore> FromRaw(uint32_t num_nodes,
+                                           std::vector<uint32_t> hubs,
+                                           std::vector<uint64_t> offsets,
+                                           std::string_view packed_entries,
+                                           double rounding_omega,
+                                           uint64_t dropped_entries);
 
  private:
   HubProximityStore() = default;
 
+  /// Sizes the arrays exactly (MemoryBytes then counts 12 bytes per
+  /// entry); Append then adds the hubs' vectors in hub order.
+  void Reserve(size_t num_hubs, uint64_t num_entries);
+  void Append(HubVector vec);
+
   std::vector<uint32_t> hubs_;        // sorted hub ids
   std::vector<uint32_t> hub_index_;   // node id -> dense hub index or UINT32_MAX
-  std::vector<uint64_t> offsets_;     // per-hub slice into entries_
-  std::vector<std::pair<uint32_t, double>> entries_;  // (node, value) sorted
+  std::vector<uint64_t> offsets_;     // per-hub slice into ids_ / values_
+  std::vector<uint32_t> ids_;         // node ids, sorted within each hub
+  std::vector<double> values_;        // values, parallel to ids_
   double rounding_omega_ = 0.0;
   uint64_t dropped_entries_ = 0;
 };

@@ -55,10 +55,13 @@ Result<std::vector<uint32_t>> SelectGreedyBca(
     for (int i = 0; i < options.max_probe_iterations; ++i) {
       if (runner.Step(PushStrategy::kBatch) == 0) break;
     }
-    const StoredBcaState state = runner.Extract();
+    const SharedBcaState extracted = runner.Extract();
+    const BcaEntryList retained = StateOf(extracted).retained();
     uint32_t best = UINT32_MAX;
     double best_ink = 0.0;
-    for (const auto& [v, ink] : state.retained) {
+    for (size_t i = 0; i < retained.size(); ++i) {
+      const uint32_t v = retained.id(i);
+      const double ink = retained.value(i);
       if (v == start || hubs.count(v)) continue;
       if (ink > best_ink || (ink == best_ink && v < best)) {
         best_ink = ink;

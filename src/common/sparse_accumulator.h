@@ -10,10 +10,8 @@
 #ifndef RTK_COMMON_SPARSE_ACCUMULATOR_H_
 #define RTK_COMMON_SPARSE_ACCUMULATOR_H_
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace rtk {
@@ -84,25 +82,6 @@ class SparseAccumulator {
       if (values_[i] > threshold) ++c;
     }
     return c;
-  }
-
-  /// \brief Extracts the nonzero entries as sorted (index, value) pairs,
-  /// dropping entries with value <= drop_below.
-  std::vector<std::pair<uint32_t, double>> ToSortedPairs(
-      double drop_below = 0.0) const {
-    std::vector<std::pair<uint32_t, double>> out;
-    out.reserve(touched_list_.size());
-    for (uint32_t i : touched_list_) {
-      if (values_[i] > drop_below) out.emplace_back(i, values_[i]);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  /// \brief Loads sorted (index, value) pairs into the workspace.
-  /// The workspace must be Clear()ed (or fresh) beforehand.
-  void FromPairs(const std::vector<std::pair<uint32_t, double>>& pairs) {
-    for (const auto& [i, v] : pairs) Add(i, v);
   }
 
   /// \brief Zeroes all touched entries. O(touched).

@@ -38,25 +38,18 @@ Result<LowerBoundIndex> RepairAffectedNodes(
   local.affected_hubs = static_cast<uint32_t>(affected_hubs.size());
   local.hub_seconds = hub_watch.ElapsedSeconds();
 
-  // 2. Copy-on-write copy sharing every storage shard with the source
-  // until written, serving the refreshed P_H if there is one. Sound
-  // because unaffected nodes' hub ink references only unaffected hubs,
-  // whose vectors the refreshed store keeps byte-identical.
+  // 2. Algorithm 1 restricted to the affected set, against the P_H the
+  // repaired index will serve. Compute first, install after (step 3):
+  // SetNode privatizes a copy-on-write shard, and the write contract is
+  // one thread per shard.
   Stopwatch bca_watch;
-  LowerBoundIndex next = new_store.has_value()
-                             ? LowerBoundIndex(index, std::move(*new_store))
-                             : index;
-  const HubProximityStore& store = next.hub_store();
-  const uint32_t capacity_k = next.capacity_k();
-  const BcaOptions& bca_opts = next.bca_options();
-
-  // 3. Algorithm 1 restricted to the affected set. Compute first
-  // (read-only against the shared shards), write after — SetNode
-  // privatizes a copy-on-write shard, and the write contract is one
-  // thread per shard.
+  const HubProximityStore& store =
+      new_store.has_value() ? *new_store : old_store;
+  const uint32_t capacity_k = index.capacity_k();
+  const BcaOptions& bca_opts = index.bca_options();
   struct RepairedRow {
     std::vector<double> values;  // descending top-K (empty = trivial bound)
-    StoredBcaState state;
+    SharedBcaState state;
     double residue_l1 = 1.0;
   };
   std::vector<RepairedRow> rows(affected.size());
@@ -87,7 +80,7 @@ Result<LowerBoundIndex> RepairAffectedNodes(
             // and confirms every candidate. Unit residue at u makes a
             // later Load() equivalent to Start(u): refinement re-derives
             // the row from scratch, exactly.
-            row.state.residue = {{u, 1.0}};
+            row.state = PackBcaState(/*iterations=*/0, {{u, 1.0}});
             continue;
           }
           if (!runner.has_value()) runner.emplace(runners.Acquire());
@@ -105,9 +98,18 @@ Result<LowerBoundIndex> RepairAffectedNodes(
     local.invalidated_nodes =
         static_cast<uint32_t>(affected.size()) - local.affected_hubs;
   }
+  local.bca_seconds = bca_watch.ElapsedSeconds();
 
-  // 4. Install the repaired rows, one task per dirty shard (`affected` is
-  // sorted, so each shard's run is contiguous and writes sequentially).
+  // 3. Install the repaired rows into a copy-on-write copy sharing every
+  // storage shard with the source until written, serving the refreshed
+  // P_H if there is one (sound because unaffected nodes' hub ink
+  // references only unaffected hubs, whose vectors the refreshed store
+  // keeps byte-identical). One task per dirty shard: `affected` is
+  // sorted, so each shard's run is contiguous and writes sequentially.
+  Stopwatch install_watch;
+  LowerBoundIndex next = new_store.has_value()
+                             ? LowerBoundIndex(index, std::move(*new_store))
+                             : index;
   std::vector<std::pair<size_t, size_t>> shard_runs;
   size_t i = 0;
   while (i < affected.size()) {
@@ -128,7 +130,7 @@ Result<LowerBoundIndex> RepairAffectedNodes(
           }
         }
       });
-  local.bca_seconds = bca_watch.ElapsedSeconds();
+  local.install_seconds = install_watch.ElapsedSeconds();
 
   if (report != nullptr) *report = local;
   return next;

@@ -59,8 +59,13 @@ struct IndexRepairReport {
   uint32_t affected_hubs = 0;
   /// Non-hub nodes reset to the trivial bound (0 when repair_bca).
   uint32_t invalidated_nodes = 0;
+  /// Re-solving the affected hubs' P_H vectors.
   double hub_seconds = 0.0;
+  /// The affected nodes' BCA re-runs (and the hubs' top-K reads) only.
   double bca_seconds = 0.0;
+  /// Installing the repaired rows into the copy-on-write copy, where
+  /// shards shared with `index` are privatized.
+  double install_seconds = 0.0;
 };
 
 /// \brief Repairs `index` against the new graph behind `op` for the

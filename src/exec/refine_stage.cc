@@ -45,7 +45,7 @@ Status RefineStage::RefineOne(uint32_t u, double p_u_q,
 
   // Incremental approx tracking keeps per-iteration cost proportional to
   // the delta instead of re-expanding every hub vector.
-  runner->Load(index_->State(u));
+  RTK_RETURN_NOT_OK(runner->Load(index_->State(u)));
   runner->BeginApproxTracking(store);
   std::vector<double> refined_topk;  // current lower bounds of u
   bool is_result = false;
@@ -137,7 +137,7 @@ void RefineStage::DecideExact(uint32_t u, double p_u_q,
     // Upgrades the index entry to exact once the caller applies it.
     while (!top.empty() && top.back() <= 0.0) top.pop_back();
     out->has_delta = true;
-    out->delta = {u, std::move(top), StoredBcaState{}, /*residue_l1=*/0.0};
+    out->delta = {u, std::move(top), nullptr, /*residue_l1=*/0.0};
   }
 }
 

@@ -17,7 +17,7 @@ namespace {
 // the builder's write path bypasses SetNode's copy-on-write check because
 // each shard is visited by exactly one worker.
 void WriteRow(IndexShard* shard, uint32_t capacity_k, uint32_t u,
-              const std::vector<double>& topk, StoredBcaState state,
+              const std::vector<double>& topk, SharedBcaState state,
               double residue_l1) {
   assert(topk.size() <= capacity_k);
   assert(std::is_sorted(topk.rbegin(), topk.rend()));
@@ -26,7 +26,7 @@ void WriteRow(IndexShard* shard, uint32_t capacity_k, uint32_t u,
       shard->topk_values.data() + static_cast<size_t>(local) * capacity_k;
   std::copy(topk.begin(), topk.end(), row);
   std::fill(row + topk.size(), row + capacity_k, 0.0);
-  shard->states[local] = ShareBcaState(std::move(state));
+  shard->states[local] = std::move(state);
   shard->residue_l1[local] = residue_l1;
 }
 
@@ -91,7 +91,7 @@ Result<LowerBoundIndex> BuildLowerBoundIndex(const TransitionOperator& op,
               values.reserve(topk.size());
               for (const auto& [id, v] : topk) values.push_back(v);
               WriteRow(&shard, options.capacity_k, u, values,
-                       StoredBcaState{}, /*residue_l1=*/0.0);
+                       /*state=*/nullptr, /*residue_l1=*/0.0);
               continue;
             }
             runner->Start(u);

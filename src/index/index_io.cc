@@ -62,13 +62,6 @@ class Writer {
     out_.write(reinterpret_cast<const char*>(data), count * sizeof(T));
     sum_.Update(data, count * sizeof(T));
   }
-  void Pairs(const std::vector<std::pair<uint32_t, double>>& pairs) {
-    Pod<uint64_t>(pairs.size());
-    for (const auto& [id, v] : pairs) {
-      Pod<uint32_t>(id);
-      Pod<double>(v);
-    }
-  }
   uint64_t checksum() const { return sum_.hash(); }
   bool good() const { return out_.good(); }
 
@@ -95,15 +88,14 @@ class Reader {
     sum_.Update(data, count * sizeof(T));
     return true;
   }
-  bool Pairs(std::vector<std::pair<uint32_t, double>>* pairs,
-             uint64_t sanity_cap) {
-    uint64_t count = 0;
-    if (!Pod(&count) || count > sanity_cap) return false;
-    pairs->resize(count);
-    for (auto& [id, v] : *pairs) {
-      if (!Pod(&id) || !Pod(&v)) return false;
-    }
-    return true;
+  /// Bytes left in the file: the bound for a count read from a header
+  /// whose checksum has not been verified yet, before allocating by it.
+  uint64_t Remaining() {
+    const std::streampos here = in_.tellg();
+    in_.seekg(0, std::ios::end);
+    const std::streampos end = in_.tellg();
+    in_.seekg(here);
+    return static_cast<uint64_t>(end - here);
   }
   uint64_t checksum() const { return sum_.hash(); }
 
@@ -126,13 +118,6 @@ class BufWriter {
     static_assert(std::is_trivially_copyable_v<T>);
     out_.append(reinterpret_cast<const char*>(data), count * sizeof(T));
   }
-  void Pairs(const std::vector<std::pair<uint32_t, double>>& pairs) {
-    Pod<uint64_t>(pairs.size());
-    for (const auto& [id, v] : pairs) {
-      Pod<uint32_t>(id);
-      Pod<double>(v);
-    }
-  }
   std::string Take() { return std::move(out_); }
 
  private:
@@ -140,7 +125,8 @@ class BufWriter {
 };
 
 // Serializes shard s's node records (identical record layout in v1 and
-// v2; v1 simply streams the records of all nodes back to back).
+// v2; v1 simply streams the records of all nodes back to back). A node's
+// BCA state is stored in its file layout already: its bytes copy once.
 std::string SerializeShard(const LowerBoundIndex& index, uint32_t s) {
   BufWriter w;
   const uint32_t k = index.capacity_k();
@@ -148,11 +134,8 @@ std::string SerializeShard(const LowerBoundIndex& index, uint32_t s) {
   for (uint32_t u = lo; u < hi; ++u) {
     w.Array(index.LowerBounds(u).data(), k);
     w.Pod(index.ResidueL1(u));
-    const StoredBcaState& st = index.State(u);
-    w.Pod<uint32_t>(st.iterations);
-    w.Pairs(st.residue);
-    w.Pairs(st.retained);
-    w.Pairs(st.hub_ink);
+    const std::string_view state = index.State(u).bytes();
+    w.Array(state.data(), state.size());
   }
   return w.Take();
 }
@@ -187,21 +170,8 @@ void WriteHubMeta(Writer* w, const HubProximityStore& store) {
 
 void WriteHubStore(Writer* w, const HubProximityStore& store) {
   WriteHubMeta(w, store);
-  for (const auto& [id, v] : store.entries()) {
-    w->Pod(id);
-    w->Pod(v);
-  }
-}
-
-// The packed (u32, f64) entry blob a v3 file stores as its own
-// checksummed section (after the header checksum, before shard payloads).
-std::string SerializeHubBlob(const HubProximityStore& store) {
-  BufWriter w;
-  for (const auto& [id, v] : store.entries()) {
-    w.Pod(id);
-    w.Pod(v);
-  }
-  return w.Take();
+  const std::string entries = store.PackedEntries();
+  w->Array(entries.data(), entries.size());
 }
 
 // Reads the hub-store section (shared by both format versions; the v1 and
@@ -223,17 +193,17 @@ Result<HubProximityStore> ReadHubStore(Reader* r, uint32_t n) {
     return Status::Corruption("bad hub offsets");
   }
   const uint64_t total_entries = offsets.empty() ? 0 : offsets.back();
-  if (total_entries > static_cast<uint64_t>(n) * num_hubs) {
-    return Status::Corruption("hub entry count exceeds n*|H|");
+  constexpr size_t kEntryBytes = sizeof(uint32_t) + sizeof(double);
+  if (total_entries > static_cast<uint64_t>(n) * num_hubs ||
+      total_entries > r->Remaining() / kEntryBytes) {
+    return Status::Corruption("hub entry count exceeds n*|H| or the file");
   }
-  std::vector<std::pair<uint32_t, double>> entries(total_entries);
-  for (auto& [id, v] : entries) {
-    if (!r->Pod(&id) || !r->Pod(&v)) {
-      return Status::Corruption("bad hub entries");
-    }
+  std::string entries(total_entries * kEntryBytes, '\0');
+  if (!r->Array(entries.data(), entries.size())) {
+    return Status::Corruption("bad hub entries");
   }
   return HubProximityStore::FromRaw(n, std::move(hubs), std::move(offsets),
-                                    std::move(entries), omega, dropped);
+                                    entries, omega, dropped);
 }
 
 struct CommonHeader {
@@ -305,7 +275,7 @@ Status SaveIndexSharded(const LowerBoundIndex& index, std::ofstream& out,
   } else {
     const HubProximityStore& hubs = index.hub_store();
     WriteHubMeta(&w, hubs);
-    hub_blob = SerializeHubBlob(hubs);
+    hub_blob = hubs.PackedEntries();
     w.Pod<uint64_t>(Fnv1a64(hub_blob));
   }
   w.Pod<uint32_t>(index.shard_nodes());
@@ -386,26 +356,16 @@ Result<LowerBoundIndex> LoadIndexV1(Reader& r, std::ifstream& in,
   }
   RTK_ASSIGN_OR_RETURN(HubProximityStore store, ReadHubStore(&r, header.n));
 
-  LowerBoundIndex index(header.n, header.k, header.bca, std::move(store));
-  std::vector<double> topk(header.k);
-  for (uint32_t u = 0; u < header.n; ++u) {
-    if (!r.Array(topk.data(), header.k)) {
-      return Status::Corruption("bad top-K row for node " + std::to_string(u));
-    }
-    double residue_l1 = 0.0;
-    StoredBcaState st;
-    uint32_t iters = 0;
-    if (!r.Pod(&residue_l1) || !r.Pod(&iters) ||
-        !r.Pairs(&st.residue, header.n) || !r.Pairs(&st.retained, header.n) ||
-        !r.Pairs(&st.hub_ink, header.n)) {
-      return Status::Corruption("bad BCA state for node " + std::to_string(u));
-    }
-    st.iterations = iters;
-    // Strip the zero padding so SetNode's descending-order contract holds.
-    size_t len = header.k;
-    while (len > 0 && topk[len - 1] == 0.0) --len;
-    index.SetNode(u, std::vector<double>(topk.begin(), topk.begin() + len),
-                  std::move(st), residue_l1);
+  // The node records run from here to the final checksum field: read them
+  // in one piece, verify, then parse them shard by shard with the v2/v3
+  // record parser.
+  const uint64_t remaining = r.Remaining();
+  if (remaining < sizeof(uint64_t)) {
+    return Status::Corruption("index file truncated: " + path);
+  }
+  std::string records(remaining - sizeof(uint64_t), '\0');
+  if (!r.Array(records.data(), records.size())) {
+    return Status::Corruption("short read in node records: " + path);
   }
   const uint64_t expected_sum = r.checksum();
   uint64_t stored_sum = 0;
@@ -413,10 +373,18 @@ Result<LowerBoundIndex> LoadIndexV1(Reader& r, std::ifstream& in,
   if (!in.good() || stored_sum != expected_sum) {
     return Status::Corruption("index checksum mismatch: " + path);
   }
-  // The checksum is the final field; any trailing bytes mean the file was
-  // not produced by SaveIndex (or was corrupted by concatenation).
-  if (in.peek() != std::ifstream::traits_type::eof()) {
-    return Status::Corruption("trailing bytes after index checksum: " + path);
+
+  LowerBoundIndex index(header.n, header.k, header.bca, std::move(store));
+  std::string_view rest = records;
+  for (uint32_t s = 0; s < index.num_shards(); ++s) {
+    RTK_RETURN_NOT_OK(
+        ParseNodeRecords(&rest, header.n, header.k, &index.MutableShard(s)));
+  }
+  // The checksum is the final field; bytes left over mean the file was not
+  // produced by SaveIndex (or was corrupted by concatenation).
+  if (!rest.empty()) {
+    return Status::Corruption("trailing bytes after the last node record: " +
+                              path);
   }
   return index;
 }
@@ -564,16 +532,13 @@ Result<LowerBoundIndex> LoadIndexSharded(Reader& r, std::ifstream& in,
     if (Fnv1a64(blob) != hub_blob_checksum) {
       return Status::Corruption("checksum mismatch in hub store: " + path);
     }
-    std::vector<std::pair<uint32_t, double>> entries(hub_entries);
-    const char* p = blob.data();
-    for (auto& [id, v] : entries) {
-      std::memcpy(&id, p, sizeof(uint32_t));
-      std::memcpy(&v, p + sizeof(uint32_t), sizeof(double));
-      p += sizeof(uint32_t) + sizeof(double);
+    Result<HubProximityStore> parsed = HubProximityStore::FromRaw(
+        header.n, std::move(hub_ids), std::move(hub_offsets), blob, hub_omega,
+        hub_dropped);
+    if (!parsed.ok()) {
+      return Status::Corruption(parsed.status().message() + ": " + path);
     }
-    store.emplace(HubProximityStore::FromRaw(
-        header.n, std::move(hub_ids), std::move(hub_offsets),
-        std::move(entries), hub_omega, hub_dropped));
+    store.emplace(std::move(*parsed));
   }
 
   LowerBoundIndex index(header.n, header.k, header.bca, std::move(*store),

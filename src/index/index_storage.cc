@@ -6,14 +6,6 @@
 
 namespace rtk {
 
-SharedBcaState ShareBcaState(StoredBcaState state) {
-  if (state.residue.empty() && state.retained.empty() &&
-      state.hub_ink.empty() && state.iterations == 0) {
-    return nullptr;
-  }
-  return std::make_shared<const StoredBcaState>(std::move(state));
-}
-
 IndexStorage::IndexStorage(uint32_t num_nodes, uint32_t capacity_k,
                            uint32_t shard_nodes)
     : num_nodes_(num_nodes),
@@ -115,6 +107,13 @@ IndexShard& IndexStorage::MutableShard(uint32_t s) {
 
 ShardScanView IndexStorage::ScanView(uint32_t s) const {
   ShardScanView view;
+  // The lazy verdict first (memoized; a load once the shard is verified):
+  // a shard whose file bytes failed verification serves nothing, not even
+  // the zero-knowledge stand-in a fault left resident.
+  if (source_ != nullptr) {
+    view.status = source_->VerifyShard(s);
+    if (!view.status.ok()) return view;
+  }
   const IndexShard* v = slots_[s].view.load(std::memory_order_acquire);
   if (v != nullptr) {
     view.resident = true;
@@ -122,8 +121,7 @@ ShardScanView IndexStorage::ScanView(uint32_t s) const {
     view.residues = v->residue_l1;
     return view;
   }
-  view.status = source_->VerifyShard(s);
-  if (view.status.ok()) view.payload = source_->ShardBytes(s);
+  view.payload = source_->ShardBytes(s);
   return view;
 }
 

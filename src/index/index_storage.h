@@ -9,11 +9,12 @@
 // snapshot therefore costs O(dirty shards): shards untouched by the
 // refinement batch are shared between the old and new epoch forever.
 //
-// A row's BCA state is immutable once installed and held by shared
-// pointer, so a privatization copies the shard's bound and residue arrays
-// plus one pointer per row — never the residue lists, which are most of
-// the index. A write replaces one row's pointer; the state it drops stays
-// alive for every other shard copy (and older snapshot) still holding it.
+// A row's BCA state is one immutable record blob (bca/bca_state.h) held by
+// shared pointer, so a privatization copies the shard's bound and residue
+// arrays plus one pointer per row — never the state records, which are
+// most of the index. A write replaces one row's pointer; the state it
+// drops stays alive for every other shard copy (and older snapshot) still
+// holding it.
 //
 // Storage tiers (shard_backing.h):
 //  * heap  — every shard heap-resident from construction (builders, v1
@@ -57,28 +58,12 @@
 #include <utility>
 #include <vector>
 
-#include "bca/bca.h"
+#include "bca/bca_state.h"
 #include "common/status.h"
 
 namespace rtk {
 
 class MmapShardSource;
-
-/// \brief One row's resumable BCA state as a shard stores it: immutable,
-/// shared by every shard copy holding the row. Null stands for the empty
-/// state (exact and hub nodes, fresh storage).
-using SharedBcaState = std::shared_ptr<const StoredBcaState>;
-
-/// \brief Wraps `state` for a shard row: null for the empty state (every
-/// list empty, zero iterations), otherwise one shared allocation.
-SharedBcaState ShareBcaState(StoredBcaState state);
-
-/// \brief The state a row's pointer stands for (null: the empty state).
-/// The reference lives as long as some holder of `state`.
-inline const StoredBcaState& StateOf(const SharedBcaState& state) {
-  static const StoredBcaState kEmpty;
-  return state != nullptr ? *state : kEmpty;
-}
 
 /// \brief One contiguous slice of nodes [begin_node, end_node) with its
 /// rows of every per-node index array.
@@ -110,7 +95,8 @@ enum class StorageTier {
 
 /// \brief A prune-scan view of one shard: either heap spans (resident) or
 /// the raw mapped payload bytes (cold), never both. status carries the
-/// lazy checksum verdict — a corrupt shard yields neither.
+/// mmap tier's lazy verdict (checksum, then records) — a corrupt shard
+/// yields neither, resident or not.
 struct ShardScanView {
   Status status;  // OK, or Corruption pinned to this shard
   bool resident = false;
@@ -118,8 +104,8 @@ struct ShardScanView {
   /// ShardResidues always returned).
   std::span<const double> bounds;
   std::span<const double> residues;
-  /// Cold: the shard's serialized records in the mapping, checksum-
-  /// verified; decode with ShardPayloadCursor (shard_backing.h).
+  /// Cold: the shard's serialized records in the mapping, verified;
+  /// decode with ShardPayloadCursor (shard_backing.h).
   std::string_view payload;
 };
 

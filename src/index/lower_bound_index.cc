@@ -79,7 +79,7 @@ LowerBoundIndex::LowerBoundIndex(const LowerBoundIndex& other,
 }
 
 void LowerBoundIndex::SetNode(uint32_t u, const std::vector<double>& topk,
-                              StoredBcaState state, double residue_l1) {
+                              SharedBcaState state, double residue_l1) {
   assert(u < num_nodes_);
   assert(topk.size() <= capacity_k_);
   assert(std::is_sorted(topk.rbegin(), topk.rend()));
@@ -89,7 +89,7 @@ void LowerBoundIndex::SetNode(uint32_t u, const std::vector<double>& topk,
       shard.topk_values.data() + static_cast<size_t>(local) * capacity_k_;
   std::copy(topk.begin(), topk.end(), row);
   std::fill(row + topk.size(), row + capacity_k_, 0.0);
-  shard.states[local] = ShareBcaState(std::move(state));
+  shard.states[local] = std::move(state);
   shard.residue_l1[local] = residue_l1;
 }
 
@@ -135,14 +135,16 @@ IndexStats LowerBoundIndex::ComputeStats() const {
     const uint64_t topk_bytes =
         (shard.topk_values.capacity() + shard.residue_l1.capacity()) *
         sizeof(double);
-    // Per row: the state pointer, and the state it points to (three
-    // vector headers + iteration counter, then the pair lists). A state
+    // Per row: the state pointer, and the record it points to. A state
     // shared with other copies counts in each index holding it.
     uint64_t state_bytes = shard.states.capacity() * sizeof(SharedBcaState);
     for (const SharedBcaState& state : shard.states) {
-      if (state != nullptr) {
-        state_bytes += sizeof(StoredBcaState) + state->MemoryBytes();
-      }
+      if (state == nullptr) continue;
+      const StoredBcaState view(state.get());
+      state_bytes += view.bytes().size();
+      ++stats.stored_states;
+      stats.state_entries += view.residue().size() + view.retained().size() +
+                             view.hub_ink().size();
     }
     stats.topk_bytes += topk_bytes;
     stats.state_bytes += state_bytes;

@@ -48,11 +48,17 @@ struct IndexStats {
   uint32_t resident_shards = 0;
   /// Bytes of the mmap'd index file backing cold shards (0 in heap tier).
   uint64_t mmap_bytes = 0;
-  uint64_t topk_bytes = 0;       // the K x n lower-bound matrix P_hat
-  uint64_t state_bytes = 0;      // R, W, S sparse states: per row the
-                                 // state pointer plus the state it points
-                                 // to (lists included)
-  uint64_t hub_store_bytes = 0;  // rounded P_H
+  uint64_t topk_bytes = 0;  // the K x n lower-bound matrix P_hat
+  /// R, W, S sparse states: per row its state pointer, plus per stored
+  /// state its record — 28 header bytes and 12 per entry (bca_state.h).
+  /// A state shared with other index copies counts in each; allocator
+  /// and reference-count headers are not counted.
+  uint64_t state_bytes = 0;
+  uint64_t stored_states = 0;  // rows holding a non-empty state
+  uint64_t state_entries = 0;  // (id, value) entries across those states
+  /// Rounded P_H: 12 bytes per entry, plus per hub its id and offset, plus
+  /// the n-entry node-to-hub lookup.
+  uint64_t hub_store_bytes = 0;
   uint64_t hub_entries_stored = 0;
   uint64_t hub_entries_dropped = 0;  // removed by rounding
   uint64_t exact_nodes = 0;          // nodes whose BCA fully converged
@@ -74,7 +80,9 @@ struct IndexDelta {
   /// Descending lower bounds, at most capacity_k entries (short lists are
   /// zero-padded on apply, exactly like SetNode).
   std::vector<double> topk;
-  StoredBcaState state;
+  /// The refined state's record (null: the empty state). The log and
+  /// ApplyIfTighter pass this pointer on; the record is never copied.
+  SharedBcaState state;
   /// |r|_1 of `state`; 0 means `topk` is exact.
   double residue_l1 = 1.0;
 };
@@ -259,11 +267,11 @@ class LowerBoundIndex {
   /// \brief True when u's stored values are exact top-K proximities.
   bool IsExact(uint32_t u) const { return ResidueL1(u) == 0.0; }
 
-  /// \brief The stored BCA state of u (empty lists for exact/hub nodes).
-  /// States are immutable and shared between copies: the reference stays
-  /// valid until this index object replaces u's state (a write of u) or
-  /// is destroyed, and outlives both while a copy still holds the state.
-  const StoredBcaState& State(uint32_t u) const {
+  /// \brief A view of u's stored BCA state (empty lists for exact/hub
+  /// nodes). States are immutable and shared between copies: the view
+  /// stays valid until this index object replaces u's state (a write of u)
+  /// or is destroyed, and outlives both while a copy still holds the state.
+  StoredBcaState State(uint32_t u) const {
     const IndexShard& shard = storage_.shard(storage_.ShardOf(u));
     return StateOf(shard.states[u - shard.begin_node]);
   }
@@ -274,7 +282,7 @@ class LowerBoundIndex {
   /// Copy-on-write: privatizes u's shard iff it is shared, then replaces
   /// u's state pointer (the old state stays with the copies holding it).
   void SetNode(uint32_t u, const std::vector<double>& topk,
-               StoredBcaState state, double residue_l1);
+               SharedBcaState state, double residue_l1);
 
   /// \brief Merges a refinement delta, keeping the tighter entry: the delta
   /// is installed iff its residue is strictly smaller than the stored one

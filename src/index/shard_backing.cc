@@ -13,8 +13,7 @@ namespace {
 
 // Record geometry of one serialized node (index_io.h format): the fixed
 // prefix is f64 topk[K], f64 residue_l1, u32 iterations; then three
-// (u64 count, count x (u32,f64)) pair lists.
-constexpr size_t kPairBytes = sizeof(uint32_t) + sizeof(double);
+// (u64 count, count x (u32,f64)) pair lists (bca/bca_state.h).
 
 size_t FixedPrefixBytes(uint32_t capacity_k) {
   return (static_cast<size_t>(capacity_k) + 1) * sizeof(double) +
@@ -48,43 +47,50 @@ uint64_t Fnv1a64(std::string_view bytes) {
 // ------------------------------------------------------------------------
 // ParseShardRecords
 
-Status ParseShardRecords(std::string_view payload, uint32_t num_nodes,
-                         uint32_t capacity_k, IndexShard* shard) {
-  size_t pos = 0;
-  auto read_pod = [&](void* out, size_t len) {
-    if (payload.size() - pos < len) return false;
-    std::memcpy(out, payload.data() + pos, len);
-    pos += len;
-    return true;
-  };
-  auto read_pairs = [&](std::vector<std::pair<uint32_t, double>>* pairs) {
-    uint64_t count = 0;
-    if (!read_pod(&count, sizeof(count)) || count > num_nodes) return false;
-    if (count > (payload.size() - pos) / kPairBytes) return false;
-    pairs->resize(count);
-    for (auto& [id, v] : *pairs) {
-      if (!read_pod(&id, sizeof(id)) || !read_pod(&v, sizeof(v))) {
-        return false;
-      }
-    }
-    return true;
-  };
+Status ParseNodeRecords(std::string_view* records, uint32_t num_nodes,
+                        uint32_t capacity_k, IndexShard* shard) {
+  const size_t row_bytes = static_cast<size_t>(capacity_k) * sizeof(double);
   for (uint32_t u = shard->begin_node; u < shard->end_node; ++u) {
     const uint32_t local = u - shard->begin_node;
-    double* row =
-        shard->topk_values.data() + static_cast<size_t>(local) * capacity_k;
-    StoredBcaState st;
-    uint32_t iters = 0;
-    if (!read_pod(row, static_cast<size_t>(capacity_k) * sizeof(double)) ||
-        !read_pod(&shard->residue_l1[local], sizeof(double)) ||
-        !read_pod(&iters, sizeof(iters)) || !read_pairs(&st.residue) ||
-        !read_pairs(&st.retained) || !read_pairs(&st.hub_ink)) {
-      return Status::Corruption("bad BCA state for node " + std::to_string(u));
+    if (records->size() < row_bytes + sizeof(double)) {
+      return Status::Corruption("truncated record for node " +
+                                std::to_string(u));
     }
-    st.iterations = iters;
-    shard->states[local] = ShareBcaState(std::move(st));
+    std::memcpy(shard->topk_values.data() + local * size_t{capacity_k},
+                records->data(), row_bytes);
+    std::memcpy(&shard->residue_l1[local], records->data() + row_bytes,
+                sizeof(double));
+    records->remove_prefix(row_bytes + sizeof(double));
+    Status st = ReadBcaStateRecord(records, num_nodes, &shard->states[local]);
+    if (!st.ok()) {
+      return Status::Corruption("bad BCA state for node " + std::to_string(u) +
+                                ": " + st.message());
+    }
   }
-  if (pos != payload.size()) {
+  return Status::OK();
+}
+
+Status CheckShardRecords(std::string_view payload, uint32_t num_nodes,
+                         uint32_t capacity_k, uint32_t num_local_nodes) {
+  const size_t bounds_bytes =
+      (static_cast<size_t>(capacity_k) + 1) * sizeof(double);
+  for (uint32_t local = 0; local < num_local_nodes; ++local) {
+    size_t length = 0;
+    if (payload.size() < bounds_bytes) {
+      return Status::Corruption("truncated record");
+    }
+    payload.remove_prefix(bounds_bytes);
+    RTK_RETURN_NOT_OK(CheckBcaStateRecord(payload, num_nodes, &length));
+    payload.remove_prefix(length);
+  }
+  if (!payload.empty()) return Status::Corruption("trailing bytes");
+  return Status::OK();
+}
+
+Status ParseShardRecords(std::string_view payload, uint32_t num_nodes,
+                         uint32_t capacity_k, IndexShard* shard) {
+  RTK_RETURN_NOT_OK(ParseNodeRecords(&payload, num_nodes, capacity_k, shard));
+  if (!payload.empty()) {
     return Status::Corruption("trailing bytes in shard of node " +
                               std::to_string(shard->begin_node));
   }
@@ -112,11 +118,11 @@ bool ShardPayloadCursor::Next() {
     }
     std::memcpy(&count, payload_.data() + p, sizeof(count));
     p += sizeof(count);
-    if (count > (payload_.size() - p) / kPairBytes) {
+    if (count > (payload_.size() - p) / kBcaEntryBytes) {
       ok_ = false;
       return false;
     }
-    p += static_cast<size_t>(count) * kPairBytes;
+    p += static_cast<size_t>(count) * kBcaEntryBytes;
   }
   pos_ = p;
   have_record_ = true;
@@ -190,24 +196,31 @@ Result<std::shared_ptr<MmapShardSource>> MmapShardSource::Open(
 }
 
 Status MmapShardSource::VerifyShard(uint32_t s) const {
+  const auto failure = [&](uint8_t verdict) {
+    return Status::Corruption(
+        (verdict == 2 ? "checksum mismatch in shard " : "bad records in shard ") +
+        std::to_string(s) + ": " + path_);
+  };
   uint8_t v = verified_[s].load(std::memory_order_acquire);
   if (v == 0) {
-    // A benign race here hashes the same immutable bytes twice and stores
+    // A benign race here checks the same immutable bytes twice and stores
     // the same verdict.
-    if (Fnv1a64(ShardBytes(s)) == layout_.checksums[s]) {
-      v = 1;
-    } else {
+    const std::string_view bytes = ShardBytes(s);
+    const uint32_t first = s * shard_nodes();
+    if (Fnv1a64(bytes) != layout_.checksums[s]) {
       v = 2;
-      RecordError(Status::Corruption("checksum mismatch in shard " +
-                                     std::to_string(s) + ": " + path_));
+    } else if (!CheckShardRecords(bytes, num_nodes(), capacity_k(),
+                                  std::min(num_nodes() - first,
+                                           shard_nodes()))
+                    .ok()) {
+      v = 3;
+    } else {
+      v = 1;
     }
+    if (v != 1) RecordError(failure(v));
     verified_[s].store(v, std::memory_order_release);
   }
-  if (v != 1) {
-    return Status::Corruption("checksum mismatch in shard " +
-                              std::to_string(s) + ": " + path_);
-  }
-  return Status::OK();
+  return v == 1 ? Status::OK() : failure(v);
 }
 
 std::shared_ptr<IndexShard> MmapShardSource::Materialize(uint32_t s) const {
@@ -230,7 +243,7 @@ std::shared_ptr<IndexShard> MmapShardSource::Materialize(uint32_t s) const {
     AdviseRegion(bytes.data(), bytes.size(), MADV_WILLNEED);
     st = ParseShardRecords(bytes, num_nodes(), capacity_k(), shard.get());
     if (!st.ok()) {
-      verified_[s].store(2, std::memory_order_release);
+      verified_[s].store(3, std::memory_order_release);
       RecordError(st);
       // Reset to the zero-knowledge shard: zero bounds with unit residues
       // are valid (maximally loose) lower bounds, so reference-returning
@@ -304,21 +317,15 @@ Result<const HubProximityStore*> LazyHubStore::Get() const {
     status_ = blob.status();
     return status_;
   }
-  const uint64_t num_entries = offsets_.empty() ? 0 : offsets_.back();
-  if (blob->size() != num_entries * kPairBytes) {
-    status_ = Status::Corruption("hub blob size mismatch: " + source_->path());
+  Result<HubProximityStore> store = HubProximityStore::FromRaw(
+      num_nodes_, std::move(hubs_), std::move(offsets_), *blob,
+      rounding_omega_, dropped_entries_);
+  if (!store.ok()) {
+    status_ = Status::Corruption(store.status().message() + ": " +
+                                 source_->path());
     return status_;
   }
-  std::vector<std::pair<uint32_t, double>> entries(num_entries);
-  const char* p = blob->data();
-  for (auto& [id, value] : entries) {
-    std::memcpy(&id, p, sizeof(uint32_t));
-    std::memcpy(&value, p + sizeof(uint32_t), sizeof(double));
-    p += kPairBytes;
-  }
-  store_ = std::make_unique<const HubProximityStore>(HubProximityStore::FromRaw(
-      num_nodes_, std::move(hubs_), std::move(offsets_), std::move(entries),
-      rounding_omega_, dropped_entries_));
+  store_ = std::make_unique<const HubProximityStore>(std::move(*store));
   view_.store(store_.get(), std::memory_order_release);
   return store_.get();
 }

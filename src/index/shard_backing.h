@@ -48,13 +48,28 @@ namespace rtk {
 /// mmap verification, so the three can never disagree.
 uint64_t Fnv1a64(std::string_view bytes);
 
-/// \brief Parses one shard's serialized node records (the v2 payload
-/// layout: f64 topk[K], f64 residue_l1, u32 iterations, 3 x pair list)
-/// into `shard`, whose node range and vectors must already be sized for
-/// the shard. Shared by the eager loader and lazy materialization so both
+/// \brief Parses the serialized node records of `shard`'s nodes (f64
+/// topk[K], f64 residue_l1, then the BCA state record of bca_state.h) from
+/// the front of `*records` into `shard`, whose node range and vectors must
+/// already be sized for the shard, and advances `*records` past them. Each
+/// state record goes through ReadBcaStateRecord, so ids are range-checked
+/// and the bytes are copied once. Shared by every eager loader (v1's
+/// monolithic record stream included) and lazy materialization, so all
 /// tiers produce bit-identical shards from the same bytes.
+Status ParseNodeRecords(std::string_view* records, uint32_t num_nodes,
+                        uint32_t capacity_k, IndexShard* shard);
+
+/// \brief ParseNodeRecords over one whole v2/v3 shard payload: Corruption
+/// if bytes remain after the shard's last record.
 Status ParseShardRecords(std::string_view payload, uint32_t num_nodes,
                          uint32_t capacity_k, IndexShard* shard);
+
+/// \brief Checks one shard payload in place, copying nothing: exactly
+/// `num_local_nodes` complete records, each state record valid
+/// (CheckBcaStateRecord). The mmap tier's lazy verification runs it after
+/// the checksum, so a cold scan rejects what a fault would reject.
+Status CheckShardRecords(std::string_view payload, uint32_t num_nodes,
+                         uint32_t capacity_k, uint32_t num_local_nodes);
 
 /// \brief Streaming decoder over one shard's raw serialized records.
 ///
@@ -167,9 +182,10 @@ class MmapShardSource {
             static_cast<size_t>(layout_.offsets[s + 1] - layout_.offsets[s])};
   }
 
-  /// \brief Verifies shard s's checksum, memoized: the FNV pass runs at
-  /// most once per shard per process (twice under a benign race). A
-  /// mismatch is sticky and pins the Corruption to this shard.
+  /// \brief Verifies shard s's checksum and then its records
+  /// (CheckShardRecords), memoized: the passes run at most once per shard
+  /// per process (twice under a benign race). A failure is sticky and pins
+  /// the Corruption to this shard.
   Status VerifyShard(uint32_t s) const;
 
   /// \brief Heap-materializes shard s (verify + parse), memoized so every
@@ -231,8 +247,9 @@ class MmapShardSource {
   size_t map_len_ = 0;
   MmapSourceLayout layout_;
 
-  /// 0 = unverified, 1 = ok, 2 = corrupt. Relaxed double-computation is
-  /// benign: both racers hash the same immutable bytes.
+  /// 0 = unverified, 1 = ok, 2 = checksum mismatch, 3 = malformed records.
+  /// Relaxed double-computation is benign: both racers check the same
+  /// immutable bytes.
   std::unique_ptr<std::atomic<uint8_t>[]> verified_;
   mutable std::atomic<uint8_t> hub_verified_{0};  // same 0/1/2 protocol
   std::unique_ptr<std::atomic<uint8_t>[]> dirty_;

@@ -6,9 +6,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "bca/bca.h"
+#include "bca/bca_state.h"
 #include "bca/hub_proximity_store.h"
 #include "bca/hub_selection.h"
 #include "common/rng.h"
@@ -23,8 +27,8 @@ namespace {
 double InkTotal(const BcaRunner& runner, const StoredBcaState& state) {
   (void)runner;
   double total = state.ResidueL1();
-  for (const auto& [id, v] : state.retained) total += v;
-  for (const auto& [id, v] : state.hub_ink) total += v;
+  for (const auto& [id, v] : state.retained().ToPairs()) total += v;
+  for (const auto& [id, v] : state.hub_ink().ToPairs()) total += v;
   return total;
 }
 
@@ -132,8 +136,9 @@ TEST(HubProximityStoreTest, StoresExactVectorsUnrounded) {
   EXPECT_FALSE(store->IsHub(2));
   Result<std::vector<double>> exact = ComputeProximityColumn(op, 0);
   ASSERT_TRUE(exact.ok());
-  for (const auto& [node, value] : store->Vector(0)) {
-    EXPECT_NEAR(value, (*exact)[node], 1e-9);
+  const HubVector vec = store->Vector(0);
+  for (size_t i = 0; i < vec.size(); ++i) {
+    EXPECT_NEAR(vec.values[i], (*exact)[vec.ids[i]], 1e-9);
   }
   EXPECT_EQ(store->Vector(0).size(), 6u);
   EXPECT_EQ(store->DroppedEntries(), 0u);
@@ -157,7 +162,7 @@ TEST(HubProximityStoreTest, RoundingDropsSmallEntries) {
   EXPECT_LT(a->TotalEntries(), b->TotalEntries());
   EXPECT_GT(a->DroppedEntries(), 0u);
   // Every surviving entry is >= omega and matches the unrounded value.
-  for (const auto& [node, value] : a->Vector(1)) {
+  for (double value : a->Vector(1).values) {
     EXPECT_GE(value, 1e-3);
   }
 }
@@ -225,7 +230,7 @@ TEST(HubProximityStoreTest, RoundingErrorWithinProposition3Bound) {
   Result<std::vector<double>> exact = ComputeProximityColumn(op, 0);
   ASSERT_TRUE(exact.ok());
   double kept = 0.0;
-  for (const auto& [node, value] : store->Vector(0)) kept += value;
+  for (double value : store->Vector(0).values) kept += value;
   const double dropped_mass = 1.0 - kept;
   EXPECT_GE(dropped_mass, 0.0);
   // Trivial sanity: dropped mass < omega * n.
@@ -262,13 +267,14 @@ TEST_F(BcaToyTest, ReproducesFigure2StateForNode4) {
   runner.Start(3);
   runner.RunToTermination(PushStrategy::kBatch);
   EXPECT_NEAR(runner.ResidueL1(), 0.361, 0.001);
-  StoredBcaState state = runner.Extract();
-  ASSERT_EQ(state.hub_ink.size(), 1u);
-  EXPECT_EQ(state.hub_ink[0].first, 1u);  // hub node 2 (0-based 1)
-  EXPECT_NEAR(state.hub_ink[0].second, 0.425, 1e-9);
-  ASSERT_EQ(state.retained.size(), 2u);
-  EXPECT_NEAR(state.retained[0].second, 0.15, 1e-9);     // node 4 itself
-  EXPECT_NEAR(state.retained[1].second, 0.063750, 1e-6);  // node 5
+  const SharedBcaState extracted = runner.Extract();
+  const StoredBcaState state = StateOf(extracted);
+  ASSERT_EQ(state.hub_ink().size(), 1u);
+  EXPECT_EQ(state.hub_ink().id(0), 1u);  // hub node 2 (0-based 1)
+  EXPECT_NEAR(state.hub_ink().value(0), 0.425, 1e-9);
+  ASSERT_EQ(state.retained().size(), 2u);
+  EXPECT_NEAR(state.retained().value(0), 0.15, 1e-9);     // node 4 itself
+  EXPECT_NEAR(state.retained().value(1), 0.063750, 1e-6);  // node 5
 }
 
 TEST_F(BcaToyTest, ReproducesFigure2ApproxVectors) {
@@ -303,7 +309,8 @@ TEST_F(BcaToyTest, InkConservationThroughoutRun) {
   BcaRunner runner(*op_, {0, 1}, PaperOptions());
   runner.Start(5);
   for (int step = 0; step < 30; ++step) {
-    StoredBcaState state = runner.Extract();
+    const SharedBcaState extracted = runner.Extract();
+    const StoredBcaState state = StateOf(extracted);
     EXPECT_NEAR(InkTotal(runner, state), 1.0, 1e-12) << "step " << step;
     if (runner.Step(PushStrategy::kBatch) == 0) break;
   }
@@ -366,23 +373,231 @@ TEST_F(BcaToyTest, ExtractLoadRoundTripResumes) {
   BcaRunner runner(*op_, {0, 1}, PaperOptions());
   runner.Start(3);
   runner.Step(PushStrategy::kBatch);
-  StoredBcaState snapshot = runner.Extract();
+  const SharedBcaState snapshot_blob = runner.Extract();
+  const StoredBcaState snapshot = StateOf(snapshot_blob);
   const double residue_at_snapshot = runner.ResidueL1();
 
   // Continue in a fresh runner from the snapshot.
   BcaRunner other(*op_, {0, 1}, PaperOptions());
-  other.Load(snapshot);
+  ASSERT_TRUE(other.Load(snapshot).ok());
   EXPECT_NEAR(other.ResidueL1(), residue_at_snapshot, 1e-12);
-  EXPECT_EQ(other.iterations(), snapshot.iterations);
+  EXPECT_EQ(other.iterations(), snapshot.iterations());
   other.Step(PushStrategy::kBatch);
 
   // And in the original runner; both must agree exactly.
   runner.Step(PushStrategy::kBatch);
-  StoredBcaState a = runner.Extract();
-  StoredBcaState b = other.Extract();
-  EXPECT_EQ(a.residue, b.residue);
-  EXPECT_EQ(a.retained, b.retained);
-  EXPECT_EQ(a.hub_ink, b.hub_ink);
+  const SharedBcaState a_blob = runner.Extract();
+  const SharedBcaState b_blob = other.Extract();
+  const StoredBcaState a = StateOf(a_blob);
+  const StoredBcaState b = StateOf(b_blob);
+  EXPECT_EQ(a.residue().ToPairs(), b.residue().ToPairs());
+  EXPECT_EQ(a.retained().ToPairs(), b.retained().ToPairs());
+  EXPECT_EQ(a.hub_ink().ToPairs(), b.hub_ink().ToPairs());
+}
+
+// Extract writes one record in the index file's layout; a runner that
+// loads its view holds the same lists, so it extracts the same bytes, and
+// the loaders' validator and PackBcaState reproduce them too.
+TEST_F(BcaToyTest, ExtractedRecordRoundTripsThroughViewAndLoad) {
+  BcaRunner runner(*op_, {0, 1}, PaperOptions());
+  runner.Start(5);
+  runner.Step(PushStrategy::kBatch);
+  runner.Step(PushStrategy::kBatch);
+  const SharedBcaState blob = runner.Extract();
+  ASSERT_NE(blob, nullptr);
+  const StoredBcaState view = StateOf(blob);
+  EXPECT_EQ(view.iterations(), runner.iterations());
+  EXPECT_NEAR(view.ResidueL1(), runner.ResidueL1(), 1e-15);
+  size_t entries = 0;
+  for (const BcaEntryList& list :
+       {view.residue(), view.retained(), view.hub_ink()}) {
+    entries += list.size();
+    for (size_t i = 0; i < list.size(); ++i) {
+      EXPECT_GT(list.value(i), 0.0);
+      if (i > 0) {
+        EXPECT_LT(list.id(i - 1), list.id(i));
+      }
+    }
+  }
+  ASSERT_GT(view.hub_ink().size(), 0u);
+  EXPECT_EQ(view.bytes().size(),
+            kBcaRecordHeaderBytes + entries * kBcaEntryBytes);
+
+  BcaRunner other(*op_, {0, 1}, PaperOptions());
+  ASSERT_TRUE(other.Load(view).ok());
+  EXPECT_EQ(other.iterations(), runner.iterations());
+  const SharedBcaState again = other.Extract();
+  EXPECT_EQ(StateOf(again).bytes(), view.bytes());
+  // Loaded, the lists give the same approximation as the original run.
+  EXPECT_EQ(other.TopKApprox(*store_, 6), runner.TopKApprox(*store_, 6));
+
+  std::string_view record = view.bytes();
+  SharedBcaState copy;
+  ASSERT_TRUE(ReadBcaStateRecord(&record, 6, &copy).ok());
+  EXPECT_TRUE(record.empty());
+  EXPECT_EQ(StateOf(copy).bytes(), view.bytes());
+  const SharedBcaState packed =
+      PackBcaState(view.iterations(), view.residue().ToPairs(),
+                   view.retained().ToPairs(), view.hub_ink().ToPairs());
+  EXPECT_EQ(StateOf(packed).bytes(), view.bytes());
+}
+
+// A stored record's ids are checked against n only; hub ink at a node the
+// runner's hub set does not hold would index P_H out of bounds, so Load
+// refuses the state and keeps the runner's own.
+TEST_F(BcaToyTest, LoadRejectsHubInkAtNonHub) {
+  BcaRunner runner(*op_, {0, 1}, PaperOptions());
+  runner.Start(3);
+  const SharedBcaState bad = PackBcaState(1, {}, {}, {{0, 0.25}, {4, 0.5}});
+  const Status st = runner.Load(StateOf(bad));
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_EQ(runner.ResidueL1(), 1.0);  // still the Start(3) state
+  const SharedBcaState good = PackBcaState(1, {{2, 0.25}}, {}, {{1, 0.75}});
+  EXPECT_TRUE(runner.Load(StateOf(good)).ok());
+}
+
+TEST(BcaStateRecordTest, EmptyStateIsNullAndReadsAsZeroRecord) {
+  EXPECT_EQ(PackBcaState(0, {}), nullptr);
+  const StoredBcaState empty = StateOf(nullptr);
+  EXPECT_EQ(empty.bytes(), std::string(kBcaRecordHeaderBytes, '\0'));
+  EXPECT_EQ(empty.iterations(), 0u);
+  EXPECT_TRUE(empty.residue().empty() && empty.retained().empty() &&
+              empty.hub_ink().empty());
+  // Iterations alone make a state non-empty.
+  EXPECT_NE(PackBcaState(3, {}), nullptr);
+
+  std::string_view bytes = empty.bytes();
+  SharedBcaState read = PackBcaState(1, {{0, 1.0}});
+  ASSERT_TRUE(ReadBcaStateRecord(&bytes, 5, &read).ok());
+  EXPECT_EQ(read, nullptr);
+  EXPECT_TRUE(bytes.empty());
+}
+
+TEST(BcaStateRecordTest, ValidatorRejectsMalformedRecords) {
+  const SharedBcaState good =
+      PackBcaState(7, {{1, 0.25}, {4, 0.125}}, {{0, 0.5}}, {{2, 0.125}});
+  const std::string record(StateOf(good).bytes());
+  // Two records back to back: the first read stops at the boundary.
+  const std::string records = record + record;
+  std::string_view rest = records;
+  SharedBcaState state;
+  ASSERT_TRUE(ReadBcaStateRecord(&rest, 5, &state).ok());
+  EXPECT_EQ(rest.size(), record.size());
+  EXPECT_EQ(StateOf(state).retained().ToPairs(),
+            (std::vector<std::pair<uint32_t, double>>{{0, 0.5}}));
+
+  const auto rejects = [](const std::string& bytes, uint32_t n) {
+    std::string_view view = bytes;
+    SharedBcaState out;
+    const Status st = ReadBcaStateRecord(&view, n, &out);
+    return st.code() == StatusCode::kCorruption;
+  };
+  // Id 4 is out of range for n = 4.
+  EXPECT_TRUE(rejects(record, 4));
+  // Every truncation, including inside the header.
+  for (size_t cut = 0; cut < record.size(); ++cut) {
+    EXPECT_TRUE(rejects(record.substr(0, cut), 5)) << "cut " << cut;
+  }
+  // A count that runs past the bytes: the hub-ink count (after the
+  // iterations, two counts and three entries) claims one entry too many.
+  std::string overrun = record;
+  const uint64_t two = 2;
+  std::memcpy(overrun.data() + sizeof(uint32_t) + 2 * sizeof(uint64_t) +
+                  3 * kBcaEntryBytes,
+              &two, sizeof(two));
+  EXPECT_TRUE(rejects(overrun, 5));
+  // A residue count above n, with bytes enough behind it.
+  std::string above = record;
+  const uint64_t many = 6;
+  std::memcpy(above.data() + sizeof(uint32_t), &many, sizeof(many));
+  EXPECT_TRUE(rejects(above + std::string(100, '\0'), 5));
+}
+
+TEST(HubProximityStoreTest, FromRawRoundTripsAndRejectsBadSections) {
+  Rng rng(11);
+  Result<Graph> g = ErdosRenyi(50, 300, &rng);
+  ASSERT_TRUE(g.ok());
+  TransitionOperator op(*g);
+  Result<HubProximityStore> store = HubProximityStore::Build(op, {3, 9, 20});
+  ASSERT_TRUE(store.ok());
+  const std::string packed = store->PackedEntries();
+  ASSERT_EQ(packed.size(), store->TotalEntries() * kBcaEntryBytes);
+  // 12 bytes per entry, plus per hub its id and offset, plus the lookup.
+  EXPECT_EQ(store->MemoryBytes(),
+            store->TotalEntries() * kBcaEntryBytes + 3 * sizeof(uint32_t) +
+                4 * sizeof(uint64_t) + 50 * sizeof(uint32_t));
+
+  const auto from = [&](std::vector<uint32_t> hubs,
+                        std::vector<uint64_t> offsets,
+                        const std::string& entries) {
+    return HubProximityStore::FromRaw(50, std::move(hubs), std::move(offsets),
+                                      entries, store->rounding_omega(),
+                                      store->DroppedEntries());
+  };
+  Result<HubProximityStore> copy =
+      from(store->hubs(), store->offsets(), packed);
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  for (uint32_t h : store->hubs()) {
+    const HubVector a = store->Vector(h);
+    const HubVector b = copy->Vector(h);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_TRUE(std::equal(a.ids.begin(), a.ids.end(), b.ids.begin()));
+    EXPECT_TRUE(std::equal(a.values.begin(), a.values.end(), b.values.begin()));
+  }
+  EXPECT_EQ(copy->PackedEntries(), packed);
+
+  const auto corrupt = [](const Result<HubProximityStore>& r) {
+    return r.status().code() == StatusCode::kCorruption;
+  };
+  EXPECT_TRUE(corrupt(from({3, 9, 50}, store->offsets(), packed)));  // id >= n
+  EXPECT_TRUE(corrupt(from({9, 3, 20}, store->offsets(), packed)));  // order
+  EXPECT_TRUE(corrupt(from({3, 3, 20}, store->offsets(), packed)));  // dup
+  std::vector<uint64_t> offsets = store->offsets();
+  offsets[1] = offsets[3] + 1;  // no longer ascending
+  EXPECT_TRUE(corrupt(from(store->hubs(), offsets, packed)));
+  offsets = store->offsets();
+  offsets[0] = 1;
+  EXPECT_TRUE(corrupt(from(store->hubs(), offsets, packed)));
+  EXPECT_TRUE(corrupt(from(store->hubs(), store->offsets(),
+                           packed.substr(0, packed.size() - 1))));
+  std::string bad_entry = packed;
+  const uint32_t bad_id = 50;
+  std::memcpy(bad_entry.data() + kBcaEntryBytes, &bad_id, sizeof(bad_id));
+  EXPECT_TRUE(corrupt(from(store->hubs(), store->offsets(), bad_entry)));
+}
+
+// The untracked TopKApprox (dense scatter, index build and repair) and the
+// tracked one (refinement) agree bit for bit, on both of the untracked
+// path's collection branches: hub vectors dense enough that the adds cover
+// the workspace (omega 0), and sparse ones (a coarse omega).
+TEST(BcaTopKTest, UntrackedMatchesTrackedBitForBit) {
+  Rng rng(23);
+  Result<Graph> g = Rmat(9, 3000, &rng);
+  ASSERT_TRUE(g.ok());
+  TransitionOperator op(*g);
+  const std::vector<uint32_t> hubs = {0, 1, 2, 5, 8, 13, 21, 34};
+  for (double omega : {0.0, 2e-2}) {
+    HubStoreOptions opts;
+    opts.rounding_omega = omega;
+    Result<HubProximityStore> store = HubProximityStore::Build(op, hubs, opts);
+    ASSERT_TRUE(store.ok());
+    BcaOptions bca;
+    bca.delta = 0.2;
+    BcaRunner runner(op, hubs, bca);
+    for (uint32_t u = 40; u < g->num_nodes(); u += 7) {
+      for (size_t k : {1, 10, 600}) {
+        runner.Start(u);
+        runner.RunToTermination();
+        const auto untracked = runner.TopKApprox(*store, k);
+        // A second call finds the dense workspace zeroed again.
+        const auto repeat = runner.TopKApprox(*store, k);
+        runner.BeginApproxTracking(*store);
+        const auto tracked = runner.TopKApprox(*store, k);
+        ASSERT_EQ(untracked, tracked) << "omega " << omega << " u " << u;
+        ASSERT_EQ(repeat, tracked) << "omega " << omega << " u " << u;
+      }
+    }
+  }
 }
 
 TEST_F(BcaToyTest, StartFromHubAbsorbsInOneStep) {
@@ -416,7 +631,8 @@ TEST_P(PushStrategyTest, AllStrategiesConservInkAndLowerBound) {
 
   runner.Start(30);
   runner.RunToTermination(GetParam());
-  StoredBcaState state = runner.Extract();
+  const SharedBcaState extracted = runner.Extract();
+  const StoredBcaState state = StateOf(extracted);
   EXPECT_NEAR(InkTotal(runner, state), 1.0, 1e-10);
   EXPECT_LE(runner.ResidueL1(), 0.05 + 1e-12);
   std::vector<double> approx;
@@ -473,11 +689,12 @@ TEST(BcaWeightedTest, RespectsEdgeWeights) {
   BcaRunner runner(op, {}, opts);
   runner.Start(0);
   runner.Step(PushStrategy::kBatch);  // push node 0 once
-  StoredBcaState state = runner.Extract();
+  const SharedBcaState extracted = runner.Extract();
+  const StoredBcaState state = StateOf(extracted);
   // 0.85 split 3:1 between nodes 1 and 2.
-  ASSERT_EQ(state.residue.size(), 2u);
-  EXPECT_NEAR(state.residue[0].second, 0.6375, 1e-12);
-  EXPECT_NEAR(state.residue[1].second, 0.2125, 1e-12);
+  ASSERT_EQ(state.residue().size(), 2u);
+  EXPECT_NEAR(state.residue().value(0), 0.6375, 1e-12);
+  EXPECT_NEAR(state.residue().value(1), 0.2125, 1e-12);
 }
 
 }  // namespace

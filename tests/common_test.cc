@@ -252,28 +252,6 @@ TEST(SparseAccumulatorTest, ClearResetsOnlyTouched) {
   EXPECT_EQ(acc.Get(999), 2.0);
 }
 
-TEST(SparseAccumulatorTest, ToSortedPairsDropsBelowThreshold) {
-  SparseAccumulator acc(10);
-  acc.Add(5, 0.01);
-  acc.Add(2, 0.5);
-  acc.Add(8, 0.0);  // touched but zero
-  auto pairs = acc.ToSortedPairs(0.1);
-  ASSERT_EQ(pairs.size(), 1u);
-  EXPECT_EQ(pairs[0].first, 2u);
-}
-
-TEST(SparseAccumulatorTest, RoundTripThroughPairs) {
-  SparseAccumulator acc(20);
-  acc.Add(4, 0.4);
-  acc.Add(17, 0.6);
-  auto pairs = acc.ToSortedPairs();
-  SparseAccumulator other(20);
-  other.FromPairs(pairs);
-  EXPECT_DOUBLE_EQ(other.Get(4), 0.4);
-  EXPECT_DOUBLE_EQ(other.Get(17), 0.6);
-  EXPECT_NEAR(other.Sum(), 1.0, 1e-15);
-}
-
 // ------------------------------------------------------------ TopKSelector --
 
 TEST(TopKSelectorTest, KeepsLargestK) {

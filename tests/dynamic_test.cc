@@ -467,8 +467,8 @@ TEST(HubStoreRebuiltTest, MatchesFullBuildOnUpdatedGraph) {
     const auto b = full->Vector(h);
     ASSERT_EQ(a.size(), b.size()) << "hub " << h;
     for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].first, b[i].first);
-      EXPECT_NEAR(a[i].second, b[i].second, 1e-9);
+      EXPECT_EQ(a.ids[i], b.ids[i]);
+      EXPECT_NEAR(a.values[i], b.values[i], 1e-9);
     }
   }
   // Unaffected hubs were copied from the old store verbatim.
@@ -477,8 +477,8 @@ TEST(HubStoreRebuiltTest, MatchesFullBuildOnUpdatedGraph) {
     const auto b = old_store->Vector(h);
     ASSERT_EQ(a.size(), b.size()) << "hub " << h;
     for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].first, b[i].first);
-      EXPECT_EQ(a[i].second, b[i].second);
+      EXPECT_EQ(a.ids[i], b.ids[i]);
+      EXPECT_EQ(a.values[i], b.values[i]);
     }
   }
   EXPECT_EQ(rebuilt->hubs(), old_store->hubs());

@@ -291,9 +291,12 @@ TEST_F(FaultInjectionTest, V1GoldenFixtureLoadsAndMatchesRebuild) {
     for (uint32_t k = 0; k < 8; ++k) {
       EXPECT_EQ(a[k], b[k]) << "u=" << u << " k=" << k;
     }
-    EXPECT_EQ(loaded->State(u).residue, rebuilt->State(u).residue);
-    EXPECT_EQ(loaded->State(u).retained, rebuilt->State(u).retained);
-    EXPECT_EQ(loaded->State(u).hub_ink, rebuilt->State(u).hub_ink);
+    EXPECT_EQ(loaded->State(u).residue().ToPairs(),
+              rebuilt->State(u).residue().ToPairs());
+    EXPECT_EQ(loaded->State(u).retained().ToPairs(),
+              rebuilt->State(u).retained().ToPairs());
+    EXPECT_EQ(loaded->State(u).hub_ink().ToPairs(),
+              rebuilt->State(u).hub_ink().ToPairs());
   }
   // A v1 load then v2 save round-trips to the same content.
   const std::string resaved = Path("resaved_v2.idx");

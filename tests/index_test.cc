@@ -48,8 +48,8 @@ TEST(IndexBuilderTest, ToyIndexShape) {
   EXPECT_EQ(index.hub_store().num_hubs(), 2u);
   // Hubs are exact; their state is empty.
   EXPECT_TRUE(index.IsExact(0));
-  EXPECT_TRUE(index.State(0).residue.empty());
-  EXPECT_TRUE(index.State(0).retained.empty());
+  EXPECT_TRUE(index.State(0).residue().empty());
+  EXPECT_TRUE(index.State(0).retained().empty());
 }
 
 TEST(IndexBuilderTest, LowerBoundsAreDescendingRows) {
@@ -291,7 +291,7 @@ TEST(IndexStorageTest, CloneSharesShardsAndCopiesOnlyOnWrite) {
 
   // First write to shard 1 (node 10) privatizes exactly that shard.
   const double base_before = base.LowerBound(10, 1);
-  clone.SetNode(10, {0.9, 0.8}, StoredBcaState{}, 0.01);
+  clone.SetNode(10, {0.9, 0.8}, nullptr, 0.01);
   EXPECT_EQ(clone.cow_shard_copies(), 1u);
   EXPECT_NE(clone.ShardLowerBounds(1).data(), base.ShardLowerBounds(1).data());
   EXPECT_EQ(clone.ShardLowerBounds(0).data(), base.ShardLowerBounds(0).data());
@@ -300,15 +300,15 @@ TEST(IndexStorageTest, CloneSharesShardsAndCopiesOnlyOnWrite) {
       << "writes to the clone must never reach the source";
 
   // A second write into the now-private shard copies nothing.
-  clone.SetNode(11, {0.7}, StoredBcaState{}, 0.02);
+  clone.SetNode(11, {0.7}, nullptr, 0.02);
   EXPECT_EQ(clone.cow_shard_copies(), 1u);
   // A write to a different shard copies that one.
-  clone.SetNode(50, {0.6}, StoredBcaState{}, 0.03);
+  clone.SetNode(50, {0.6}, nullptr, 0.03);
   EXPECT_EQ(clone.cow_shard_copies(), 2u);
 
   // Writing through the source privatizes the source's slot; the clone's
   // view stays intact.
-  base.SetNode(0, {0.5}, StoredBcaState{}, 0.04);
+  base.SetNode(0, {0.5}, nullptr, 0.04);
   EXPECT_EQ(base.cow_shard_copies(), 1u);
   EXPECT_NE(clone.LowerBound(0, 1), 0.5);
 }
@@ -329,8 +329,10 @@ TEST(IndexStorageTest, ReshardingCopyPreservesEveryRow) {
       const auto a = base.LowerBounds(u);
       const auto b = resharded.LowerBounds(u);
       for (uint32_t k = 0; k < opts.capacity_k; ++k) EXPECT_EQ(a[k], b[k]);
-      EXPECT_EQ(resharded.State(u).residue, base.State(u).residue);
-      EXPECT_EQ(resharded.State(u).retained, base.State(u).retained);
+      EXPECT_EQ(resharded.State(u).residue().ToPairs(),
+                base.State(u).residue().ToPairs());
+      EXPECT_EQ(resharded.State(u).retained().ToPairs(),
+                base.State(u).retained().ToPairs());
     }
   }
 }
@@ -365,16 +367,15 @@ TEST(IndexMutationTest, SetNodeOverwrites) {
   IndexBuildOptions opts;
   opts.capacity_k = 3;
   LowerBoundIndex index = MustBuild(op, {0, 1}, opts);
-  StoredBcaState state;
-  state.retained = {{2u, 0.5}};
-  state.iterations = 9;
+  const SharedBcaState state =
+      PackBcaState(/*iterations=*/9, /*residue=*/{}, /*retained=*/{{2u, 0.5}});
   index.SetNode(2, {0.5, 0.4}, state, 0.25);
   EXPECT_DOUBLE_EQ(index.LowerBound(2, 1), 0.5);
   EXPECT_DOUBLE_EQ(index.LowerBound(2, 2), 0.4);
   EXPECT_DOUBLE_EQ(index.LowerBound(2, 3), 0.0);  // padded
   EXPECT_DOUBLE_EQ(index.ResidueL1(2), 0.25);
   EXPECT_FALSE(index.IsExact(2));
-  EXPECT_EQ(index.State(2).iterations, 9u);
+  EXPECT_EQ(index.State(2).iterations(), 9u);
 }
 
 // ------------------------------------------------------------------- I/O --
@@ -417,10 +418,13 @@ TEST_F(IndexIoTest, RoundTripPreservesEverything) {
     auto a = index.LowerBounds(u);
     auto b = loaded->LowerBounds(u);
     for (uint32_t k = 0; k < 12; ++k) EXPECT_EQ(a[k], b[k]);
-    EXPECT_EQ(loaded->State(u).residue, index.State(u).residue);
-    EXPECT_EQ(loaded->State(u).retained, index.State(u).retained);
-    EXPECT_EQ(loaded->State(u).hub_ink, index.State(u).hub_ink);
-    EXPECT_EQ(loaded->State(u).iterations, index.State(u).iterations);
+    EXPECT_EQ(loaded->State(u).residue().ToPairs(),
+              index.State(u).residue().ToPairs());
+    EXPECT_EQ(loaded->State(u).retained().ToPairs(),
+              index.State(u).retained().ToPairs());
+    EXPECT_EQ(loaded->State(u).hub_ink().ToPairs(),
+              index.State(u).hub_ink().ToPairs());
+    EXPECT_EQ(loaded->State(u).iterations(), index.State(u).iterations());
   }
 }
 
@@ -438,10 +442,16 @@ void ExpectSameIndex(const LowerBoundIndex& a, const LowerBoundIndex& b) {
     for (uint32_t k = 0; k < a.capacity_k(); ++k) {
       EXPECT_EQ(ra[k], rb[k]) << "u=" << u << " k=" << k;
     }
-    EXPECT_EQ(a.State(u).residue, b.State(u).residue) << "u=" << u;
-    EXPECT_EQ(a.State(u).retained, b.State(u).retained) << "u=" << u;
-    EXPECT_EQ(a.State(u).hub_ink, b.State(u).hub_ink) << "u=" << u;
-    EXPECT_EQ(a.State(u).iterations, b.State(u).iterations) << "u=" << u;
+    EXPECT_EQ(a.State(u).residue().ToPairs(),
+              b.State(u).residue().ToPairs())
+        << "u=" << u;
+    EXPECT_EQ(a.State(u).retained().ToPairs(),
+              b.State(u).retained().ToPairs())
+        << "u=" << u;
+    EXPECT_EQ(a.State(u).hub_ink().ToPairs(),
+              b.State(u).hub_ink().ToPairs())
+        << "u=" << u;
+    EXPECT_EQ(a.State(u).iterations(), b.State(u).iterations()) << "u=" << u;
   }
 }
 

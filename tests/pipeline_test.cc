@@ -151,10 +151,17 @@ TEST(WorkspacePoolTest, ConcurrentAcquireIsSafe) {
 // ---------------------------------------------------------------------------
 // Intra-query determinism
 
+// Value copies of one row's BCA state lists.
+struct StateLists {
+  std::vector<std::pair<uint32_t, double>> residue;
+  std::vector<std::pair<uint32_t, double>> retained;
+  std::vector<std::pair<uint32_t, double>> hub_ink;
+};
+
 struct IndexImage {
   std::vector<double> topk;
   std::vector<double> residues;
-  std::vector<StoredBcaState> states;
+  std::vector<StateLists> states;
 };
 
 IndexImage Capture(const LowerBoundIndex& index) {
@@ -163,7 +170,10 @@ IndexImage Capture(const LowerBoundIndex& index) {
     const auto row = index.LowerBounds(u);
     image.topk.insert(image.topk.end(), row.begin(), row.end());
     image.residues.push_back(index.ResidueL1(u));
-    image.states.push_back(index.State(u));
+    const StoredBcaState state = index.State(u);
+    image.states.push_back({state.residue().ToPairs(),
+                            state.retained().ToPairs(),
+                            state.hub_ink().ToPairs()});
   }
   return image;
 }
@@ -295,7 +305,9 @@ TEST(PipelineDeterminismTest, DeltaSinkOrderThreadInvariant) {
       EXPECT_EQ(sinks[0][i].node, sinks[t][i].node) << i;
       EXPECT_EQ(sinks[0][i].topk, sinks[t][i].topk) << i;
       EXPECT_EQ(sinks[0][i].residue_l1, sinks[t][i].residue_l1) << i;
-      EXPECT_EQ(sinks[0][i].state.residue, sinks[t][i].state.residue) << i;
+      EXPECT_EQ(StateOf(sinks[0][i].state).residue().ToPairs(),
+                StateOf(sinks[t][i].state).residue().ToPairs())
+          << i;
     }
     if (i > 0) EXPECT_LT(sinks[0][i - 1].node, sinks[0][i].node);
   }

@@ -187,8 +187,9 @@ TEST(StallCutoverTest, NoUpdateFallbackDoesNotMutateIndex) {
 
 // A fallback's delta carries no BCA state: its bounds are exact.
 bool IsFallbackDelta(const IndexDelta& delta) {
-  return delta.state.residue.empty() && delta.state.retained.empty() &&
-         delta.state.hub_ink.empty() && delta.residue_l1 == 0.0;
+  const StoredBcaState state = StateOf(delta.state);
+  return state.residue().empty() && state.retained().empty() &&
+         state.hub_ink().empty() && delta.residue_l1 == 0.0;
 }
 
 void ExpectSameDeltas(const std::vector<IndexDelta>& a,
@@ -198,11 +199,15 @@ void ExpectSameDeltas(const std::vector<IndexDelta>& a,
     EXPECT_EQ(a[i].node, b[i].node) << "threads=" << threads;
     EXPECT_EQ(a[i].topk, b[i].topk) << "node " << a[i].node;
     EXPECT_EQ(a[i].residue_l1, b[i].residue_l1) << "node " << a[i].node;
-    EXPECT_EQ(a[i].state.residue, b[i].state.residue) << "node " << a[i].node;
-    EXPECT_EQ(a[i].state.retained, b[i].state.retained) << "node " << a[i].node;
-    EXPECT_EQ(a[i].state.hub_ink, b[i].state.hub_ink) << "node " << a[i].node;
-    EXPECT_EQ(a[i].state.iterations, b[i].state.iterations)
+    const StoredBcaState sa = StateOf(a[i].state);
+    const StoredBcaState sb = StateOf(b[i].state);
+    EXPECT_EQ(sa.residue().ToPairs(), sb.residue().ToPairs())
         << "node " << a[i].node;
+    EXPECT_EQ(sa.retained().ToPairs(), sb.retained().ToPairs())
+        << "node " << a[i].node;
+    EXPECT_EQ(sa.hub_ink().ToPairs(), sb.hub_ink().ToPairs())
+        << "node " << a[i].node;
+    EXPECT_EQ(sa.iterations(), sb.iterations()) << "node " << a[i].node;
   }
 }
 

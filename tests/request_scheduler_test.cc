@@ -81,9 +81,15 @@ void ExpectIndexStateIdentical(const LowerBoundIndex& a,
   for (uint32_t u = 0; u < a.num_nodes(); ++u) {
     const StoredBcaState& state_a = a.State(u);
     const StoredBcaState& state_b = b.State(u);
-    ASSERT_EQ(state_a.residue, state_b.residue) << "u=" << u;
-    ASSERT_EQ(state_a.retained, state_b.retained) << "u=" << u;
-    ASSERT_EQ(state_a.hub_ink, state_b.hub_ink) << "u=" << u;
+    ASSERT_EQ(state_a.residue().ToPairs(),
+              state_b.residue().ToPairs())
+        << "u=" << u;
+    ASSERT_EQ(state_a.retained().ToPairs(),
+              state_b.retained().ToPairs())
+        << "u=" << u;
+    ASSERT_EQ(state_a.hub_ink().ToPairs(),
+              state_b.hub_ink().ToPairs())
+        << "u=" << u;
   }
 }
 

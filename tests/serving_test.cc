@@ -51,17 +51,17 @@ Result<std::unique_ptr<ReverseTopkEngine>> BuildTestEngine(uint64_t seed) {
 TEST(IndexDeltaTest, ApplyIfTighterKeepsTighterEntry) {
   LowerBoundIndex index(4, 2, BcaOptions{}, HubProximityStore::Empty(4));
   // Fresh index rows carry residue 1.0 (nothing refined).
-  EXPECT_TRUE(index.ApplyIfTighter({1, {0.4, 0.2}, StoredBcaState{}, 0.5}));
+  EXPECT_TRUE(index.ApplyIfTighter({1, {0.4, 0.2}, nullptr, 0.5}));
   EXPECT_DOUBLE_EQ(index.LowerBound(1, 1), 0.4);
   EXPECT_DOUBLE_EQ(index.ResidueL1(1), 0.5);
   // Looser (larger residue) and equal deltas are rejected.
-  EXPECT_FALSE(index.ApplyIfTighter({1, {0.3, 0.1}, StoredBcaState{}, 0.7}));
-  EXPECT_FALSE(index.ApplyIfTighter({1, {0.3, 0.1}, StoredBcaState{}, 0.5}));
+  EXPECT_FALSE(index.ApplyIfTighter({1, {0.3, 0.1}, nullptr, 0.7}));
+  EXPECT_FALSE(index.ApplyIfTighter({1, {0.3, 0.1}, nullptr, 0.5}));
   EXPECT_DOUBLE_EQ(index.LowerBound(1, 1), 0.4);
   // Exact (residue 0) always wins over inexact, then is final.
-  EXPECT_TRUE(index.ApplyIfTighter({1, {0.6, 0.5}, StoredBcaState{}, 0.0}));
+  EXPECT_TRUE(index.ApplyIfTighter({1, {0.6, 0.5}, nullptr, 0.0}));
   EXPECT_TRUE(index.IsExact(1));
-  EXPECT_FALSE(index.ApplyIfTighter({1, {0.9, 0.8}, StoredBcaState{}, 0.0}));
+  EXPECT_FALSE(index.ApplyIfTighter({1, {0.9, 0.8}, nullptr, 0.0}));
 }
 
 TEST(IndexDeltaTest, ReadOnlySearcherRecordsDeltasWithoutMutating) {

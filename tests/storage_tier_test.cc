@@ -24,7 +24,10 @@
 //   6. copy-on-write — a shard copy shares every row's BCA state (a write
 //      replaces one row's pointer, older snapshots keep their states),
 //      and the serving engine counts the bytes publishes and mutation
-//      drains copy.
+//      drains copy;
+//   7. round trips and hostile files — save, load in either tier and save
+//      again is byte-identical after refinement; out-of-range node ids
+//      behind valid checksums are Corruption on both tiers.
 //
 // ci.sh runs this file under TSan and ASan (the concurrency tests double
 // as race detectors for the lazy fault/verify paths).
@@ -34,6 +37,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -105,6 +109,12 @@ class StorageTierTest : public ::testing::Test {
     EngineOptions opts = CoarseOptions();
     opts.storage_tier = tier;
     return ReverseTopkEngine::LoadFromFile(Graph(graph), path, opts);
+  }
+
+  static std::string ReadBytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
   }
 
   void FlipByte(const std::string& path, uint64_t offset) {
@@ -619,6 +629,161 @@ TEST_F(StorageTierTest, RefinementLogBatchAppendMatchesSequential) {
   }
 }
 
+// ---------------------------------------------- save / load / save --
+
+// A refined index saved, loaded back in either tier and saved again gives
+// the same file: a state's record travels from shard payload to blob and
+// back byte for byte.
+TEST_F(StorageTierTest, SaveLoadSaveIsByteIdenticalAfterRefining) {
+  const Graph graph = TestGraph();
+  auto built = ReverseTopkEngine::Build(Graph(graph), CoarseOptions());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Rng rng(17);
+  for (int i = 0; i < 40; ++i) {
+    const uint32_t q = static_cast<uint32_t>(rng.Uniform(graph.num_nodes()));
+    ASSERT_TRUE((*built)->Query(q, 4 + static_cast<uint32_t>(i % 8)).ok());
+  }
+  const std::string saved = Path("refined.rtki");
+  ASSERT_TRUE((*built)->SaveIndex(saved).ok());
+  const std::string bytes = ReadBytes(saved);
+  ASSERT_FALSE(bytes.empty());
+  for (StorageTier tier : {StorageTier::kHeap, StorageTier::kMmap}) {
+    LoadIndexOptions load;
+    load.tier = tier;
+    auto loaded = LoadIndex(saved, graph.num_nodes(), load);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const std::string resaved = Path("resaved.rtki");
+    ASSERT_TRUE(SaveIndex(*loaded, resaved).ok());
+    EXPECT_EQ(ReadBytes(resaved), bytes)
+        << "tier " << static_cast<int>(tier);
+  }
+}
+
+// ------------------------------------------------ hostile index files --
+
+// Node ids inside a checksum-consistent file — a state entry, a hub id, a
+// hub entry — and the hub offsets are validated, not trusted: the heap
+// load fails with Corruption, and the mmap tier reports it on first touch
+// instead of indexing out of bounds (ASan turns a miss into a failure).
+TEST_F(StorageTierTest, OutOfRangeIdsInChecksummedFilesAreCorruption) {
+  const Graph graph = TestGraph();
+  const uint32_t n = graph.num_nodes();
+  auto built = ReverseTopkEngine::Build(Graph(graph), CoarseOptions());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const LowerBoundIndex& index = (*built)->index();
+  const std::string path = Path("valid.rtki");
+  ASSERT_TRUE(SaveIndex(index, path).ok());
+  auto info = ReadIndexFileInfo(path);
+  ASSERT_TRUE(info.ok());
+  ASSERT_GE(info->num_hubs, 2u);
+  const std::string valid = ReadBytes(path);
+
+  // A node whose stored residue list is non-empty, and the file offset of
+  // its first residue entry id: the records before it in its shard, then
+  // its K + 1 doubles, iteration count and residue count.
+  uint32_t u = UINT32_MAX;
+  for (uint32_t v = 0; v < n && u == UINT32_MAX; ++v) {
+    if (!index.State(v).residue().empty()) u = v;
+  }
+  ASSERT_NE(u, UINT32_MAX);
+  const size_t row_bytes = (index.capacity_k() + 1) * sizeof(double);
+  const uint32_t first = index.ShardNodeRange(index.ShardOf(u)).first;
+  size_t state_id_at = info->shard_offsets[index.ShardOf(u)];
+  for (uint32_t v = first; v < u; ++v) {
+    state_id_at += row_bytes + index.State(v).bytes().size();
+  }
+  state_id_at += row_bytes + sizeof(uint32_t) + sizeof(uint64_t);
+
+  // v3 layout (index_io.h): magic, n, k and BCA options take 44 bytes;
+  // hub count, omega and dropped count 20 more; then the hub ids, the
+  // offsets, the hub blob checksum, the shard width and count, the shard
+  // directory and the header checksum; then the hub blob and the shard
+  // payloads.
+  const size_t hubs_at = 64;
+  const size_t offsets_at = hubs_at + info->num_hubs * sizeof(uint32_t);
+  const size_t blob_sum_at =
+      offsets_at + (info->num_hubs + 1) * sizeof(uint64_t);
+  const size_t blob_bytes = info->hub_entries * kBcaEntryBytes;
+  const size_t header_sum_at =
+      info->shard_offsets[0] - blob_bytes - sizeof(uint64_t);
+  const size_t directory_at =
+      header_sum_at - info->num_shards * 2 * sizeof(uint64_t);
+  const size_t blob_at = header_sum_at + sizeof(uint64_t);
+
+  const auto put = [](std::string* bytes, size_t at, auto value) {
+    std::memcpy(bytes->data() + at, &value, sizeof(value));
+  };
+  // Re-seals every checksum the loaders verify, so only their own
+  // validation can reject the edit.
+  const auto reseal = [&](std::string* bytes) {
+    const auto sum = [&](size_t at, size_t len) {
+      return Fnv1a64(std::string_view(*bytes).substr(at, len));
+    };
+    for (uint32_t s = 0; s < info->num_shards; ++s) {
+      put(bytes, directory_at + (2 * s + 1) * sizeof(uint64_t),
+          sum(info->shard_offsets[s], info->shard_bytes[s]));
+    }
+    put(bytes, blob_sum_at, sum(blob_at, blob_bytes));
+    put(bytes, header_sum_at, sum(0, header_sum_at));
+  };
+
+  // Each case overwrites one field: an id n + 10^6, or a hub offset past
+  // the final one (so the offsets no longer ascend).
+  struct Case {
+    const char* name;
+    size_t at;
+    uint64_t value;
+    size_t width;
+    bool hub_section;
+  };
+  const uint64_t bad_id = n + 1000000;
+  const Case cases[] = {
+      {"state entry id", state_id_at, bad_id, sizeof(uint32_t), false},
+      {"hub entry id", blob_at, bad_id, sizeof(uint32_t), true},
+      {"hub id", hubs_at, bad_id, sizeof(uint32_t), true},
+      {"hub offset", offsets_at + sizeof(uint64_t), info->hub_entries + 7,
+       sizeof(uint64_t), true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string bytes = valid;
+    std::memcpy(bytes.data() + c.at, &c.value, c.width);  // little-endian
+    reseal(&bytes);
+    const std::string bad = Path("bad.rtki");
+    {
+      std::ofstream out(bad, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+
+    auto heap = LoadIndex(bad, n);
+    ASSERT_FALSE(heap.ok());
+    EXPECT_EQ(heap.status().code(), StatusCode::kCorruption)
+        << heap.status().ToString();
+
+    LoadIndexOptions lazy;
+    lazy.tier = StorageTier::kMmap;
+    auto mmap = LoadIndex(bad, n, lazy);
+    ASSERT_TRUE(mmap.ok()) << mmap.status().ToString();
+    if (c.hub_section) {
+      EXPECT_EQ(mmap->EnsureHubStore().code(), StatusCode::kCorruption);
+      EXPECT_EQ(mmap->hub_store().num_hubs(), 0u);  // the empty stand-in
+    } else {
+      // A cold scan verifies the records after the checksum and refuses
+      // the shard; a fault serves the zero-knowledge shard instead, and
+      // the scan keeps refusing it once it is resident.
+      const uint32_t s = mmap->ShardOf(u);
+      EXPECT_EQ(mmap->ShardScan(s).status.code(), StatusCode::kCorruption);
+      EXPECT_EQ(mmap->storage_status().code(), StatusCode::kCorruption);
+      auto faulted = LoadIndex(bad, n, lazy);
+      ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
+      EXPECT_TRUE(faulted->State(u).residue().empty());
+      EXPECT_EQ(faulted->storage_status().code(), StatusCode::kCorruption);
+      EXPECT_TRUE(faulted->ShardResident(s));
+      EXPECT_EQ(faulted->ShardScan(s).status.code(), StatusCode::kCorruption);
+    }
+  }
+}
+
 // -------------------------------------------------------- copy-on-write --
 
 TEST_F(StorageTierTest, CowCopySharesRowStatesAndOldSnapshotsKeepTheirs) {
@@ -630,17 +795,22 @@ TEST_F(StorageTierTest, CowCopySharesRowStatesAndOldSnapshotsKeepTheirs) {
   // A node the coarse build left refinable, so its state has lists.
   uint32_t u = UINT32_MAX;
   for (uint32_t v = 0; v < index.num_nodes(); ++v) {
-    if (index.ResidueL1(v) > 0.0 && !index.State(v).residue.empty()) {
+    if (index.ResidueL1(v) > 0.0 && !index.State(v).residue().empty()) {
       u = v;
       break;
     }
   }
   ASSERT_NE(u, UINT32_MAX) << "coarse build left every node exact";
-  const StoredBcaState old_state = index.State(u);  // value copy
-  const StoredBcaState* old_address = &index.State(u);
-  StoredBcaState replacement;
-  replacement.residue = {{u, 0.125}};
-  replacement.iterations = old_state.iterations + 1;
+  // Value copies of the source's lists, and where its record lives.
+  const StoredBcaState source_state = index.State(u);
+  const auto old_residue = source_state.residue().ToPairs();
+  const auto old_retained = source_state.retained().ToPairs();
+  const auto old_hub_ink = source_state.hub_ink().ToPairs();
+  const uint32_t old_iterations = source_state.iterations();
+  const char* old_address = source_state.bytes().data();
+  const SharedBcaState replacement =
+      PackBcaState(old_iterations + 1, {{u, 0.125}});
+  const StoredBcaState replacement_state = StateOf(replacement);
 
   const auto [lo, hi] = index.ShardNodeRange(index.ShardOf(u));
   {
@@ -655,36 +825,38 @@ TEST_F(StorageTierTest, CowCopySharesRowStatesAndOldSnapshotsKeepTheirs) {
                   rows * sizeof(SharedBcaState));
     for (uint32_t v = lo; v < hi; ++v) {
       if (v == u) continue;
-      EXPECT_EQ(&next.State(v), &index.State(v))
+      EXPECT_EQ(next.State(v).bytes().data(), index.State(v).bytes().data())
           << "row " << v << " must share its state with the source";
     }
-    EXPECT_EQ(next.State(u).residue, replacement.residue);
-    EXPECT_EQ(next.State(u).iterations, replacement.iterations);
+    EXPECT_EQ(next.State(u).residue().ToPairs(),
+              replacement_state.residue().ToPairs());
+    EXPECT_EQ(next.State(u).iterations(), replacement_state.iterations());
     // The source still holds its old lists, where they were.
-    EXPECT_EQ(&index.State(u), old_address);
-    EXPECT_EQ(index.State(u).residue, old_state.residue);
-    EXPECT_EQ(index.State(u).retained, old_state.retained);
-    EXPECT_EQ(index.State(u).hub_ink, old_state.hub_ink);
+    EXPECT_EQ(index.State(u).bytes().data(), old_address);
+    EXPECT_EQ(index.State(u).residue().ToPairs(), old_residue);
+    EXPECT_EQ(index.State(u).retained().ToPairs(), old_retained);
+    EXPECT_EQ(index.State(u).hub_ink().ToPairs(), old_hub_ink);
   }
 
-  // A reference taken from an older snapshot outlives a newer copy that
+  // A view taken from an older snapshot outlives a newer copy that
   // replaced the row and was destroyed, and the source it was copied
   // from being written too (ASan turns a dangling read into a failure).
   LowerBoundIndex older(index);
-  const StoredBcaState& ref = older.State(u);
+  const StoredBcaState ref = older.State(u);
   {
     LowerBoundIndex newer(older);
     newer.SetNode(u, {0.8}, replacement, 0.0625);
-    EXPECT_EQ(newer.State(u).residue, replacement.residue);
+    EXPECT_EQ(newer.State(u).residue().ToPairs(),
+              replacement_state.residue().ToPairs());
   }
   LowerBoundIndex source_writer(index);
-  source_writer.SetNode(u, {0.7}, StoredBcaState{}, 0.0);
-  EXPECT_EQ(&ref, old_address);
-  EXPECT_EQ(ref.residue, old_state.residue);
-  EXPECT_EQ(ref.retained, old_state.retained);
-  EXPECT_EQ(ref.hub_ink, old_state.hub_ink);
-  EXPECT_EQ(ref.iterations, old_state.iterations);
-  EXPECT_EQ(older.State(u).residue, old_state.residue);
+  source_writer.SetNode(u, {0.7}, nullptr, 0.0);
+  EXPECT_EQ(ref.bytes().data(), old_address);
+  EXPECT_EQ(ref.residue().ToPairs(), old_residue);
+  EXPECT_EQ(ref.retained().ToPairs(), old_retained);
+  EXPECT_EQ(ref.hub_ink().ToPairs(), old_hub_ink);
+  EXPECT_EQ(ref.iterations(), old_iterations);
+  EXPECT_EQ(older.State(u).residue().ToPairs(), old_residue);
 }
 
 TEST_F(StorageTierTest, PublishesAndMutationDrainsCountBytesTheyCopy) {

@@ -344,8 +344,10 @@ int CmdStats(int argc, char** argv) {
               static_cast<unsigned long long>(s.exact_nodes));
   std::printf("top-K bytes:  %llu\n",
               static_cast<unsigned long long>(s.topk_bytes));
-  std::printf("state bytes:  %llu\n",
-              static_cast<unsigned long long>(s.state_bytes));
+  std::printf("state bytes:  %llu (%llu states, %llu entries)\n",
+              static_cast<unsigned long long>(s.state_bytes),
+              static_cast<unsigned long long>(s.stored_states),
+              static_cast<unsigned long long>(s.state_entries));
   std::printf("hub bytes:    %llu (stored %llu entries, dropped %llu)\n",
               static_cast<unsigned long long>(s.hub_store_bytes),
               static_cast<unsigned long long>(s.hub_entries_stored),
@@ -398,8 +400,10 @@ int CmdIndexInfo(int argc, char** argv) {
               static_cast<unsigned long long>(s.exact_nodes), s.num_nodes);
   std::printf("top-K bytes:    %llu\n",
               static_cast<unsigned long long>(s.topk_bytes));
-  std::printf("state bytes:    %llu\n",
-              static_cast<unsigned long long>(s.state_bytes));
+  std::printf("state bytes:    %llu (%llu states, %llu entries)\n",
+              static_cast<unsigned long long>(s.state_bytes),
+              static_cast<unsigned long long>(s.stored_states),
+              static_cast<unsigned long long>(s.state_entries));
   std::printf("hub bytes:      %llu (dropped %llu entries by rounding)\n",
               static_cast<unsigned long long>(s.hub_store_bytes),
               static_cast<unsigned long long>(s.hub_entries_dropped));
