@@ -240,7 +240,7 @@ void RunSuite(std::vector<ThroughputRow>* rows, std::string* metrics_json) {
             if (!r.ok()) std::abort();
           });
       const ServingStats sstats = (*serving)->stats();
-      // The last row's full registry snapshot rides along in the --json
+      // The last row's full metrics snapshot rides along in the --json
       // output (the max-thread run on the final graph — the configuration
       // the trajectory tooling tracks).
       *metrics_json = (*serving)->Metrics().ToJson();
@@ -871,7 +871,7 @@ void WriteJson(const std::string& path,
   json.Key("batching_sweep").BeginArray();
   for (const BatchingRow& row : batching_rows) WriteBatchingRow(json, row);
   json.EndArray();
-  // The serving engine's full registry snapshot (counters, gauges, latency
+  // The serving engine's full metrics snapshot (counters, gauges, latency
   // histograms) from the head-to-head's final configuration.
   json.Key("metrics").Raw(metrics_json.empty() ? "{}" : metrics_json);
   json.Key("rows").BeginArray();

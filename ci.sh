@@ -14,8 +14,9 @@
 #                                 proximity_backend_test: backend
 #                                 equivalence/superset guarantees + MC
 #                                 determinism under parallel fan-out;
-#                                 obs_test: metrics registry / trace ring
-#                                 hammering with exact-total assertions;
+#                                 obs_test: counter / histogram / trace
+#                                 ring hammering with exact-total
+#                                 assertions;
 #                                 spmm_test: fused SpMM kernels and
 #                                 fused PMPN and forward lanes bitwise
 #                                 equal to in-test scalar references at
@@ -56,7 +57,10 @@
 #   pass 4  Release (-O3 -DNDEBUG) — optimized build; smoke-runs the fig5
 #                                 query-time bench (with --json, validating
 #                                 the machine-readable output) and the
-#                                 serving throughput bench — whose JSON now
+#                                 serving throughput bench — its embedded
+#                                 metrics must export exactly the
+#                                 rtk_serving_* names README's catalog
+#                                 lists — whose JSON now
 #                                 includes the overload sweep (latency
 #                                 percentiles + shed counts), the CoW
 #                                 publish-cost sweep (count-gated: a
@@ -229,11 +233,11 @@ test -s build-release/BENCH_fig5.json
 RTK_BENCH_QUERIES=50 RTK_BENCH_SCALE=0.25 \
     ./build-release/bench_serving_throughput --json build-release/BENCH_serving.json
 test -s build-release/BENCH_serving.json
-# The serving JSON must parse and must embed the engine's metrics registry
-# snapshot (counters + latency histograms), so the observability surface
+# The serving JSON must parse and must embed the engine's metrics snapshot
+# (counters, gauges + latency histograms), so the observability surface
 # can't silently fall out of the perf-trajectory artifacts.
 python3 - <<'PYEOF'
-import json
+import json, re
 doc = json.load(open('build-release/BENCH_serving.json'))
 metrics = doc['metrics']
 assert 'rtk_serving_queries_total' in metrics, sorted(metrics)[:10]
@@ -241,6 +245,40 @@ assert 'rtk_serving_request_seconds' in metrics
 hist = metrics['rtk_serving_request_seconds']
 assert hist['count'] > 0 and 'p99_seconds' in hist and 'buckets' in hist
 print('serving bench JSON ok: %d queries in the request histogram' % hist['count'])
+# README's metric catalog and the exports list the same metrics: every
+# exported rtk_serving_* name matches a catalog entry (first column of the
+# table; {a,b} expands, <name>/<backend> stand for a backend name), and
+# every catalog entry matches an exported name.
+readme = open('README.md').read()
+table = readme.split('Metric name catalog', 1)[1].split('\n\n', 2)[1]
+backends = '(pmpn|monte_carlo|local_push|other)'
+patterns = []
+for row in table.splitlines()[2:]:
+    for entry in re.findall(r'`([^`]+)`', row.split('|')[1]):
+        alternatives = [entry]
+        while any('{' in a for a in alternatives):
+            expanded = []
+            for a in alternatives:
+                m = re.search(r'\{([^}]*)\}', a)
+                if m is None:
+                    expanded.append(a)
+                    continue
+                for choice in m.group(1).split(','):
+                    expanded.append(a[:m.start()] + choice + a[m.end():])
+            alternatives = expanded
+        for a in alternatives:
+            regex = re.sub(r'<(name|backend)>', backends,
+                           re.escape('rtk_serving_' + a).replace(r'\<', '<')
+                           .replace(r'\>', '>'))
+            patterns.append((a, re.compile(regex + '$')))
+exported = sorted(k for k in metrics if k.startswith('rtk_serving_'))
+undocumented = [k for k in exported
+                if not any(p.match(k) for _, p in patterns)]
+unexported = [a for a, p in patterns if not any(p.match(k) for k in exported)]
+assert not undocumented, 'exported but not in README catalog: %r' % undocumented
+assert not unexported, 'in README catalog but not exported: %r' % unexported
+print('metric catalog ok: %d exported names, %d catalog entries' %
+      (len(exported), len(patterns)))
 # Batch-former occupancy must ride along: the batching sweep ran, formed
 # real multi-query batches, and attributed fused-solve wall time.
 occ = doc['batch_occupancy']

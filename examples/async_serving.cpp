@@ -33,8 +33,8 @@ void PrintResponse(const char* label, const QueryResponse& response) {
               label, response.query, response.results.size(),
               static_cast<unsigned long long>(response.epoch),
               response.cache_hit ? " (cache hit)" : "",
-              response.timings.queue_seconds * 1e6,
-              response.timings.total_seconds * 1e3);
+              response.queue_wait_seconds * 1e6,
+              response.total_seconds * 1e3);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // Stands up a small serving engine, drives a mixed workload from a client
 // thread, and — concurrently, the way a monitoring agent would — scrapes
-// the engine's metrics registry on a fixed cadence, printing a few key
+// the engine's metrics on a fixed cadence, printing a few key
 // series each tick. After the workload drains it prints the full
 // Prometheus text exposition, the JSON form, the most recent request
 // traces from the trace ring, and any slow-query captures.
@@ -66,7 +66,7 @@ int main() {
     done.store(true);
   });
 
-  // Scrape loop: sample the registry every 50 ms while traffic flows.
+  // Scrape loop: sample the metrics every 50 ms while traffic flows.
   // This is the monitoring-agent side — it shares no state with the
   // client beyond the engine itself.
   while (!done.load()) {

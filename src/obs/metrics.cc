@@ -62,63 +62,6 @@ double HistogramSnapshot::Percentile(double p) const {
   return HistogramBucketUpperBound(kHistogramBuckets - 1);
 }
 
-// ------------------------------------------------------------- registry --
-
-namespace {
-
-template <typename T, typename Vec>
-T& GetOrCreate(Vec& vec, const std::string& name, std::mutex& mu) {
-  std::lock_guard<std::mutex> lock(mu);
-  for (auto& named : vec) {
-    if (named.name == name) return *named.instrument;
-  }
-  vec.push_back({name, std::make_unique<T>()});
-  return *vec.back().instrument;
-}
-
-}  // namespace
-
-Counter& MetricsRegistry::GetCounter(const std::string& name) {
-  return GetOrCreate<Counter>(counters_, name, mu_);
-}
-
-Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  return GetOrCreate<Gauge>(gauges_, name, mu_);
-}
-
-Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
-  return GetOrCreate<Histogram>(histograms_, name, mu_);
-}
-
-MetricsSnapshot MetricsRegistry::Snapshot() const {
-  MetricsSnapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snap.values.reserve(counters_.size() + gauges_.size());
-    for (const auto& named : counters_) {
-      snap.values.push_back(
-          {named.name, "counter",
-           static_cast<double>(named.instrument->value())});
-    }
-    for (const auto& named : gauges_) {
-      snap.values.push_back({named.name, "gauge", named.instrument->value()});
-    }
-    snap.histograms.reserve(histograms_.size());
-    for (const auto& named : histograms_) {
-      snap.histograms.push_back({named.name, named.instrument->Snapshot()});
-    }
-  }
-  std::sort(snap.values.begin(), snap.values.end(),
-            [](const MetricValue& a, const MetricValue& b) {
-              return a.name < b.name;
-            });
-  std::sort(snap.histograms.begin(), snap.histograms.end(),
-            [](const MetricHistogram& a, const MetricHistogram& b) {
-              return a.name < b.name;
-            });
-  return snap;
-}
-
 // ----------------------------------------------------------- exposition --
 
 double MetricsSnapshot::ValueOf(const std::string& name) const {

@@ -1,22 +1,21 @@
-// MetricsRegistry — low-overhead named counters, gauges and latency
-// histograms for the serving path.
+// Low-overhead counters and latency histograms for the serving path, and
+// the snapshot type that exports them.
 //
 // Design constraints, in order:
 //  1. Hot-path cost. A Counter::Increment or Histogram::Record is one
 //     relaxed fetch-add on a per-thread-sharded, cache-line-padded atomic
 //     cell — no locks, no branches beyond the shard pick, no allocation.
-//     Reading (Snapshot) merges the shards; it is the rare, slow side.
-//  2. Exactness. Relaxed atomics lose no updates, so a quiescent snapshot
+//     Reading (value / Snapshot) merges the shards; it is the rare, slow
+//     side.
+//  2. Exactness. Relaxed atomics lose no updates, so a quiescent read
 //     equals the exact event count (asserted by the TSan stress test).
-//  3. Stable export. A snapshot is a plain struct of name → value rows,
-//     rendered as Prometheus-style text exposition or JSON; metric names
-//     are the registry's public API (see README "Observability").
+//  3. Stable export. A MetricsSnapshot is a plain struct of name → value
+//     rows, rendered as Prometheus-style text exposition or JSON; metric
+//     names are public API (see README "Observability").
 //
-// Instruments are created through the registry and identified by name;
-// asking twice for the same name returns the same instrument, so wiring
-// code never needs to thread instrument pointers around. Instrument
-// handles stay valid for the registry's lifetime (instruments are never
-// deleted). Creation takes a lock; recording never does.
+// Counters and histograms are plain members of the component that counts,
+// looked up by no name; the owner names its rows when it builds a
+// snapshot (ServingEngine::Metrics).
 //
 // Histograms use fixed log2-scale buckets over seconds: bucket i counts
 // samples in (2^(i-1) * kHistogramBaseSeconds, 2^i * kHistogramBaseSeconds]
@@ -33,8 +32,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -85,29 +82,6 @@ class Counter {
 
  private:
   std::array<internal::PaddedCell, kMetricShards> cells_;
-};
-
-/// \brief Last-write-wins instantaneous value (queue depth, epoch, ...).
-/// A single atomic — gauges are written from slow paths (publish, stats),
-/// never from per-request hot loops.
-class Gauge {
- public:
-  void Set(double v) { bits_.store(Encode(v), std::memory_order_relaxed); }
-  double value() const { return Decode(bits_.load(std::memory_order_relaxed)); }
-
- private:
-  static uint64_t Encode(double v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    return bits;
-  }
-  static double Decode(uint64_t bits) {
-    double v;
-    __builtin_memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::atomic<uint64_t> bits_{0};
 };
 
 /// \brief Merged, point-in-time view of one histogram.
@@ -172,8 +146,8 @@ struct MetricHistogram {
   HistogramSnapshot snapshot;
 };
 
-/// \brief Everything the registry knew at one instant, rows sorted by
-/// name. The typed programmatic view behind both expositions.
+/// \brief A set of metrics at one instant, rows sorted by name. The typed
+/// programmatic view behind both expositions.
 struct MetricsSnapshot {
   std::vector<MetricValue> values;
   std::vector<MetricHistogram> histograms;
@@ -189,36 +163,6 @@ struct MetricsSnapshot {
   /// \brief JSON object: {"name": value, ...} for scalars plus one object
   /// per histogram with buckets, count, sum and p50/p95/p99.
   std::string ToJson() const;
-};
-
-/// \brief Named instrument registry. Get-or-create is locked; returned
-/// references stay valid for the registry's lifetime. Instrument names
-/// should be lowercase snake_case with a subsystem prefix
-/// ("rtk_serving_…"); histogram names conventionally end in "_seconds".
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  Counter& GetCounter(const std::string& name);
-  Gauge& GetGauge(const std::string& name);
-  Histogram& GetHistogram(const std::string& name);
-
-  /// \brief Merged view of every instrument, rows sorted by name.
-  MetricsSnapshot Snapshot() const;
-
- private:
-  template <typename T>
-  struct Named {
-    std::string name;
-    std::unique_ptr<T> instrument;
-  };
-
-  mutable std::mutex mu_;
-  std::vector<Named<Counter>> counters_;
-  std::vector<Named<Gauge>> gauges_;
-  std::vector<Named<Histogram>> histograms_;
 };
 
 }  // namespace rtk

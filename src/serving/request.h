@@ -6,7 +6,8 @@
 // priority class for the admission queue, an absolute deadline, a
 // cancellation token, and cache/index-update knobs. A QueryResponse carries
 // the per-request Status (never a whole-batch failure), the result list,
-// the epoch it was served from, a cache-hit flag and stage timings.
+// the epoch it was served from, a cache-hit flag, its queue wait and
+// end-to-end time, and the pipeline's QueryStats (stage times included).
 //
 // Requests are plain values: build one, hand it to
 // ServingEngine::Submit(), keep the cancellation token if you may want to
@@ -89,18 +90,6 @@ struct QueryRequest {
   int num_threads = 0;
 };
 
-/// \brief Stage timings of one served request (seconds). queue_seconds is
-/// admission-to-dispatch wait; the pipeline stage times come from
-/// QueryStats and are zero for cache hits and requests that never ran.
-struct RequestTimings {
-  double queue_seconds = 0.0;
-  double pmpn_seconds = 0.0;
-  double prune_seconds = 0.0;
-  double refine_seconds = 0.0;
-  /// Wall time from Submit() to response delivery.
-  double total_seconds = 0.0;
-};
-
 /// \brief The per-request outcome. status distinguishes success from
 /// shedding (kResourceExhausted), deadline expiry (kDeadlineExceeded),
 /// cancellation (kCancelled) and argument errors; results are only
@@ -119,10 +108,11 @@ struct QueryResponse {
   uint64_t epoch = 0;
   /// True when the result came from the (q, k, epoch) cache.
   bool cache_hit = false;
-  /// Admission-to-dispatch wait in seconds (== timings.queue_seconds,
-  /// surfaced top-level because queue wait is the first thing an overload
-  /// investigation reads; 0 for requests resolved on the submit thread).
+  /// Admission-to-dispatch wait in seconds (0 for requests resolved on the
+  /// submit thread).
   double queue_wait_seconds = 0.0;
+  /// Wall time from Submit() to response delivery, in seconds.
+  double total_seconds = 0.0;
   /// Id of this request's trace in the serving engine's trace ring
   /// (ServingEngine::RecentTraces); 0 when tracing is disabled.
   uint64_t trace_id = 0;
@@ -131,8 +121,8 @@ struct QueryResponse {
   /// escalated (stats.escalated). Empty for cache hits and requests that
   /// never ran.
   std::string backend;
-  RequestTimings timings;
-  /// Full pipeline counters (zeroed for cache hits / sheds).
+  /// Full pipeline counters and stage times (pmpn_seconds, prune_seconds,
+  /// refine_seconds); zeroed for cache hits / sheds.
   QueryStats stats;
 
   bool ok() const { return status.ok(); }

@@ -65,6 +65,8 @@ ServingEngine::ServingEngine(const ReverseTopkEngine& engine,
       num_nodes_(engine.graph().num_nodes()),
       queue_(options.max_pending),
       cache_(options.cache),
+      backend_names_(RegisteredProximityBackendNames()),
+      backend_latency_(backend_names_.size() + 1),
       traces_(options.trace_ring_capacity),
       slow_log_(options.slow_query_threshold_seconds,
                 options.slow_query_log_capacity) {
@@ -79,108 +81,7 @@ ServingEngine::ServingEngine(const ReverseTopkEngine& engine,
         options_.shard_promote_touches, options_.shard_demote_epochs,
         snapshot_->index().num_shards());
   }
-
-  // Resolve every instrument once; recording is then always the lock-free
-  // fetch-add path (the registry lock is only this constructor's).
-  ins_.submitted = &registry_.GetCounter("rtk_serving_requests_submitted_total");
-  ins_.shed = &registry_.GetCounter("rtk_serving_requests_shed_total");
-  ins_.expired = &registry_.GetCounter("rtk_serving_requests_expired_total");
-  ins_.cancelled =
-      &registry_.GetCounter("rtk_serving_requests_cancelled_total");
-  ins_.queries = &registry_.GetCounter("rtk_serving_queries_total");
-  ins_.exact_tier =
-      &registry_.GetCounter("rtk_serving_queries_exact_tier_total");
-  ins_.approximate_tier =
-      &registry_.GetCounter("rtk_serving_queries_approximate_tier_total");
-  ins_.escalations =
-      &registry_.GetCounter("rtk_serving_backend_escalations_total");
-  ins_.partial_escalations = &registry_.GetCounter(
-      "rtk_serving_adaptive_partial_escalations_total");
-  ins_.full_escalations =
-      &registry_.GetCounter("rtk_serving_adaptive_full_escalations_total");
-  ins_.adaptive_resets =
-      &registry_.GetCounter("rtk_serving_adaptive_budget_resets_total");
-  ins_.certified = &registry_.GetCounter("rtk_serving_answers_certified_total");
-  ins_.uncertified =
-      &registry_.GetCounter("rtk_serving_answers_uncertified_total");
-  ins_.cache_hits = &registry_.GetCounter("rtk_serving_cache_hits_total");
-  ins_.cache_misses = &registry_.GetCounter("rtk_serving_cache_misses_total");
-  ins_.batches = &registry_.GetCounter("rtk_serving_batches_total");
-  ins_.batched_queries =
-      &registry_.GetCounter("rtk_serving_batched_queries_total");
-  ins_.deltas_recorded =
-      &registry_.GetCounter("rtk_serving_deltas_recorded_total");
-  ins_.deltas_applied =
-      &registry_.GetCounter("rtk_serving_deltas_applied_total");
-  ins_.epochs_published =
-      &registry_.GetCounter("rtk_serving_epochs_published_total");
-  ins_.shards_copied =
-      &registry_.GetCounter("rtk_serving_shards_copied_total");
-  ins_.cow_bytes_copied =
-      &registry_.GetCounter("rtk_serving_cow_bytes_copied_total");
-  ins_.shard_faults =
-      &registry_.GetCounter("rtk_serving_shard_faults_total");
-  ins_.shard_evictions =
-      &registry_.GetCounter("rtk_serving_shard_evictions_total");
-  ins_.mutation_batches =
-      &registry_.GetCounter("rtk_serving_mutation_batches_total");
-  ins_.mutation_rejected =
-      &registry_.GetCounter("rtk_serving_mutation_batches_rejected_total");
-  ins_.mutation_updates =
-      &registry_.GetCounter("rtk_serving_mutation_updates_total");
-  ins_.mutation_affected =
-      &registry_.GetCounter("rtk_serving_mutation_affected_nodes_total");
-  ins_.mutation_hub_resolves =
-      &registry_.GetCounter("rtk_serving_mutation_hub_resolves_total");
-  ins_.mutation_repairs =
-      &registry_.GetCounter("rtk_serving_mutation_repairs_total");
-  ins_.mutation_invalidations =
-      &registry_.GetCounter("rtk_serving_mutation_invalidations_total");
-  ins_.mutation_rebuilds =
-      &registry_.GetCounter("rtk_serving_mutation_rebuilds_total");
-  ins_.mutation_shards_copied =
-      &registry_.GetCounter("rtk_serving_mutation_shards_copied_total");
-  ins_.mutation_cow_bytes_copied =
-      &registry_.GetCounter("rtk_serving_mutation_cow_bytes_copied_total");
-  ins_.refinements_dropped_stale =
-      &registry_.GetCounter("rtk_serving_refinements_dropped_stale_total");
-  ins_.queue_wait = &registry_.GetHistogram("rtk_serving_queue_wait_seconds");
-  ins_.fused_proximity_seconds =
-      &registry_.GetHistogram("rtk_serving_fused_proximity_seconds");
-  ins_.request_latency = &registry_.GetHistogram("rtk_serving_request_seconds");
-  ins_.exact_tier_latency =
-      &registry_.GetHistogram("rtk_serving_request_exact_tier_seconds");
-  ins_.approximate_tier_latency =
-      &registry_.GetHistogram("rtk_serving_request_approximate_tier_seconds");
-  ins_.proximity_seconds =
-      &registry_.GetHistogram("rtk_serving_proximity_seconds");
-  ins_.prune_seconds = &registry_.GetHistogram("rtk_serving_prune_seconds");
-  ins_.refine_seconds = &registry_.GetHistogram("rtk_serving_refine_seconds");
-  ins_.publish_seconds = &registry_.GetHistogram("rtk_serving_publish_seconds");
-  ins_.mutation_publish_seconds =
-      &registry_.GetHistogram("rtk_serving_mutation_publish_seconds");
-  ins_.other_backend_latency =
-      &registry_.GetHistogram("rtk_serving_request_backend_other_seconds");
-  ins_.queue_depth = &registry_.GetGauge("rtk_serving_queue_depth");
-  ins_.peak_queue_depth = &registry_.GetGauge("rtk_serving_peak_queue_depth");
-  ins_.peak_batch_size = &registry_.GetGauge("rtk_serving_peak_batch_size");
-  ins_.pending_deltas = &registry_.GetGauge("rtk_serving_pending_deltas");
-  ins_.current_epoch = &registry_.GetGauge("rtk_serving_current_epoch");
-  ins_.index_shards = &registry_.GetGauge("rtk_serving_index_shards");
-  ins_.cache_entries = &registry_.GetGauge("rtk_serving_cache_entries");
-  ins_.resident_shards = &registry_.GetGauge("rtk_serving_resident_shards");
-  ins_.mmap_bytes = &registry_.GetGauge("rtk_serving_mmap_bytes");
-  ins_.graph_version = &registry_.GetGauge("rtk_serving_graph_version");
-  ins_.pending_mutations = &registry_.GetGauge("rtk_serving_pending_mutations");
-  for (std::string_view name : RegisteredProximityBackendNames()) {
-    ins_.backend_latency.emplace_back(
-        std::string(name),
-        &registry_.GetHistogram("rtk_serving_request_backend_" +
-                                MetricSafe(name) + "_seconds"));
-    ins_.adaptive_scale.emplace_back(
-        std::string(name),
-        &registry_.GetGauge("rtk_serving_adaptive_scale_" + MetricSafe(name)));
-  }
+  shard_source_ = snapshot_->index().shard_source();
 
   // Start the mutation worker last: its drain reads every member above.
   mutation_thread_ = std::thread([this] { MutationWorker(); });
@@ -207,11 +108,10 @@ ServingEngine::MakeSharedBackends(
   return std::shared_ptr<const VersionedBackends>(std::move(holder));
 }
 
-Histogram* ServingEngine::BackendLatency(const std::string& backend) {
-  for (auto& [name, histogram] : ins_.backend_latency) {
-    if (name == backend) return histogram;
-  }
-  return ins_.other_backend_latency;
+Histogram& ServingEngine::BackendLatency(std::string_view backend) {
+  size_t i = 0;
+  while (i < backend_names_.size() && backend_names_[i] != backend) ++i;
+  return backend_latency_[i];  // past the names: "other"
 }
 
 void ServingEngine::FinishTrace(QueryTrace* trace,
@@ -259,7 +159,7 @@ ServingEngine::~ServingEngine() {
   for (PendingQuery& item : queue_.PopUpTo(queue_.depth())) {
     QueryResponse response = MakeResponseHeader(item.request);
     response.status = Status::Cancelled("serving engine shut down");
-    response.timings.total_seconds = SecondsSince(item.enqueued_at);
+    response.total_seconds = SecondsSince(item.enqueued_at);
     item.deliver(std::move(response));
   }
 }
@@ -314,7 +214,7 @@ std::future<QueryResponse> ServingEngine::Submit(QueryRequest request) {
 }
 
 void ServingEngine::Submit(QueryRequest request, ResponseCallback on_done) {
-  ins_.submitted->Increment();
+  submitted_.Increment();
   const SteadyTimePoint submitted_at = SteadyClock::now();
   const bool tracing = traces_.enabled();
 
@@ -322,7 +222,7 @@ void ServingEngine::Submit(QueryRequest request, ResponseCallback on_done) {
   // still leave a trace: a ring that only held worker-run requests would
   // hide exactly the dispositions an overload investigation looks for.
   const auto finish_here = [&](QueryResponse response) {
-    response.timings.total_seconds = SecondsSince(submitted_at);
+    response.total_seconds = SecondsSince(submitted_at);
     if (tracing) {
       QueryTrace trace;
       trace.StartAt(submitted_at);
@@ -349,8 +249,8 @@ void ServingEngine::Submit(QueryRequest request, ResponseCallback on_done) {
   // 2. A result cached under the current epoch is handed out right here:
   //    a hit costs one sharded-LRU probe, never admission latency — and
   //    cache hits can never be shed. Misses fall through to the queue;
-  //    the worker skips re-probing (insert-only), so hit/miss counts stay
-  //    exactly one-per-request.
+  //    the worker skips re-probing (insert-only), so the cache's own
+  //    hit/miss counts stay exactly one-per-request.
   double cache_probe_seconds = 0.0;
   if (!request.bypass_cache && request.tier == AccuracyTier::kExact) {
     std::shared_ptr<const IndexSnapshot> snap = snapshot();
@@ -359,17 +259,15 @@ void ServingEngine::Submit(QueryRequest request, ResponseCallback on_done) {
     QueryCache::Value cached = cache_.Lookup(key);
     cache_probe_seconds = SecondsSince(probe_began);
     if (cached != nullptr) {
-      ins_.cache_hits->Increment();
-      ins_.queries->Increment();
-      ins_.exact_tier->Increment();
+      exact_tier_.Increment();
       QueryResponse response = MakeResponseHeader(request);
       response.epoch = snap->epoch();
       response.cache_hit = true;
       response.results = *cached;
       const double total = SecondsSince(submitted_at);
-      ins_.request_latency->Record(total);
-      ins_.exact_tier_latency->Record(total);
-      response.timings.total_seconds = total;
+      request_latency_.Record(total);
+      exact_tier_latency_.Record(total);
+      response.total_seconds = total;
       if (tracing) {
         QueryTrace trace;
         trace.StartAt(submitted_at);
@@ -380,7 +278,6 @@ void ServingEngine::Submit(QueryRequest request, ResponseCallback on_done) {
       on_done(std::move(response));
       return;
     }
-    ins_.cache_misses->Increment();
   }
 
   PendingQuery item;
@@ -390,15 +287,13 @@ void ServingEngine::Submit(QueryRequest request, ResponseCallback on_done) {
   item.admission_seconds = SecondsSince(submitted_at);
   item.cache_probe_seconds = cache_probe_seconds;
   if (!queue_.TryPush(item)) {
-    // Shed at admission: resolve synchronously on the submitting thread.
-    // (The queue counts sheds too; the registry counter is the stats()
-    // source so the view stays single-sourced.)
-    ins_.shed->Increment();
+    // Shed at admission (the queue counts it): resolve synchronously on
+    // the submitting thread.
     QueryResponse response = MakeResponseHeader(item.request);
     response.status = Status::ResourceExhausted(
         "admission queue full (max_pending=" +
         std::to_string(options_.max_pending) + ")");
-    response.timings.total_seconds = SecondsSince(submitted_at);
+    response.total_seconds = SecondsSince(submitted_at);
     if (tracing) {
       QueryTrace trace;
       trace.StartAt(submitted_at);
@@ -495,8 +390,8 @@ void ServingEngine::ExecuteBatch(std::vector<PendingQuery> items) {
 void ServingEngine::RunFusedGroup(std::vector<PendingQuery> live,
                                   PooledSearcher pooled,
                                   ProximityBackend* backend) {
-  ins_.batches->Increment();
-  ins_.batched_queries->Increment(live.size());
+  batches_.Increment();
+  batched_queries_.Increment(live.size());
   size_t peak = peak_batch_.load(std::memory_order_relaxed);
   while (live.size() > peak &&
          !peak_batch_.compare_exchange_weak(peak, live.size(),
@@ -542,7 +437,7 @@ void ServingEngine::RunFusedGroup(std::vector<PendingQuery> live,
   std::vector<ProximityLaneOutcome> outcomes =
       backend->ComputeMulti(lanes, pmpn_opts, pool, max_parallelism);
   const double fused_seconds = SecondsSince(solve_began);
-  ins_.fused_proximity_seconds->Record(fused_seconds);
+  fused_proximity_.Record(fused_seconds);
   // Each lane's share of the fused wall time is the batch's amortization,
   // made visible: it lands in that request's pmpn_seconds/trace span.
   const double share = fused_seconds / static_cast<double>(live.size());
@@ -589,9 +484,9 @@ void ServingEngine::Resume() {
 
 void ServingEngine::FinishAborted(Status status, QueryResponse* response) {
   if (status.code() == StatusCode::kCancelled) {
-    ins_.cancelled->Increment();
+    cancelled_.Increment();
   } else if (status.code() == StatusCode::kDeadlineExceeded) {
-    ins_.expired->Increment();
+    expired_.Increment();
   }
   response->status = std::move(status);
 }
@@ -610,9 +505,8 @@ void ServingEngine::ExecuteAdmitted(
   const QueryRequest& request = item.request;
   QueryResponse response = MakeResponseHeader(request);
   const double queue_seconds = SecondsSince(item.enqueued_at);
-  response.timings.queue_seconds = queue_seconds;
   response.queue_wait_seconds = queue_seconds;
-  ins_.queue_wait->Record(queue_seconds);
+  queue_wait_.Record(queue_seconds);
   const bool approximate_tier =
       request.tier == AccuracyTier::kApproximateHitsOnly;
 
@@ -639,13 +533,12 @@ void ServingEngine::ExecuteAdmitted(
   bool executed = false;
   const auto deliver = [&] {
     const double total = SecondsSince(item.enqueued_at);
-    response.timings.total_seconds = total;
+    response.total_seconds = total;
     if (executed) {
-      ins_.request_latency->Record(total);
-      (approximate_tier ? ins_.approximate_tier_latency
-                        : ins_.exact_tier_latency)
-          ->Record(total);
-      BackendLatency(response.backend)->Record(total);
+      request_latency_.Record(total);
+      (approximate_tier ? approximate_tier_latency_ : exact_tier_latency_)
+          .Record(total);
+      BackendLatency(response.backend).Record(total);
     }
     FinishTrace(trace_ptr, response, &response.trace_id);
     if (deliver_sink != nullptr) {
@@ -666,8 +559,7 @@ void ServingEngine::ExecuteAdmitted(
     return;
   }
   // Counted only now: `queries` means requests that reached execution.
-  ins_.queries->Increment();
-  (approximate_tier ? ins_.approximate_tier : ins_.exact_tier)->Increment();
+  (approximate_tier ? approximate_tier_ : exact_tier_).Increment();
   executed = true;
 
   // A batched request serves the snapshot its fused solve ran against;
@@ -735,12 +627,9 @@ void ServingEngine::ExecuteAdmitted(
                                             fused_backend, &response.stats)
           : searcher->Query(request.query, query_opts, &response.stats);
   if (shared == nullptr) ReleaseSearcher(std::move(local_pooled));
-  response.timings.pmpn_seconds = response.stats.pmpn_seconds;
-  response.timings.prune_seconds = response.stats.prune_seconds;
-  response.timings.refine_seconds = response.stats.refine_seconds;
-  ins_.proximity_seconds->Record(response.stats.pmpn_seconds);
-  ins_.prune_seconds->Record(response.stats.prune_seconds);
-  ins_.refine_seconds->Record(response.stats.refine_seconds);
+  proximity_seconds_.Record(response.stats.pmpn_seconds);
+  prune_seconds_.Record(response.stats.prune_seconds);
+  refine_seconds_.Record(response.stats.refine_seconds);
   // Which backend actually produced the served row: a partial escalation
   // keeps the approximate backend's row (the settles only decided the
   // uncertain remainder), so only a FULL escalation reports PMPN.
@@ -749,12 +638,10 @@ void ServingEngine::ExecuteAdmitted(
                          : response.stats.backend;
   switch (response.stats.escalation_mode) {
     case EscalationMode::kPartial:
-      ins_.escalations->Increment();
-      ins_.partial_escalations->Increment();
+      partial_escalations_.Increment();
       break;
     case EscalationMode::kFull:
-      ins_.escalations->Increment();
-      ins_.full_escalations->Increment();
+      full_escalations_.Increment();
       break;
     case EscalationMode::kNone:
       break;
@@ -770,11 +657,10 @@ void ServingEngine::ExecuteAdmitted(
     deliver();
     return;
   }
-  (response.stats.prox_certified ? ins_.certified : ins_.uncertified)
-      ->Increment();
+  (response.stats.prox_certified ? certified_ : uncertified_).Increment();
 
   if (!deltas.empty()) {
-    ins_.deltas_recorded->Increment(deltas.size());
+    deltas_recorded_.Increment(deltas.size());
     if (group_sink != nullptr) {
       // Fused lane: the group merges everyone's deltas under one log lock
       // after the fan-back (and runs the publish check once).
@@ -967,8 +853,8 @@ uint64_t ServingEngine::PublishLocked() {
   // Piggyback one residency epoch on the publish (mmap tier): promotions
   // and demotions ride the same snapshot swap instead of paying their own.
   ApplyResidencyLocked(&next);
-  ins_.shards_copied->Increment(next.cow_shard_copies());
-  ins_.cow_bytes_copied->Increment(next.cow_bytes_copied());
+  shards_copied_.Increment(next.cow_shard_copies());
+  cow_bytes_copied_.Increment(next.cow_bytes_copied());
   // A refinement publish keeps the graph version: only mutations move it.
   auto fresh = std::make_shared<const IndexSnapshot>(
       std::move(next), current->epoch() + 1, current->graph_version());
@@ -983,12 +869,11 @@ uint64_t ServingEngine::PublishLocked() {
   }
   // Superseded cache entries can never be hit again; free their slots.
   cache_.PurgeOtherEpochs(fresh->epoch());
-  ins_.deltas_applied->Increment(applied);
-  ins_.epochs_published->Increment();
+  deltas_applied_.Increment(applied);
+  epochs_published_.Increment();
   // Timed only when a snapshot actually went out: the histogram answers
   // "what does a publish cost", not "what does checking the log cost".
-  ins_.publish_seconds->Record(SecondsSince(publish_began));
-  SyncBackingMetrics();
+  publish_seconds_.Record(SecondsSince(publish_began));
   return applied;
 }
 
@@ -1026,7 +911,6 @@ size_t ServingEngine::MaintainResidency() {
     std::lock_guard<std::mutex> searcher_lock(searchers_mu_);
     free_searchers_.clear();
   }
-  SyncBackingMetrics();
   return moved;
 }
 
@@ -1098,7 +982,7 @@ void ServingEngine::DrainMutations() {
                        batch.updates.end());
   }
   if (batches.size() > applied_batches) {
-    ins_.mutation_rejected->Increment(batches.size() - applied_batches);
+    mutation_rejected_.Increment(batches.size() - applied_batches);
   }
   if (applied_batches == 0) {
     // Nothing changed; the rejected batches report the unchanged world.
@@ -1205,8 +1089,8 @@ void ServingEngine::DrainMutations() {
     trace.EndSpan(TracePhase::kMutateRepair, repair_began);
   }
   // The repair's copy-on-write privatizations (a rebuild copies none).
-  ins_.mutation_shards_copied->Increment(rebuilt->cow_shard_copies());
-  ins_.mutation_cow_bytes_copied->Increment(rebuilt->cow_bytes_copied());
+  mutation_shards_copied_.Increment(rebuilt->cow_shard_copies());
+  mutation_cow_bytes_copied_.Increment(rebuilt->cow_bytes_copied());
 
   // Phase 3 — publish. Version-advance the refinement log BEFORE the
   // snapshot swap: a pending delta tagged with the old version is purged
@@ -1226,9 +1110,9 @@ void ServingEngine::DrainMutations() {
     shared_backends_ = std::move(fresh_shared);
   }
   // The new graph version invalidates everything the budget controller
-  // measured; start its feedback over.
+  // measured; start its feedback over (stats() counts the resets as the
+  // mutation publishes they follow).
   budgets_.Reset();
-  ins_.adaptive_resets->Increment();
   {
     // Pooled searchers read the old graph+index pair; retire them.
     std::lock_guard<std::mutex> lock(searchers_mu_);
@@ -1238,26 +1122,26 @@ void ServingEngine::DrainMutations() {
   // and the purge frees their slots immediately.
   cache_.PurgeOtherEpochs(fresh->epoch());
 
-  ins_.mutation_batches->Increment(applied_batches);
-  ins_.mutation_updates->Increment(all_updates.size());
-  ins_.mutation_affected->Increment(affected_count);
-  ins_.mutation_hub_resolves->Increment(hubs_resolved);
+  mutation_batches_.Increment(applied_batches);
+  mutation_updates_.Increment(all_updates.size());
+  mutation_affected_.Increment(affected_count);
+  mutation_hub_resolves_.Increment(hubs_resolved);
   switch (mode) {
     case MutationRepairMode::kRepaired:
-      ins_.mutation_repairs->Increment();
+      mutation_repairs_.Increment();
       break;
     case MutationRepairMode::kInvalidated:
-      ins_.mutation_invalidations->Increment();
+      mutation_invalidations_.Increment();
       break;
     case MutationRepairMode::kRebuilt:
-      ins_.mutation_rebuilds->Increment();
+      mutation_rebuilds_.Increment();
       break;
   }
-  ins_.epochs_published->Increment();
+  epochs_published_.Increment();
   const double total_seconds = SecondsSince(drain_began);
   // The histogram times the whole drain (graph + repair + publish): it
   // answers "what does a mutation cost end to end".
-  ins_.mutation_publish_seconds->Record(total_seconds);
+  mutation_publish_seconds_.Record(total_seconds);
   if (trace_ptr != nullptr) {
     trace.EndSpan(TracePhase::kMutatePublish, publish_began);
     trace.backend = "mutation";
@@ -1284,127 +1168,164 @@ void ServingEngine::DrainMutations() {
   }
 }
 
-void ServingEngine::SyncBackingMetrics() const {
-  std::shared_ptr<const IndexSnapshot> snap = snapshot();
-  const std::shared_ptr<MmapShardSource>& source = snap->index().shard_source();
-  if (source == nullptr) return;
-  // The source's totals are monotone; forward only the delta past what a
-  // previous sync already counted (CAS so concurrent scrapes never
-  // double-count an increment).
-  const auto forward = [](std::atomic<uint64_t>* seen, uint64_t now,
-                          Counter* counter) {
-    uint64_t prev = seen->load(std::memory_order_relaxed);
-    while (now > prev) {
-      if (seen->compare_exchange_weak(prev, now, std::memory_order_relaxed)) {
-        counter->Increment(now - prev);
-        return;
-      }
-    }
-  };
-  forward(&faults_seen_, source->faults(), ins_.shard_faults);
-  forward(&evictions_seen_, source->evictions(), ins_.shard_evictions);
-}
-
-void ServingEngine::SyncLogMetrics() const {
-  // Same CAS-delta forwarding as the backing metrics: the log's total is
-  // monotone, the registry counter gets exactly the unseen delta.
-  const uint64_t now = log_.stats().dropped_stale;
-  uint64_t prev = dropped_stale_seen_.load(std::memory_order_relaxed);
-  while (now > prev) {
-    if (dropped_stale_seen_.compare_exchange_weak(prev, now,
-                                                  std::memory_order_relaxed)) {
-      ins_.refinements_dropped_stale->Increment(now - prev);
-      return;
-    }
-  }
-}
-
 ServingStats ServingEngine::stats() const {
-  // A field-compatible view assembled from the registry (counters) and
-  // the live components (gauges); the registry is the source of truth.
   ServingStats stats;
-  stats.submitted = ins_.submitted->value();
-  stats.shed = ins_.shed->value();
-  stats.expired = ins_.expired->value();
-  stats.cancelled = ins_.cancelled->value();
-  stats.queries = ins_.queries->value();
-  stats.exact_tier_queries = ins_.exact_tier->value();
-  stats.approximate_tier_queries = ins_.approximate_tier->value();
-  stats.backend_escalations = ins_.escalations->value();
-  stats.partial_escalations = ins_.partial_escalations->value();
-  stats.full_escalations = ins_.full_escalations->value();
-  stats.adaptive_resets = ins_.adaptive_resets->value();
-  stats.adaptive_budgets = budgets_.Snapshot();
-  stats.cache_hits = ins_.cache_hits->value();
-  stats.cache_misses = ins_.cache_misses->value();
-  stats.batches = ins_.batches->value();
-  stats.batched_queries = ins_.batched_queries->value();
+  stats.submitted = submitted_.value();
+  stats.expired = expired_.value();
+  stats.cancelled = cancelled_.value();
+  stats.exact_tier_queries = exact_tier_.value();
+  stats.approximate_tier_queries = approximate_tier_.value();
+  stats.queries = stats.exact_tier_queries + stats.approximate_tier_queries;
+  stats.partial_escalations = partial_escalations_.value();
+  stats.full_escalations = full_escalations_.value();
+  stats.backend_escalations =
+      stats.partial_escalations + stats.full_escalations;
+  stats.answers_certified = certified_.value();
+  stats.answers_uncertified = uncertified_.value();
+  stats.batches = batches_.value();
+  stats.batched_queries = batched_queries_.value();
   stats.peak_batch_size = peak_batch_.load(std::memory_order_relaxed);
-  stats.deltas_recorded = ins_.deltas_recorded->value();
-  stats.deltas_applied = ins_.deltas_applied->value();
-  stats.epochs_published = ins_.epochs_published->value();
-  stats.shards_copied = ins_.shards_copied->value();
-  stats.cow_bytes_copied = ins_.cow_bytes_copied->value();
-  SyncBackingMetrics();
-  SyncLogMetrics();
-  stats.shard_faults = ins_.shard_faults->value();
-  stats.shard_evictions = ins_.shard_evictions->value();
-  stats.mutation_batches = ins_.mutation_batches->value();
-  stats.mutation_batches_rejected = ins_.mutation_rejected->value();
-  stats.mutation_updates = ins_.mutation_updates->value();
-  stats.mutation_repairs = ins_.mutation_repairs->value();
-  stats.mutation_invalidations = ins_.mutation_invalidations->value();
-  stats.mutation_rebuilds = ins_.mutation_rebuilds->value();
-  stats.mutation_affected_nodes = ins_.mutation_affected->value();
-  stats.mutation_shards_copied = ins_.mutation_shards_copied->value();
-  stats.mutation_cow_bytes_copied = ins_.mutation_cow_bytes_copied->value();
-  stats.refinements_dropped_stale = ins_.refinements_dropped_stale->value();
+  stats.deltas_recorded = deltas_recorded_.value();
+  stats.deltas_applied = deltas_applied_.value();
+  stats.epochs_published = epochs_published_.value();
+  stats.shards_copied = shards_copied_.value();
+  stats.cow_bytes_copied = cow_bytes_copied_.value();
+  stats.mutation_batches = mutation_batches_.value();
+  stats.mutation_batches_rejected = mutation_rejected_.value();
+  stats.mutation_updates = mutation_updates_.value();
+  stats.mutation_affected_nodes = mutation_affected_.value();
+  stats.mutation_hub_resolves = mutation_hub_resolves_.value();
+  stats.mutation_repairs = mutation_repairs_.value();
+  stats.mutation_invalidations = mutation_invalidations_.value();
+  stats.mutation_rebuilds = mutation_rebuilds_.value();
+  stats.mutation_shards_copied = mutation_shards_copied_.value();
+  stats.mutation_cow_bytes_copied = mutation_cow_bytes_copied_.value();
+  stats.adaptive_resets = stats.mutation_repairs +
+                          stats.mutation_invalidations +
+                          stats.mutation_rebuilds;
+  stats.adaptive_budgets = budgets_.Snapshot();
+
+  const AdmissionQueueStats queue = queue_.stats();
+  stats.shed = queue.shed;
+  stats.queue_depth = queue.depth;
+  stats.peak_queue_depth = queue.peak_depth;
+  stats.cache = cache_.stats();
+  stats.cache_hits = stats.cache.hits;
+  stats.cache_misses = stats.cache.misses;
+  stats.log = log_.stats();
+  stats.pending_deltas = stats.log.pending;
+  stats.refinements_dropped_stale = stats.log.dropped_stale;
   stats.mutations = mutations_.stats();
   stats.pending_mutations = stats.mutations.pending;
+
   std::shared_ptr<const IndexSnapshot> snap = snapshot();
+  stats.current_epoch = snap->epoch();
   stats.graph_version =
       snap->graph_version() != nullptr ? snap->graph_version()->version() : 0;
+  stats.index_shards = snap->index().num_shards();
   const StorageResidency residency = snap->index().residency();
   stats.resident_shards = residency.resident_shards;
   stats.mmap_bytes = residency.mmap_bytes;
-  stats.current_epoch = snap->epoch();
-  stats.index_shards = snap->index().num_shards();
-  stats.cache = cache_.stats();
-  stats.log = log_.stats();
-  stats.pending_deltas = stats.log.pending;
-  const AdmissionQueueStats queue = queue_.stats();
-  stats.queue_depth = queue.depth;
-  stats.peak_queue_depth = queue.peak_depth;
+  if (shard_source_ != nullptr) {
+    stats.shard_faults = shard_source_->faults();
+    stats.shard_evictions = shard_source_->evictions();
+  }
   return stats;
 }
 
 MetricsSnapshot ServingEngine::Metrics() const {
-  // Counters stream into the registry as they happen; gauges are
-  // refreshed from their components here so a scrape always reports the
-  // current depth/epoch without any per-request gauge writes.
-  std::shared_ptr<const IndexSnapshot> snap = snapshot();
-  const AdmissionQueueStats queue = queue_.stats();
-  ins_.queue_depth->Set(static_cast<double>(queue.depth));
-  ins_.peak_queue_depth->Set(static_cast<double>(queue.peak_depth));
-  ins_.peak_batch_size->Set(
-      static_cast<double>(peak_batch_.load(std::memory_order_relaxed)));
-  ins_.pending_deltas->Set(static_cast<double>(log_.stats().pending));
-  ins_.current_epoch->Set(static_cast<double>(snap->epoch()));
-  ins_.index_shards->Set(static_cast<double>(snap->index().num_shards()));
-  ins_.cache_entries->Set(static_cast<double>(cache_.stats().entries));
-  SyncBackingMetrics();
-  SyncLogMetrics();
-  const StorageResidency residency = snap->index().residency();
-  ins_.resident_shards->Set(static_cast<double>(residency.resident_shards));
-  ins_.mmap_bytes->Set(static_cast<double>(residency.mmap_bytes));
-  ins_.graph_version->Set(static_cast<double>(
-      snap->graph_version() != nullptr ? snap->graph_version()->version()
-                                       : 0));
-  ins_.pending_mutations->Set(static_cast<double>(mutations_.pending()));
-  for (auto& [name, gauge] : ins_.adaptive_scale) {
-    gauge->Set(budgets_.ScaleFor(name));
+  const ServingStats s = stats();
+  MetricsSnapshot snap;
+  // The one name table: every scalar row is a stats() field.
+  const auto count = [&](std::string_view name, double value) {
+    snap.values.push_back({"rtk_serving_" + std::string(name), "counter", value});
+  };
+  const auto gauge = [&](std::string_view name, double value) {
+    snap.values.push_back({"rtk_serving_" + std::string(name), "gauge", value});
+  };
+  count("requests_submitted_total", s.submitted);
+  count("requests_shed_total", s.shed);
+  count("requests_expired_total", s.expired);
+  count("requests_cancelled_total", s.cancelled);
+  count("queries_total", s.queries);
+  count("queries_exact_tier_total", s.exact_tier_queries);
+  count("queries_approximate_tier_total", s.approximate_tier_queries);
+  count("backend_escalations_total", s.backend_escalations);
+  count("adaptive_partial_escalations_total", s.partial_escalations);
+  count("adaptive_full_escalations_total", s.full_escalations);
+  count("adaptive_budget_resets_total", s.adaptive_resets);
+  count("answers_certified_total", s.answers_certified);
+  count("answers_uncertified_total", s.answers_uncertified);
+  count("cache_hits_total", s.cache_hits);
+  count("cache_misses_total", s.cache_misses);
+  count("batches_total", s.batches);
+  count("batched_queries_total", s.batched_queries);
+  count("deltas_recorded_total", s.deltas_recorded);
+  count("deltas_applied_total", s.deltas_applied);
+  count("epochs_published_total", s.epochs_published);
+  count("shards_copied_total", s.shards_copied);
+  count("cow_bytes_copied_total", s.cow_bytes_copied);
+  count("shard_faults_total", s.shard_faults);
+  count("shard_evictions_total", s.shard_evictions);
+  count("mutation_batches_total", s.mutation_batches);
+  count("mutation_batches_rejected_total", s.mutation_batches_rejected);
+  count("mutation_updates_total", s.mutation_updates);
+  count("mutation_affected_nodes_total", s.mutation_affected_nodes);
+  count("mutation_hub_resolves_total", s.mutation_hub_resolves);
+  count("mutation_repairs_total", s.mutation_repairs);
+  count("mutation_invalidations_total", s.mutation_invalidations);
+  count("mutation_rebuilds_total", s.mutation_rebuilds);
+  count("mutation_shards_copied_total", s.mutation_shards_copied);
+  count("mutation_cow_bytes_copied_total", s.mutation_cow_bytes_copied);
+  count("refinements_dropped_stale_total", s.refinements_dropped_stale);
+  gauge("queue_depth", s.queue_depth);
+  gauge("peak_queue_depth", s.peak_queue_depth);
+  gauge("peak_batch_size", s.peak_batch_size);
+  gauge("pending_deltas", s.pending_deltas);
+  gauge("current_epoch", s.current_epoch);
+  gauge("index_shards", s.index_shards);
+  gauge("cache_entries", s.cache.entries);
+  gauge("resident_shards", s.resident_shards);
+  gauge("mmap_bytes", s.mmap_bytes);
+  gauge("graph_version", s.graph_version);
+  gauge("pending_mutations", s.pending_mutations);
+  for (std::string_view backend : backend_names_) {
+    double scale = 1.0;  // the controller's scale until it has feedback
+    for (const BackendBudgetState& state : s.adaptive_budgets) {
+      if (state.backend == backend) scale = state.scale;
+    }
+    gauge("adaptive_scale_" + MetricSafe(backend), scale);
   }
-  return registry_.Snapshot();
+
+  const auto histogram = [&](const std::string& name, const Histogram& h) {
+    snap.histograms.push_back({"rtk_serving_" + name, h.Snapshot()});
+  };
+  histogram("queue_wait_seconds", queue_wait_);
+  histogram("fused_proximity_seconds", fused_proximity_);
+  histogram("request_seconds", request_latency_);
+  histogram("request_exact_tier_seconds", exact_tier_latency_);
+  histogram("request_approximate_tier_seconds", approximate_tier_latency_);
+  histogram("proximity_seconds", proximity_seconds_);
+  histogram("prune_seconds", prune_seconds_);
+  histogram("refine_seconds", refine_seconds_);
+  histogram("publish_seconds", publish_seconds_);
+  histogram("mutation_publish_seconds", mutation_publish_seconds_);
+  for (size_t i = 0; i < backend_latency_.size(); ++i) {
+    const std::string backend = i < backend_names_.size()
+                                    ? MetricSafe(backend_names_[i])
+                                    : std::string("other");
+    histogram("request_backend_" + backend + "_seconds", backend_latency_[i]);
+  }
+
+  std::sort(snap.values.begin(), snap.values.end(),
+            [](const MetricValue& a, const MetricValue& b) {
+              return a.name < b.name;
+            });
+  std::sort(snap.histograms.begin(), snap.histograms.end(),
+            [](const MetricHistogram& a, const MetricHistogram& b) {
+              return a.name < b.name;
+            });
+  return snap;
 }
 
 }  // namespace rtk

@@ -225,12 +225,15 @@ struct ServingOptions {
   bool adaptive = false;
 };
 
-/// \brief Aggregate serving counters (all monotone except the *_depth /
-/// current_epoch / pending_deltas gauges). Since the observability PR
-/// this is a field-compatible VIEW assembled from the engine's
-/// MetricsRegistry plus the component gauges — the registry (see
-/// Metrics()) is the source of truth and additionally carries the
-/// latency histograms this flat struct cannot express.
+/// \brief Aggregate serving counters (all monotone except the fields marked
+/// gauge). Every count has one owner, and stats() reads each owner once:
+/// the engine's own event counters, or the component that counts the event
+/// — admission queue (shed, depth), query cache (hits, misses), refinement
+/// and mutation logs, budget controller, the current snapshot, and the
+/// mmap shard source the engine was created over. A total that is a sum of
+/// other counts (queries, backend_escalations, adaptive_resets) is
+/// computed from its parts, never stored. Metrics() exports this struct
+/// (plus the latency histograms), so the two agree by construction.
 struct ServingStats {
   /// Submit() calls, including shed ones.
   uint64_t submitted = 0;
@@ -240,23 +243,31 @@ struct ServingStats {
   uint64_t expired = 0;
   /// Requests abandoned via their cancellation token.
   uint64_t cancelled = 0;
-  /// Requests that reached execution (cache lookup or searcher run).
+  /// Requests that reached execution (cache lookup or searcher run);
+  /// = exact_tier_queries + approximate_tier_queries.
   uint64_t queries = 0;
   /// Executed requests by accuracy tier (cache hits count as exact-tier).
   uint64_t exact_tier_queries = 0;
   uint64_t approximate_tier_queries = 0;
   /// Exact-tier requests whose approximate backend could not certify the
   /// prune outright and escalated — partially (targeted settles) or fully
-  /// (PMPN re-run); the two mode counters below split this total (0 when
-  /// the tier runs PMPN).
+  /// (PMPN re-run), whether or not ServingOptions::adaptive is set;
+  /// = partial_escalations + full_escalations (0 when the tier runs PMPN).
   uint64_t backend_escalations = 0;
   uint64_t partial_escalations = 0;
   uint64_t full_escalations = 0;
-  /// Budget-controller resets (one per mutation publish).
+  /// Budget-controller resets, one per mutation publish; = mutation_repairs
+  /// + mutation_invalidations + mutation_rebuilds.
   uint64_t adaptive_resets = 0;
   /// Per-backend controller state, first-seen order (empty until the
   /// adaptive mode has recorded feedback).
   std::vector<BackendBudgetState> adaptive_budgets;
+  /// Executed requests whose answer came from a row with a deterministic
+  /// certificate, and those whose row was only certified w.h.p. (a
+  /// non-escalated Monte-Carlo row).
+  uint64_t answers_certified = 0;
+  uint64_t answers_uncertified = 0;
+  /// Result-cache probes (== cache.hits / cache.misses).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// Refinement deltas recorded by queries (pre-dedup).
@@ -270,7 +281,8 @@ struct ServingStats {
   /// bound and residue arrays plus one BCA-state pointer per row.
   uint64_t shards_copied = 0;
   uint64_t cow_bytes_copied = 0;
-  /// Storage shards in the current snapshot (gauge).
+  /// Storage shards and epoch of the current snapshot, and the deltas
+  /// waiting for the next publish (gauges).
   uint64_t index_shards = 0;
   uint64_t current_epoch = 0;
   uint64_t pending_deltas = 0;
@@ -282,8 +294,10 @@ struct ServingStats {
   /// Widest fused batch observed (gauge).
   size_t peak_batch_size = 0;
   /// Memory-tier observables (all 0 for a heap-tier index). Faults and
-  /// evictions are source-wide monotone counters (shared across epochs);
-  /// the residency pair is a gauge over the CURRENT snapshot.
+  /// evictions are the monotone counters of the mmap shard source the
+  /// engine was created over (shared by every epoch, and kept after a
+  /// rebuild moves the index to the heap); the residency pair is a gauge
+  /// over the CURRENT snapshot.
   uint64_t shard_faults = 0;
   uint64_t shard_evictions = 0;
   uint64_t resident_shards = 0;
@@ -302,6 +316,8 @@ struct ServingStats {
   uint64_t mutation_invalidations = 0;
   uint64_t mutation_rebuilds = 0;
   uint64_t mutation_affected_nodes = 0;
+  /// Hub vectors the drains re-solved (every hub on a rebuild).
+  uint64_t mutation_hub_resolves = 0;
   /// Storage shards the mutation drains' index repairs copied, and the
   /// bytes they copied (same measure as shards_copied / cow_bytes_copied,
   /// which count refinement publishes only).
@@ -438,12 +454,12 @@ class ServingEngine {
 
   // -------------------------------------------------------- observability --
 
-  /// \brief Point-in-time snapshot of every serving metric: counters,
-  /// gauges and the log2-bucket latency histograms (queue wait, per-tier
-  /// and per-backend request latency, stage times, publish cost). Gauges
-  /// are refreshed from their components at snapshot time. Render with
-  /// ToPrometheusText() / ToJson(); the metric name catalog is in the
-  /// README's "Observability" section.
+  /// \brief Point-in-time snapshot of every serving metric: stats()
+  /// rendered as counter and gauge rows, plus the log2-bucket latency
+  /// histograms (queue wait, per-tier and per-backend request latency,
+  /// stage times, publish cost). Render with ToPrometheusText() /
+  /// ToJson(); the metric name catalog is in the README's "Observability"
+  /// section.
   MetricsSnapshot Metrics() const;
 
   /// \brief The most recent completed request traces (every disposition:
@@ -454,10 +470,6 @@ class ServingEngine {
   /// \brief Traces that crossed slow_query_threshold_seconds, oldest
   /// first, with full stage breakdowns.
   std::vector<QueryTrace> SlowQueries() const { return slow_log_.Entries(); }
-
-  /// \brief The live registry, for embedding callers that want to attach
-  /// their own instruments to the same exposition.
-  MetricsRegistry& metrics_registry() { return registry_; }
 
   int num_threads() const { return pool_->num_threads(); }
 
@@ -544,9 +556,8 @@ class ServingEngine {
                    uint64_t* trace_id_out);
 
   /// Per-backend request-latency histogram ("" and unknown names fall
-  /// back to a shared "other" histogram). Lock-free for the pre-created
-  /// registered backends.
-  Histogram* BackendLatency(const std::string& backend);
+  /// back to the shared "other" histogram).
+  Histogram& BackendLatency(std::string_view backend);
 
   /// Pops a pooled searcher for `snap` (or builds one). Searchers hold
   /// O(n) workspaces, so reuse across queries matters.
@@ -566,14 +577,6 @@ class ServingEngine {
   /// (promote hot, demote cold-clean). Caller holds publish_mu_. Returns
   /// shards moved.
   size_t ApplyResidencyLocked(LowerBoundIndex* next);
-
-  /// Forwards the backing source's monotone fault/eviction totals into
-  /// the registry counters (CAS-delta; safe from concurrent scrapes).
-  void SyncBackingMetrics() const;
-
-  /// Forwards the refinement log's dropped-stale total into the registry
-  /// counter (same CAS-delta pattern).
-  void SyncLogMetrics() const;
 
   /// Builds the shared backend catalog over `version`'s operator: one
   /// backend per distinct non-PMPN tier config, parsed and constructed
@@ -636,86 +639,59 @@ class ServingEngine {
   /// Residency epoch planner (mmap tier only; null for heap indexes).
   /// Touched only under publish_mu_.
   std::unique_ptr<ShardResidencyManager> residency_;
-  /// Source totals already forwarded into the registry counters.
-  mutable std::atomic<uint64_t> faults_seen_{0};
-  mutable std::atomic<uint64_t> evictions_seen_{0};
-  mutable std::atomic<uint64_t> dropped_stale_seen_{0};
+  /// The mmap shard source the engine was created over (null for a heap
+  /// index), which owns the fault and eviction counts. Repairs share it
+  /// and rebuilds are heap-only, so no snapshot ever has another source.
+  std::shared_ptr<const MmapShardSource> shard_source_;
 
   std::mutex searchers_mu_;
   std::vector<PooledSearcher> free_searchers_;
 
-  // All engine-level counters and histograms live in the registry
-  // (ServingStats is a view over it); the struct below caches the
-  // instrument pointers resolved once at construction so the hot path
-  // never takes the registry's get-or-create lock.
-  MetricsRegistry registry_;
-  struct Instruments {
-    Counter* submitted = nullptr;
-    Counter* shed = nullptr;
-    Counter* expired = nullptr;
-    Counter* cancelled = nullptr;
-    Counter* queries = nullptr;
-    Counter* exact_tier = nullptr;
-    Counter* approximate_tier = nullptr;
-    Counter* escalations = nullptr;
-    Counter* partial_escalations = nullptr;
-    Counter* full_escalations = nullptr;
-    Counter* adaptive_resets = nullptr;
-    Counter* certified = nullptr;
-    Counter* uncertified = nullptr;
-    Counter* cache_hits = nullptr;
-    Counter* cache_misses = nullptr;
-    Counter* batches = nullptr;
-    Counter* batched_queries = nullptr;
-    Counter* deltas_recorded = nullptr;
-    Counter* deltas_applied = nullptr;
-    Counter* epochs_published = nullptr;
-    Counter* shards_copied = nullptr;
-    Counter* cow_bytes_copied = nullptr;
-    Counter* shard_faults = nullptr;
-    Counter* shard_evictions = nullptr;
-    Counter* mutation_batches = nullptr;
-    Counter* mutation_rejected = nullptr;
-    Counter* mutation_updates = nullptr;
-    Counter* mutation_affected = nullptr;
-    Counter* mutation_hub_resolves = nullptr;
-    Counter* mutation_repairs = nullptr;
-    Counter* mutation_invalidations = nullptr;
-    Counter* mutation_rebuilds = nullptr;
-    Counter* mutation_shards_copied = nullptr;
-    Counter* mutation_cow_bytes_copied = nullptr;
-    Counter* refinements_dropped_stale = nullptr;
-    Histogram* queue_wait = nullptr;
-    Histogram* fused_proximity_seconds = nullptr;
-    Histogram* request_latency = nullptr;
-    Histogram* exact_tier_latency = nullptr;
-    Histogram* approximate_tier_latency = nullptr;
-    Histogram* proximity_seconds = nullptr;
-    Histogram* prune_seconds = nullptr;
-    Histogram* refine_seconds = nullptr;
-    Histogram* publish_seconds = nullptr;
-    Histogram* mutation_publish_seconds = nullptr;
-    Histogram* other_backend_latency = nullptr;
-    // Gauges, refreshed from their components at Metrics() time.
-    Gauge* queue_depth = nullptr;
-    Gauge* peak_queue_depth = nullptr;
-    Gauge* peak_batch_size = nullptr;
-    Gauge* pending_deltas = nullptr;
-    Gauge* current_epoch = nullptr;
-    Gauge* index_shards = nullptr;
-    Gauge* cache_entries = nullptr;
-    Gauge* resident_shards = nullptr;
-    Gauge* mmap_bytes = nullptr;
-    Gauge* graph_version = nullptr;
-    Gauge* pending_mutations = nullptr;
-    /// One request-latency histogram per registered proximity backend,
-    /// resolved by linear scan (the set is tiny and fixed).
-    std::vector<std::pair<std::string, Histogram*>> backend_latency;
-    /// One budget-scale gauge per registered backend, refreshed from the
-    /// controller at Metrics() time.
-    std::vector<std::pair<std::string, Gauge*>> adaptive_scale;
-  };
-  Instruments ins_;
+  // Event counts the engine owns. Counts another component keeps (queue,
+  // cache, logs, budget controller, snapshot, shard source) are read from
+  // it in stats(), never mirrored here.
+  Counter submitted_;
+  Counter expired_;
+  Counter cancelled_;
+  Counter exact_tier_;
+  Counter approximate_tier_;
+  Counter partial_escalations_;
+  Counter full_escalations_;
+  Counter certified_;
+  Counter uncertified_;
+  Counter batches_;
+  Counter batched_queries_;
+  Counter deltas_recorded_;
+  Counter deltas_applied_;
+  Counter epochs_published_;
+  Counter shards_copied_;
+  Counter cow_bytes_copied_;
+  Counter mutation_batches_;
+  Counter mutation_rejected_;
+  Counter mutation_updates_;
+  Counter mutation_affected_;
+  Counter mutation_hub_resolves_;
+  Counter mutation_repairs_;
+  Counter mutation_invalidations_;
+  Counter mutation_rebuilds_;
+  Counter mutation_shards_copied_;
+  Counter mutation_cow_bytes_copied_;
+
+  Histogram queue_wait_;
+  Histogram fused_proximity_;
+  Histogram request_latency_;
+  Histogram exact_tier_latency_;
+  Histogram approximate_tier_latency_;
+  Histogram proximity_seconds_;
+  Histogram prune_seconds_;
+  Histogram refine_seconds_;
+  Histogram publish_seconds_;
+  Histogram mutation_publish_seconds_;
+  /// Request latency per registered proximity backend, in
+  /// RegisteredProximityBackendNames() order, then "other".
+  std::vector<std::string_view> backend_names_;
+  std::vector<Histogram> backend_latency_;
+
   TraceRing traces_;
   SlowQueryLog slow_log_;
 };

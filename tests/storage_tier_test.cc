@@ -16,9 +16,11 @@
 //      a dirty shard refuses demotion; a demoted clean shard refaults
 //      bit-identically;
 //   4. serving — ServingEngine over a mmap-tier engine publishes the same
-//      epochs as over heap (CoW publish over mapped shards), and the
+//      epochs as over heap (CoW publish over mapped shards), the
 //      residency manager promotes hot shards / demotes idle ones without
-//      changing any answer;
+//      changing any answer, and the engine's fault and eviction counts
+//      stay the source's after a mutation rebuild moves the index to the
+//      heap;
 //   5. write-back — RefinementLog's batched Append keeps the sequential
 //      form's dedup winners;
 //   6. copy-on-write — a shard copy shares every row's BCA state (a write
@@ -583,6 +585,47 @@ TEST_F(StorageTierTest, ResidencyManagerPromotesHotAndDemotesIdleShards) {
   request.tier = AccuracyTier::kExact;
   auto after = (*serving)->Submit(request).get();
   EXPECT_TRUE(after.status.ok());
+}
+
+TEST_F(StorageTierTest, ShardFaultCountsSurviveAMutationRebuild) {
+  const Graph graph = TestGraph();
+  const std::string path = MakeIndexFile(graph);
+  auto mmap = LoadTiered(graph, path, StorageTier::kMmap);
+  ASSERT_TRUE(mmap.ok()) << mmap.status().ToString();
+  const std::shared_ptr<MmapShardSource> source =
+      (*mmap)->index().shard_source();
+  ASSERT_NE(source, nullptr);
+
+  ServingOptions options;
+  options.num_threads = 2;
+  options.publish_threshold = 0;
+  options.cache.capacity = 0;
+  options.mutation_rebuild_fraction = 0.0;  // every drain rebuilds
+  auto serving = ServingEngine::Create(**mmap, options);
+  ASSERT_TRUE(serving.ok()) << serving.status().ToString();
+
+  // Refining queries fault shards in from the map.
+  for (uint32_t q : {11u, 42u, 160u, 301u, 7u, 99u}) {
+    ASSERT_TRUE((*serving)->Query(q, 8).ok()) << "q=" << q;
+  }
+  ASSERT_GT(source->faults(), 0u);
+
+  // The rebuilt index lives on the heap: the published snapshot no longer
+  // reaches the source, but the faults it counted must stay counted.
+  MutationResult mutated =
+      (*serving)->ApplyUpdates({EdgeUpdate::Insert(3, 250)}).get();
+  ASSERT_TRUE(mutated.ok()) << mutated.status.ToString();
+  ASSERT_EQ(mutated.mode, MutationRepairMode::kRebuilt);
+  EXPECT_EQ((*serving)->snapshot()->index().shard_source(), nullptr);
+
+  const ServingStats stats = (*serving)->stats();
+  const MetricsSnapshot metrics = (*serving)->Metrics();
+  EXPECT_EQ(stats.shard_faults, source->faults());
+  EXPECT_EQ(stats.shard_evictions, source->evictions());
+  EXPECT_EQ(metrics.ValueOf("rtk_serving_shard_faults_total"),
+            static_cast<double>(source->faults()));
+  EXPECT_EQ(metrics.ValueOf("rtk_serving_shard_evictions_total"),
+            static_cast<double>(source->evictions()));
 }
 
 // ------------------------------------------------------------ write-back --
