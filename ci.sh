@@ -98,8 +98,9 @@
 #                                 and per-hub overhead), the lane-kernel
 #                                 alignment check (nm: every GatherKernel,
 #                                 EpilogueKernel, ForwardScaleKernel and
-#                                 ForwardGatherKernel instantiation on a
-#                                 64-byte boundary) — and the
+#                                 ForwardGatherKernel instantiation and
+#                                 every BcaRunner method on a 64-byte
+#                                 boundary) — and the
 #                                 approx-mode adaptive sweep (partial
 #                                 escalation byte-identical AND no slower
 #                                 than full escalation; the AIMD budget
@@ -206,26 +207,37 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build build-release -j "$JOBS" \
       --target bench_fig5_query_time bench_serving_throughput bench_micro_spmm \
                bench_index_load bench_dynamic_updates bench_approx_mode rtk_cli
-# Code placement gate: every lane kernel instantiation (the SpMM gathers,
-# the forward scale and gather, the PMPN epilogue, widths 1..32) is 64-byte
-# aligned in source (kLaneKernelAlignment), so its timing follows its work
-# and not where the linker put it. Checked on the linked CLI.
+# Code placement gate: the library builds with -falign-functions=64, so
+# every lane kernel instantiation (the SpMM gathers, the forward scale and
+# gather, the PMPN epilogue, widths 1..32) and every BcaRunner method
+# starts on a 64-byte boundary, and its timing follows its work and not
+# where the linker put it. Checked on the linked CLI; .cold clones (the
+# split-off unlikely paths) are exempt.
 python3 - <<'PYEOF'
 import re, subprocess
 out = subprocess.run(['nm', '-C', 'build-release/rtk_cli'], check=True,
                      capture_output=True, text=True).stdout
 kernels = {}
+runner = {}
 for line in out.splitlines():
     m = re.match(r'([0-9a-f]+) [tTwW] .*::(GatherKernel|EpilogueKernel|'
                  r'ForwardScaleKernel|ForwardGatherKernel)<(\d+)u>::Run\(', line)
     if m:
         kernels[(m.group(2), int(m.group(3)))] = int(m.group(1), 16)
+    m = re.match(r'([0-9a-f]+) [tTwW] (rtk::BcaRunner::.*)$', line)
+    if m and not m.group(2).endswith('[clone .cold]'):
+        runner[m.group(2)] = int(m.group(1), 16)
 assert len(kernels) == 4 * 32, 'found %d lane kernels, expected 128: %r' % (
     len(kernels), sorted(kernels)[:8])
 bad = sorted('%s<%d> at %#x' % (k[0], k[1], a)
              for k, a in kernels.items() if a % 64)
 assert not bad, 'lane kernels off a 64-byte boundary: %s' % ', '.join(bad)
 print('lane kernels ok: all %d instantiations 64-byte aligned' % len(kernels))
+assert len(runner) >= 10, 'found %d BcaRunner methods: %r' % (
+    len(runner), sorted(runner))
+bad = sorted('%s at %#x' % (name, a) for name, a in runner.items() if a % 64)
+assert not bad, 'BcaRunner methods off a 64-byte boundary: %s' % ', '.join(bad)
+print('BcaRunner ok: all %d methods 64-byte aligned' % len(runner))
 PYEOF
 RTK_BENCH_QUERIES=20 RTK_BENCH_SCALE=0.25 \
     ./build-release/bench_fig5_query_time --json build-release/BENCH_fig5.json

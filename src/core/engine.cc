@@ -66,9 +66,8 @@ Result<std::unique_ptr<ReverseTopkEngine>> ReverseTopkEngine::LoadFromFile(
 }
 
 Status ReverseTopkEngine::SaveIndex(const std::string& path) const {
-  SaveIndexOptions save_opts;
-  save_opts.pool = pool_.get();  // shard payloads serialize in parallel
-  return rtk::SaveIndex(*index_, path, save_opts);
+  // Shard payloads serialize in parallel on the engine's pool.
+  return rtk::SaveIndex(*index_, path, pool_.get());
 }
 
 Result<std::vector<uint32_t>> ReverseTopkEngine::Query(uint32_t q, uint32_t k,

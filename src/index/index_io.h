@@ -1,6 +1,7 @@
 // Binary serialization of the LowerBoundIndex.
 //
-// Format version 3 (native little-endian, not cross-endian portable):
+// SaveIndex writes format version 3 (native little-endian, not cross-endian
+// portable):
 //   magic "RTKIDX03"
 //   u32 num_nodes, u32 capacity_k
 //   f64 alpha, f64 eta, f64 delta, i32 max_iterations
@@ -17,38 +18,38 @@
 //
 // The directory makes shards independently addressable and verifiable, so
 // Save serializes and Load deserializes shards in parallel on a thread
-// pool, and a flipped bit is pinned to the shard it corrupted. Keeping
-// the hub entries blob OUTSIDE the header checksum (unlike v2, which
-// streamed the entries inside the header) makes the checksummed header
-// O(|H| + num_shards) bytes: an mmap-tier open verifies the header, maps
+// pool, and a flipped bit is pinned to the shard it corrupted. The hub
+// entries blob sits OUTSIDE the header checksum, so the checksummed header
+// is O(|H| + num_shards) bytes: an mmap-tier open verifies the header, maps
 // the file, and defers BOTH shard payloads and the hub blob to first
-// touch. Version-2 files (hub entries in the header) and version-1 files
-// (monolithic payload, single trailing checksum) still load.
+// touch.
+//
+// Older files stay readable. Version 2 ("RTKIDX02") differs only in its
+// hub section: the packed entries follow offsets[] inside the checksummed
+// header, and there is no blob checksum. Version 1 ("RTKIDX01") has v2's
+// header up to the hub section, then every node record back to back and
+// one trailing FNV-1a over the whole file; it has no shard directory, so
+// it loads on the heap tier only.
+//
+// Every reader (LoadIndex in both tiers, ReadIndexFileInfo) goes through
+// one header parse: it reads the magic, the common header, the hub section
+// and the shard directory through the streaming checksum, bounds every
+// count-sized allocation by the bytes left in the file, verifies the
+// header checksum, and resolves the layout into an IndexFileInfo
+// (shard_backing.h).
 
 #ifndef RTK_INDEX_INDEX_IO_H_
 #define RTK_INDEX_INDEX_IO_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "index/lower_bound_index.h"
+#include "index/shard_backing.h"
 
 namespace rtk {
-
-/// \brief Knobs for SaveIndex.
-struct SaveIndexOptions {
-  /// 3 (default) writes the sharded format above with the lazily-loadable
-  /// hub blob; 2 writes the earlier sharded format (hub entries inside
-  /// the checksummed header); 1 writes the legacy monolithic format (for
-  /// downgrade paths and compatibility tests).
-  uint32_t format_version = 3;
-  /// Serializes shard payloads in parallel when provided (v2+; file
-  /// bytes are identical with or without a pool).
-  ThreadPool* pool = nullptr;
-};
 
 /// \brief Knobs for LoadIndex.
 struct LoadIndexOptions {
@@ -64,39 +65,18 @@ struct LoadIndexOptions {
   StorageTier tier = StorageTier::kHeap;
 };
 
-/// \brief Header-level description of an index file, readable without
-/// loading the payload (rtk_cli index-info).
-struct IndexFileInfo {
-  uint32_t format_version = 0;
-  uint32_t num_nodes = 0;
-  uint32_t capacity_k = 0;
-  uint32_t num_hubs = 0;
-  uint64_t hub_entries = 0;
-  uint32_t shard_nodes = 0;  // 0 for v1 files
-  uint32_t num_shards = 0;   // 0 for v1 files
-  uint64_t file_bytes = 0;
-  /// v2+ only: the shard directory resolved to absolute positions —
-  /// shard s's payload is [shard_offsets[s], shard_offsets[s] +
-  /// shard_bytes[s]) with FNV-1a checksum shard_checksums[s]. The three
-  /// vectors have num_shards entries and shard_offsets.back() +
-  /// shard_bytes.back() == file_bytes (validated). Empty for v1 files.
-  std::vector<uint64_t> shard_offsets;
-  std::vector<uint64_t> shard_bytes;
-  std::vector<uint64_t> shard_checksums;
-};
-
-/// \brief Writes the index to `path` (atomically: temp file + rename) in
-/// format version 3.
-Status SaveIndex(const LowerBoundIndex& index, const std::string& path);
-
-/// \brief SaveIndex with explicit format version / parallelism.
+/// \brief Writes the index to `path` in format version 3, atomically: a
+/// temp file `<path>.tmp` renamed over `path`, removed again on failure.
+/// With a pool, shard payloads serialize in parallel; the file bytes are
+/// identical either way. An mmap-tier index whose hub blob or a shard
+/// fails verification is not written (Corruption).
 Status SaveIndex(const LowerBoundIndex& index, const std::string& path,
-                 const SaveIndexOptions& options);
+                 ThreadPool* pool = nullptr);
 
-/// \brief Reads an index previously written by SaveIndex (format version
-/// 1, 2 or 3). `expected_nodes` guards against loading an index built for
-/// a different graph (pass the graph's node count). With a pool, the
-/// shards of a v2 or v3 file are read and verified in parallel.
+/// \brief Reads an index file of format version 1, 2 or 3.
+/// `expected_nodes` guards against loading an index built for a different
+/// graph (pass the graph's node count). With a pool, the shards of a v2 or
+/// v3 file are read and verified in parallel.
 Result<LowerBoundIndex> LoadIndex(const std::string& path,
                                   uint32_t expected_nodes,
                                   ThreadPool* pool = nullptr);
@@ -106,8 +86,9 @@ Result<LowerBoundIndex> LoadIndex(const std::string& path,
                                   uint32_t expected_nodes,
                                   const LoadIndexOptions& options);
 
-/// \brief Reads only the header of an index file: shape, hub count, shard
-/// layout. Does not verify payload checksums.
+/// \brief Reads only the header of an index file: shape, hub section,
+/// shard layout. Verifies the header checksum (v2 and v3), not the payload
+/// checksums.
 Result<IndexFileInfo> ReadIndexFileInfo(const std::string& path);
 
 }  // namespace rtk

@@ -18,9 +18,10 @@
 //
 // Storage tiers (shard_backing.h):
 //  * heap  — every shard heap-resident from construction (builders, v1
-//            loads, eager v2 loads). Exactly the historical behavior.
-//  * mmap  — constructed over an open MmapShardSource (the mmap'd v2
-//            index file). Shard slots start EMPTY: an empty slot means
+//            loads, eager v2 and v3 loads). Exactly the historical
+//            behavior.
+//  * mmap  — constructed over an open MmapShardSource (the mmap'd v2 or
+//            v3 index file). Shard slots start EMPTY: an empty slot means
 //            "this shard is bit-identical to its file bytes". Reads fault
 //            a shard to heap on first dereference (checksum-verified,
 //            memoized in the source so all epochs share one copy); the
@@ -134,7 +135,7 @@ class IndexStorage {
   /// unit residues, empty states. `shard_nodes` 0 picks kDefaultShardNodes.
   IndexStorage(uint32_t num_nodes, uint32_t capacity_k, uint32_t shard_nodes);
 
-  /// Creates a mmap-tier storage over an open v2 file: every slot starts
+  /// Creates a mmap-tier storage over an open v2 or v3 file: every slot starts
   /// empty (equal to its file bytes), shape taken from the source. O(S).
   explicit IndexStorage(std::shared_ptr<MmapShardSource> source);
 

@@ -35,8 +35,8 @@ void AdviseRegion(const char* addr, size_t len, int advice) {
 
 }  // namespace
 
-uint64_t Fnv1a64(std::string_view bytes) {
-  uint64_t hash = 0xCBF29CE484222325ull;
+uint64_t Fnv1a64(std::string_view bytes, uint64_t seed) {
+  uint64_t hash = seed;
   for (unsigned char c : bytes) {
     hash ^= c;
     hash *= 0x100000001B3ull;
@@ -144,7 +144,7 @@ void ShardPayloadCursor::CopyRow(double* out) const {
 // MmapShardSource
 
 MmapShardSource::MmapShardSource(std::string path, const char* map,
-                                 size_t map_len, MmapSourceLayout layout)
+                                 size_t map_len, IndexFileInfo layout)
     : path_(std::move(path)),
       map_(map),
       map_len_(map_len),
@@ -168,24 +168,19 @@ MmapShardSource::~MmapShardSource() {
 }
 
 Result<std::shared_ptr<MmapShardSource>> MmapShardSource::Open(
-    const std::string& path, MmapSourceLayout layout) {
-  if (layout.offsets.size() != layout.checksums.size() + 1 ||
-      layout.shard_nodes == 0) {
-    return Status::InvalidArgument("malformed mmap source layout: " + path);
-  }
-  if (layout.hub_blob_bytes > 0 &&
-      (layout.hub_blob_offset > layout.offsets.back() ||
-       layout.hub_blob_bytes >
-           layout.offsets.back() - layout.hub_blob_offset)) {
-    return Status::InvalidArgument("hub blob outside mapped file: " + path);
+    const std::string& path, IndexFileInfo layout) {
+  if (layout.format_version < 2) {
+    return Status::InvalidArgument(
+        "mmap storage tier requires a sharded (v2+) index file: " + path);
   }
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Status::IOError("cannot open index for mmap: " + path);
   }
-  // Map the whole file (the loader validated offsets.back() == file size):
-  // header pages stay untouched after open, shard pages fault on demand.
-  const size_t len = static_cast<size_t>(layout.offsets.back());
+  // Map the whole file (the header parse tiled it with the hub blob and
+  // the shard payloads): header pages stay untouched after open, shard
+  // pages fault on demand.
+  const size_t len = static_cast<size_t>(layout.file_bytes);
   void* map = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
   if (map == MAP_FAILED) {
@@ -207,7 +202,7 @@ Status MmapShardSource::VerifyShard(uint32_t s) const {
     // the same verdict.
     const std::string_view bytes = ShardBytes(s);
     const uint32_t first = s * shard_nodes();
-    if (Fnv1a64(bytes) != layout_.checksums[s]) {
+    if (Fnv1a64(bytes) != layout_.shard_checksums[s]) {
       v = 2;
     } else if (!CheckShardRecords(bytes, num_nodes(), capacity_k(),
                                   std::min(num_nodes() - first,
@@ -278,8 +273,7 @@ void MmapShardSource::RecordError(const Status& status) const {
 }
 
 Result<std::string_view> MmapShardSource::HubBlob() const {
-  if (layout_.hub_blob_checksum == 0 && layout_.hub_blob_bytes == 0 &&
-      layout_.hub_blob_offset == 0) {
+  if (layout_.format_version != 3) {
     return Status::InvalidArgument("index file has no lazy hub section: " +
                                    path_);
   }

@@ -1,6 +1,6 @@
 // Shard backing tiers: where an IndexShard's bytes live.
 //
-// The v2 index file (index_io.h) is shard-addressable: a directory maps
+// A v2 or v3 index file (index_io.h) is shard-addressable: a directory maps
 // every storage shard to a contiguous payload region with its own FNV-1a
 // checksum. That makes the file itself a valid *storage tier*: instead of
 // eagerly parsing every shard into heap vectors at load time, the whole
@@ -43,10 +43,45 @@
 
 namespace rtk {
 
-/// \brief FNV-1a over a byte range — THE checksum of the v2 index format.
-/// One definition shared by the writer, the eager loader, and the lazy
-/// mmap verification, so the three can never disagree.
-uint64_t Fnv1a64(std::string_view bytes);
+/// \brief FNV-1a's offset basis: the hash of zero bytes.
+inline constexpr uint64_t kFnv1a64Basis = 0xCBF29CE484222325ull;
+
+/// \brief FNV-1a over a byte range — THE checksum of the v2 and v3 index
+/// formats. `seed` resumes a running hash, so Fnv1a64(b, Fnv1a64(a)) is
+/// the hash of a then b: the streaming header checksum and the one-shot
+/// payload checksums are this one loop. Shared by the writer, the header
+/// parse, the eager loader and the lazy mmap verification, so they can
+/// never disagree.
+uint64_t Fnv1a64(std::string_view bytes, uint64_t seed = kFnv1a64Basis);
+
+/// \brief An index file's layout, as the header parse (index_io.cc) reads
+/// it from a header whose checksum verified: shape, hub section and shard
+/// directory resolved to absolute file positions. `rtk_cli index-info`
+/// prints it, and the mmap tier addresses its mapping with it.
+struct IndexFileInfo {
+  uint32_t format_version = 0;
+  uint32_t num_nodes = 0;
+  uint32_t capacity_k = 0;
+  uint32_t num_hubs = 0;
+  uint64_t hub_entries = 0;
+  uint32_t shard_nodes = 0;  // 0 for v1 files
+  uint32_t num_shards = 0;   // 0 for v1 files
+  uint64_t file_bytes = 0;
+  /// v2+ only: shard s's payload is [shard_offsets[s], shard_offsets[s] +
+  /// shard_bytes[s]) with FNV-1a checksum shard_checksums[s]. The three
+  /// vectors have num_shards entries and the payloads tile the file up to
+  /// file_bytes (validated). Empty for v1 files.
+  std::vector<uint64_t> shard_offsets;
+  std::vector<uint64_t> shard_bytes;
+  std::vector<uint64_t> shard_checksums;
+  /// v3 only: the packed hub entries, a section of their own between the
+  /// header checksum and the first shard payload, with their own checksum
+  /// (so an mmap open never reads them). hub_blob_offset is the first
+  /// byte after the header checksum.
+  uint64_t hub_blob_offset = 0;
+  uint64_t hub_blob_bytes = 0;
+  uint64_t hub_blob_checksum = 0;
+};
 
 /// \brief Parses the serialized node records of `shard`'s nodes (f64
 /// topk[K], f64 residue_l1, then the BCA state record of bca_state.h) from
@@ -122,27 +157,7 @@ class ShardPayloadCursor {
   bool ok_ = true;
 };
 
-/// \brief Shard layout of a v2 index file, as read from its (checksummed)
-/// header by the loader.
-struct MmapSourceLayout {
-  uint32_t num_nodes = 0;
-  uint32_t capacity_k = 0;
-  uint32_t shard_nodes = 0;
-  /// Absolute file offsets; size num_shards + 1 (offsets.back() == file
-  /// size, validated by the loader).
-  std::vector<uint64_t> offsets;
-  /// Per-shard FNV-1a payload checksums from the directory.
-  std::vector<uint64_t> checksums;
-  /// v3 files only: the packed hub-entries blob — its own checksummed
-  /// section outside the header checksum, so the open path never reads it
-  /// and the hub store can materialize lazily (LazyHubStore). All zero
-  /// for v2 files (hub entries live inside the eagerly-parsed header).
-  uint64_t hub_blob_offset = 0;
-  uint64_t hub_blob_bytes = 0;
-  uint64_t hub_blob_checksum = 0;
-};
-
-/// \brief An open, mmap'd v2 index file: the cold tier behind a
+/// \brief An open, mmap'd v2 or v3 index file: the cold tier behind a
 /// mmap-backed IndexStorage.
 ///
 /// Owns the mapping plus everything shared across the snapshot chain:
@@ -156,19 +171,18 @@ struct MmapSourceLayout {
 /// bytes are immutable (PROT_READ, MAP_PRIVATE, never written).
 class MmapShardSource {
  public:
-  /// Maps `path` read-only. The layout must come from a header whose
-  /// checksum already verified; payload checksums are NOT verified here —
-  /// that is the lazy, per-shard first-touch check.
+  /// Maps `path` read-only. The layout must come from the header parse
+  /// (ReadIndexFileInfo's); payload checksums are NOT verified here — that
+  /// is the lazy, per-shard first-touch check. InvalidArgument for a v1
+  /// layout, which has no shard directory to address the mapping with.
   static Result<std::shared_ptr<MmapShardSource>> Open(
-      const std::string& path, MmapSourceLayout layout);
+      const std::string& path, IndexFileInfo layout);
 
   ~MmapShardSource();
   MmapShardSource(const MmapShardSource&) = delete;
   MmapShardSource& operator=(const MmapShardSource&) = delete;
 
-  uint32_t num_shards() const {
-    return static_cast<uint32_t>(layout_.checksums.size());
-  }
+  uint32_t num_shards() const { return layout_.num_shards; }
   uint32_t num_nodes() const { return layout_.num_nodes; }
   uint32_t capacity_k() const { return layout_.capacity_k; }
   uint32_t shard_nodes() const { return layout_.shard_nodes; }
@@ -178,8 +192,8 @@ class MmapShardSource {
   /// \brief Shard s's raw payload bytes in the mapping (possibly not yet
   /// checksum-verified; pair with VerifyShard).
   std::string_view ShardBytes(uint32_t s) const {
-    return {map_ + layout_.offsets[s],
-            static_cast<size_t>(layout_.offsets[s + 1] - layout_.offsets[s])};
+    return {map_ + layout_.shard_offsets[s],
+            static_cast<size_t>(layout_.shard_bytes[s])};
   }
 
   /// \brief Verifies shard s's checksum and then its records
@@ -235,7 +249,7 @@ class MmapShardSource {
 
  private:
   MmapShardSource(std::string path, const char* map, size_t map_len,
-                  MmapSourceLayout layout);
+                  IndexFileInfo layout);
 
   void RecordError(const Status& status) const;
   std::mutex& StripeFor(uint32_t s) const {
@@ -245,7 +259,7 @@ class MmapShardSource {
   std::string path_;
   const char* map_ = nullptr;
   size_t map_len_ = 0;
-  MmapSourceLayout layout_;
+  IndexFileInfo layout_;
 
   /// 0 = unverified, 1 = ok, 2 = checksum mismatch, 3 = malformed records.
   /// Relaxed double-computation is benign: both racers check the same

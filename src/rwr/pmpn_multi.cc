@@ -26,9 +26,8 @@ struct ActiveLane {
 /// depends on B or on its neighbours.
 template <uint32_t B>
 struct EpilogueKernel {
-  [[gnu::aligned(kLaneKernelAlignment)]] static void Run(
-      double* next, const double* x, uint32_t n, double alpha,
-      const ActiveLane* lanes, double* deltas) {
+  static void Run(double* next, const double* x, uint32_t n, double alpha,
+                  const ActiveLane* lanes, double* deltas) {
     const size_t total = static_cast<size_t>(n) * B;
     for (size_t i = 0; i < total; ++i) next[i] *= (1.0 - alpha);
     for (uint32_t j = 0; j < B; ++j) {

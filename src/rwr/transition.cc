@@ -34,9 +34,8 @@ namespace {
 /// weighted) and scales once by 1 / W(u), whatever B is.
 template <uint32_t B>
 struct GatherKernel {
-  [[gnu::aligned(kLaneKernelAlignment)]] static void Run(
-      const Graph& graph, const double* inv_out_weight, const double* x,
-      double* y, uint32_t lo, uint32_t hi) {
+  static void Run(const Graph& graph, const double* inv_out_weight,
+                  const double* x, double* y, uint32_t lo, uint32_t hi) {
     for (uint32_t u = lo; u < hi; ++u) {
       auto nbrs = graph.OutNeighbors(u);
       auto weights = graph.OutWeights(u);
@@ -64,9 +63,8 @@ struct GatherKernel {
 /// u in [lo, hi).
 template <uint32_t B>
 struct ForwardScaleKernel {
-  [[gnu::aligned(kLaneKernelAlignment)]] static void Run(
-      const double* inv_out_weight, const double* x, double* z, uint32_t lo,
-      uint32_t hi) {
+  static void Run(const double* inv_out_weight, const double* x, double* z,
+                  uint32_t lo, uint32_t hi) {
     for (uint32_t u = lo; u < hi; ++u) {
       const double inv = inv_out_weight[u];
       const double* xu = x + static_cast<size_t>(u) * B;
@@ -81,9 +79,8 @@ struct ForwardScaleKernel {
 /// order (one multiply by w(u, v) per term when weighted).
 template <uint32_t B>
 struct ForwardGatherKernel {
-  [[gnu::aligned(kLaneKernelAlignment)]] static void Run(
-      const Graph& graph, const double* z, double* y, uint32_t lo,
-      uint32_t hi) {
+  static void Run(const Graph& graph, const double* z, double* y, uint32_t lo,
+                  uint32_t hi) {
     for (uint32_t v = lo; v < hi; ++v) {
       auto sources = graph.InNeighbors(v);
       auto weights = graph.InWeights(v);

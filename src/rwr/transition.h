@@ -31,13 +31,6 @@ namespace rtk {
 /// while its edges stream.
 inline constexpr uint32_t kMaxTransposeLanes = 32;
 
-/// \brief Code alignment of every lane kernel's Run (the SpMM gathers, the
-/// forward scale and gather, the PMPN epilogue), in bytes: one cache line,
-/// so a kernel's timing follows its work and not where the linker happened
-/// to place it (a 32-byte shift of the width-1 gather once moved a serving
-/// benchmark's proximity p50 by half). ci.sh checks the symbols with nm.
-inline constexpr size_t kLaneKernelAlignment = 64;
-
 /// \brief {&Kernel<1>::Run, ..., &Kernel<kMaxTransposeLanes>::Run}, indexed
 /// by block - 1: one compile-time instantiation per lane-block width, so
 /// every width a shrinking block passes through runs fully unrolled lane

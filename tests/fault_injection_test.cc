@@ -10,12 +10,11 @@
 #include <string>
 #include <vector>
 
-#include "bca/hub_selection.h"
 #include "common/rng.h"
-#include "graph/generators.h"
+#include "core/online_query.h"
 #include "graph/graph_io.h"
-#include "index/index_builder.h"
 #include "index/index_io.h"
+#include "index_fixtures.h"
 #include "rwr/transition.h"
 
 namespace rtk {
@@ -40,23 +39,13 @@ class FaultInjectionTest : public ::testing::Test {
     out << content;
   }
 
-  std::string ReadFile(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  }
-
-  // The deterministic index every persistence test mutates: same graph,
-  // hub set, and BCA options as the checked-in v1 golden fixture.
+  // The deterministic index every persistence test mutates: the index the
+  // checked-in golden fixtures hold (index_fixtures.h). Keeps its graph and
+  // operator in graph_ and op_.
   Result<LowerBoundIndex> BuildGoldenIndex() {
-    Rng rng(7);
-    graph_ = std::move(ErdosRenyi(60, 400, &rng)).value();
+    graph_ = GoldenGraph();
     op_ = std::make_unique<TransitionOperator>(graph_);
-    auto hubs = SelectHubs(graph_, {.degree_budget_b = 4});
-    IndexBuildOptions opts;
-    opts.capacity_k = 8;
-    opts.shard_nodes = 16;  // several shards over 60 nodes
-    return BuildLowerBoundIndex(*op_, *hubs, opts);
+    return rtk::BuildGoldenIndex(graph_, *op_);
   }
 
   // A valid saved index (current format) to mutate.
@@ -65,17 +54,6 @@ class FaultInjectionTest : public ::testing::Test {
     EXPECT_TRUE(index.ok());
     const std::string path = Path("valid.idx");
     EXPECT_TRUE(SaveIndex(*index, path).ok());
-    return path;
-  }
-
-  // The same index in the legacy monolithic format.
-  std::string MakeValidV1IndexFile() {
-    auto index = BuildGoldenIndex();
-    EXPECT_TRUE(index.ok());
-    const std::string path = Path("valid_v1.idx");
-    SaveIndexOptions opts;
-    opts.format_version = 1;
-    EXPECT_TRUE(SaveIndex(*index, path, opts).ok());
     return path;
   }
 
@@ -141,7 +119,7 @@ TEST_F(FaultInjectionTest, MissingIndexFile) {
 
 TEST_F(FaultInjectionTest, BadMagicRejected) {
   const std::string path = MakeValidIndexFile();
-  std::string bytes = ReadFile(path);
+  std::string bytes = ReadFileBytes(path);
   bytes[0] = 'X';
   WriteFile(Path("badmagic.idx"), bytes);
   auto loaded = LoadIndex(Path("badmagic.idx"), 60);
@@ -151,7 +129,7 @@ TEST_F(FaultInjectionTest, BadMagicRejected) {
 
 TEST_F(FaultInjectionTest, TruncationAtEveryQuarterRejected) {
   const std::string path = MakeValidIndexFile();
-  const std::string bytes = ReadFile(path);
+  const std::string bytes = ReadFileBytes(path);
   ASSERT_GT(bytes.size(), 64u);
   for (double fraction : {0.25, 0.5, 0.75, 0.99}) {
     const auto cut = static_cast<size_t>(bytes.size() * fraction);
@@ -163,7 +141,7 @@ TEST_F(FaultInjectionTest, TruncationAtEveryQuarterRejected) {
 
 TEST_F(FaultInjectionTest, PayloadBitflipFailsChecksum) {
   const std::string path = MakeValidIndexFile();
-  std::string bytes = ReadFile(path);
+  std::string bytes = ReadFileBytes(path);
   // Flip one byte in the middle of the payload (past the 8-byte magic,
   // before the trailing 8-byte checksum).
   bytes[bytes.size() / 2] ^= 0x40;
@@ -182,7 +160,7 @@ TEST_F(FaultInjectionTest, NodeCountMismatchRejected) {
 
 TEST_F(FaultInjectionTest, AppendedJunkRejected) {
   const std::string path = MakeValidIndexFile();
-  std::string bytes = ReadFile(path);
+  std::string bytes = ReadFileBytes(path);
   bytes += "EXTRA BYTES AFTER CHECKSUM";
   WriteFile(Path("junk.idx"), bytes);
   auto loaded = LoadIndex(Path("junk.idx"), 60);
@@ -193,7 +171,7 @@ TEST_F(FaultInjectionTest, AppendedJunkRejected) {
 // (the v2 format checks every shard independently).
 TEST_F(FaultInjectionTest, ShardPayloadBitflipFailsShardChecksum) {
   const std::string path = MakeValidIndexFile();
-  std::string bytes = ReadFile(path);
+  std::string bytes = ReadFileBytes(path);
   // The last bytes of the file are the last shard's payload; flip one near
   // the end, far from the checksummed header/directory.
   bytes[bytes.size() - 16] ^= 0x01;
@@ -208,7 +186,7 @@ TEST_F(FaultInjectionTest, ShardPayloadBitflipFailsShardChecksum) {
 
 TEST_F(FaultInjectionTest, HeaderBitflipFailsHeaderChecksum) {
   const std::string path = MakeValidIndexFile();
-  std::string bytes = ReadFile(path);
+  std::string bytes = ReadFileBytes(path);
   bytes[12] ^= 0x20;  // inside the n/k header fields
   WriteFile(Path("headerflip.idx"), bytes);
   auto loaded = LoadIndex(Path("headerflip.idx"), 60);
@@ -219,7 +197,7 @@ TEST_F(FaultInjectionTest, HeaderBitflipFailsHeaderChecksum) {
 // Parallel loads must reject corruption exactly like serial ones.
 TEST_F(FaultInjectionTest, ParallelLoadRejectsCorruptionToo) {
   const std::string path = MakeValidIndexFile();
-  std::string bytes = ReadFile(path);
+  std::string bytes = ReadFileBytes(path);
   bytes[bytes.size() - 16] ^= 0x01;
   WriteFile(Path("pflip.idx"), bytes);
   ThreadPool pool(4);
@@ -228,11 +206,12 @@ TEST_F(FaultInjectionTest, ParallelLoadRejectsCorruptionToo) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-// ReadIndexFileInfo verifies no checksum, so corrupt header counts must
-// surface as clean Corruption — never as count-sized allocations or reads.
+// ReadIndexFileInfo reads the header's counts before the checksum that
+// covers them, so corrupt counts must surface as clean Corruption — never
+// as count-sized allocations or reads.
 TEST_F(FaultInjectionTest, IndexFileInfoOnCorruptHeaderReturnsStatus) {
   const std::string path = MakeValidIndexFile();
-  std::string bytes = ReadFile(path);
+  std::string bytes = ReadFileBytes(path);
   // num_hubs sits after magic(8) + n,k(8) + alpha,eta,delta,max_iter(28).
   for (int i = 0; i < 4; ++i) bytes[44 + i] = '\xFF';
   WriteFile(Path("hugehubs.idx"), bytes);
@@ -241,17 +220,54 @@ TEST_F(FaultInjectionTest, IndexFileInfoOnCorruptHeaderReturnsStatus) {
   EXPECT_EQ(info.status().code(), StatusCode::kCorruption);
 
   // Truncation anywhere in the header region is also a clean status.
-  WriteFile(Path("shortinfo.idx"), ReadFile(path).substr(0, 50));
+  WriteFile(Path("shortinfo.idx"), ReadFileBytes(path).substr(0, 50));
   auto short_info = ReadIndexFileInfo(Path("shortinfo.idx"));
   ASSERT_FALSE(short_info.ok());
   EXPECT_EQ(short_info.status().code(), StatusCode::kCorruption);
 }
 
-// --------------------------------------------------------- v1 files --
+// A header whose counts are all plausible but whose checksum does not
+// match is corrupt for index-info exactly as for LoadIndex.
+TEST_F(FaultInjectionTest, IndexFileInfoVerifiesHeaderChecksum) {
+  const std::string path = MakeValidIndexFile();
+  auto layout = ReadIndexFileInfo(path);
+  ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+  // The directory's (bytes, checksum) pairs end at the header checksum,
+  // which the hub blob follows; shard 0's checksum is its second u64.
+  const uint64_t directory_at = layout->hub_blob_offset - sizeof(uint64_t) -
+                                layout->num_shards * 2 * sizeof(uint64_t);
+  std::string bytes = ReadFileBytes(path);
+  bytes[directory_at + sizeof(uint64_t)] ^= 0x01;
+  WriteFile(Path("dirsum.idx"), bytes);
+
+  auto info = ReadIndexFileInfo(Path("dirsum.idx"));
+  ASSERT_FALSE(info.ok()) << "shard 0 checksum read back as " << std::hex
+                          << info->shard_checksums[0];
+  EXPECT_EQ(info.status().code(), StatusCode::kCorruption);
+  auto loaded = LoadIndex(Path("dirsum.idx"), 60);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+// A failed save leaves nothing behind: the temp file goes with the error.
+TEST_F(FaultInjectionTest, FailedSaveRemovesTempFile) {
+  auto index = BuildGoldenIndex();
+  ASSERT_TRUE(index.ok());
+  // rename() cannot replace a non-empty directory.
+  const std::string target = Path("target");
+  fs::create_directories(target);
+  WriteFile(target + "/occupant", "x");
+  Status saved = SaveIndex(*index, target);
+  ASSERT_FALSE(saved.ok());
+  EXPECT_EQ(saved.code(), StatusCode::kIOError);
+  EXPECT_FALSE(fs::exists(target + ".tmp"));
+  EXPECT_TRUE(fs::exists(target + "/occupant"));
+}
+
+// ----------------------------------------------------- golden fixtures --
 
 TEST_F(FaultInjectionTest, V1TruncationAndBitflipRejected) {
-  const std::string path = MakeValidV1IndexFile();
-  const std::string bytes = ReadFile(path);
+  const std::string bytes = ReadFileBytes(GoldenIndexPath(1));
   ASSERT_GT(bytes.size(), 64u);
   for (double fraction : {0.25, 0.5, 0.75, 0.99}) {
     const auto cut = static_cast<size_t>(bytes.size() * fraction);
@@ -304,6 +320,125 @@ TEST_F(FaultInjectionTest, V1GoldenFixtureLoadsAndMatchesRebuild) {
   auto again = LoadIndex(resaved, 60);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->ResidueL1(30), loaded->ResidueL1(30));
+}
+
+// The v2 fixture loads in both tiers and matches a fresh build bit for
+// bit, as the v1 fixture does on the heap tier.
+TEST_F(FaultInjectionTest, V2GoldenFixtureLoadsAndMatchesRebuild) {
+  const std::string fixture = GoldenIndexPath(2);
+  auto info = ReadIndexFileInfo(fixture);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->format_version, 2u);
+  EXPECT_EQ(info->num_shards, 4u);
+
+  auto rebuilt = BuildGoldenIndex();
+  ASSERT_TRUE(rebuilt.ok());
+  for (StorageTier tier : {StorageTier::kHeap, StorageTier::kMmap}) {
+    SCOPED_TRACE(tier == StorageTier::kHeap ? "heap" : "mmap");
+    LoadIndexOptions options;
+    options.tier = tier;
+    auto loaded = LoadIndex(fixture, 60, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->storage_tier(), tier);
+    EXPECT_EQ(loaded->capacity_k(), 8u);
+    EXPECT_EQ(loaded->shard_nodes(), 16u);
+    for (uint32_t u = 0; u < 60; ++u) {
+      EXPECT_EQ(loaded->ResidueL1(u), rebuilt->ResidueL1(u)) << "u=" << u;
+      const auto a = loaded->LowerBounds(u);
+      const auto b = rebuilt->LowerBounds(u);
+      for (uint32_t k = 0; k < 8; ++k) {
+        EXPECT_EQ(a[k], b[k]) << "u=" << u << " k=" << k;
+      }
+      EXPECT_EQ(loaded->State(u).bytes(), rebuilt->State(u).bytes())
+          << "u=" << u;
+    }
+    EXPECT_EQ(loaded->hub_store().hubs(), rebuilt->hub_store().hubs());
+    EXPECT_EQ(loaded->hub_store().PackedEntries(),
+              rebuilt->hub_store().PackedEntries());
+  }
+}
+
+// SaveIndex writes exactly the v3 fixture for the index it holds: the
+// writer's bytes are pinned, not just its round trip.
+TEST_F(FaultInjectionTest, SaveIndexReproducesV3GoldenFixture) {
+  auto index = BuildGoldenIndex();
+  ASSERT_TRUE(index.ok());
+  const std::string path = Path("golden_v3.idx");
+  ASSERT_TRUE(SaveIndex(*index, path).ok());
+  const std::string fixture = ReadFileBytes(GoldenIndexPath(3));
+  ASSERT_EQ(fixture.size(), 86896u);
+  EXPECT_TRUE(ReadFileBytes(path) == fixture)
+      << "SaveIndex output differs from index_v3_golden.idx";
+}
+
+// Hostile index files: seeded 1-4 byte edits in one section of the v3
+// fixture (header, hub blob or payloads), each file re-sealed so every
+// checksum holds and only the parser's own validation can reject it, plus
+// every fixture cut short at several lengths. Reading the header, loading in either tier, materializing the
+// hub store and querying must each return a Status or a result — never
+// crash or hit undefined behaviour (ci.sh runs this under ASan+UBSan).
+TEST_F(FaultInjectionTest, MutatedAndTruncatedIndexFilesFailCleanly) {
+  ASSERT_TRUE(BuildGoldenIndex().ok());  // graph_ and op_ for the queries
+  const std::string v3 = GoldenIndexPath(3);
+  auto layout = ReadIndexFileInfo(v3);
+  ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+  const std::string hostile = Path("hostile.idx");
+
+  // Returns how many of the two tiers loaded the file.
+  const auto exercise = [&](const std::string& bytes) {
+    WriteFile(hostile, bytes);
+    (void)ReadIndexFileInfo(hostile);
+    int loads = 0;
+    for (StorageTier tier : {StorageTier::kHeap, StorageTier::kMmap}) {
+      LoadIndexOptions options;
+      options.tier = tier;
+      auto loaded = LoadIndex(hostile, 60, options);
+      if (!loaded.ok()) continue;
+      ++loads;
+      (void)loaded->EnsureHubStore();
+      ReverseTopkSearcher searcher(*op_, &*loaded);
+      for (uint32_t q : {0u, 23u, 59u}) {
+        QueryOptions query;
+        query.k = 1 + q % loaded->capacity_k();
+        (void)searcher.Query(q, query);
+      }
+    }
+    return loads;
+  };
+
+  constexpr int kMutations = 500;
+  const std::string valid = ReadFileBytes(v3);
+  // Each file's edits land in one section, picked evenly, so the small
+  // header is edited as often as the hub blob and the shard payloads.
+  const uint64_t sections[] = {0, layout->hub_blob_offset,
+                               layout->shard_offsets[0], valid.size()};
+  Rng rng(2026);
+  int loaded_somewhere = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string bytes = valid;
+    const uint64_t section = rng.Uniform(3);
+    const uint64_t begin = sections[section];
+    const uint64_t edits = 1 + rng.Uniform(4);
+    for (uint64_t e = 0; e < edits; ++e) {
+      bytes[begin + rng.Uniform(sections[section + 1] - begin)] =
+          static_cast<char>(rng.Uniform(256));
+    }
+    ResealV3(*layout, &bytes);
+    loaded_somewhere += exercise(bytes) > 0;
+  }
+  // The header parse rejects some edits outright; the mmap tier opens
+  // every file whose header holds and meets the rest on first touch.
+  EXPECT_LT(loaded_somewhere, kMutations);
+  EXPECT_GT(loaded_somewhere, kMutations / 2);
+
+  for (uint32_t version : {1u, 2u, 3u}) {
+    const std::string bytes = ReadFileBytes(GoldenIndexPath(version));
+    for (double fraction : {0.0, 0.0005, 0.001, 0.01, 0.07, 0.5, 0.9999}) {
+      SCOPED_TRACE("v" + std::to_string(version) + " cut at " +
+                   std::to_string(fraction));
+      EXPECT_EQ(exercise(bytes.substr(0, bytes.size() * fraction)), 0);
+    }
+  }
 }
 
 TEST_F(FaultInjectionTest, ValidFileStillLoadsAfterAllThat) {

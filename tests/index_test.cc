@@ -19,6 +19,7 @@
 #include "index/index_builder.h"
 #include "index/index_io.h"
 #include "index/lower_bound_index.h"
+#include "index_fixtures.h"
 #include "rwr/power_method.h"
 #include "rwr/transition.h"
 
@@ -455,50 +456,40 @@ void ExpectSameIndex(const LowerBoundIndex& a, const LowerBoundIndex& b) {
   }
 }
 
-// Every format version must carry identical content: save the same index
-// as v1, v2, and v3 (the default), load all three, compare everything.
+// Every format version must carry identical content: the checked-in
+// fixtures hold the same index as v1, v2 and v3 (index_fixtures.h); load
+// all three and compare everything against a fresh build.
 TEST_F(IndexIoTest, AllFormatVersionRoundTripsAgree) {
-  Rng rng(67);
-  Result<Graph> g = ErdosRenyi(80, 500, &rng);
-  ASSERT_TRUE(g.ok());
-  TransitionOperator op(*g);
-  IndexBuildOptions opts;
-  opts.capacity_k = 12;
-  opts.shard_nodes = 32;
-  LowerBoundIndex index = MustBuild(op, {0, 7, 11}, opts);
+  const Graph g = GoldenGraph();
+  TransitionOperator op(g);
+  Result<LowerBoundIndex> built = BuildGoldenIndex(g, op);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const LowerBoundIndex& index = *built;
 
-  const std::string v1_path = (dir_ / "index_v1.bin").string();
-  const std::string v2_path = (dir_ / "index_v2.bin").string();
-  const std::string v3_path = (dir_ / "index_v3.bin").string();
-  SaveIndexOptions v1_opts;
-  v1_opts.format_version = 1;
-  ASSERT_TRUE(SaveIndex(index, v1_path, v1_opts).ok());
-  SaveIndexOptions v2_opts;
-  v2_opts.format_version = 2;
-  ASSERT_TRUE(SaveIndex(index, v2_path, v2_opts).ok());
-  ASSERT_TRUE(SaveIndex(index, v3_path).ok());  // default = v3
-
-  Result<LowerBoundIndex> v1 = LoadIndex(v1_path, g->num_nodes());
+  const std::string v1_path = GoldenIndexPath(1);
+  const std::string v2_path = GoldenIndexPath(2);
+  const std::string v3_path = GoldenIndexPath(3);
+  Result<LowerBoundIndex> v1 = LoadIndex(v1_path, g.num_nodes());
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  Result<LowerBoundIndex> v2 = LoadIndex(v2_path, g->num_nodes());
+  Result<LowerBoundIndex> v2 = LoadIndex(v2_path, g.num_nodes());
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  Result<LowerBoundIndex> v3 = LoadIndex(v3_path, g->num_nodes());
+  Result<LowerBoundIndex> v3 = LoadIndex(v3_path, g.num_nodes());
   ASSERT_TRUE(v3.ok()) << v3.status().ToString();
   ExpectSameIndex(index, *v1);
   ExpectSameIndex(index, *v2);
   ExpectSameIndex(index, *v3);
   // The sharded loaders reconstruct the file's shard layout.
-  EXPECT_EQ(v2->shard_nodes(), 32u);
+  EXPECT_EQ(v2->shard_nodes(), 16u);
   EXPECT_EQ(v2->num_shards(), index.num_shards());
-  EXPECT_EQ(v3->shard_nodes(), 32u);
+  EXPECT_EQ(v3->shard_nodes(), 16u);
   EXPECT_EQ(v3->num_shards(), index.num_shards());
 
   auto info = ReadIndexFileInfo(v3_path);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->format_version, 3u);
-  EXPECT_EQ(info->num_nodes, 80u);
-  EXPECT_EQ(info->capacity_k, 12u);
-  EXPECT_EQ(info->shard_nodes, 32u);
+  EXPECT_EQ(info->num_nodes, 60u);
+  EXPECT_EQ(info->capacity_k, 8u);
+  EXPECT_EQ(info->shard_nodes, 16u);
   EXPECT_EQ(info->num_shards, index.num_shards());
   auto v2_info = ReadIndexFileInfo(v2_path);
   ASSERT_TRUE(v2_info.ok());
@@ -527,9 +518,7 @@ TEST_F(IndexIoTest, ParallelSaveAndLoadMatchSerial) {
   const std::string serial_path = (dir_ / "serial.bin").string();
   const std::string parallel_path = (dir_ / "parallel.bin").string();
   ASSERT_TRUE(SaveIndex(index, serial_path).ok());
-  SaveIndexOptions pooled;
-  pooled.pool = &pool;
-  ASSERT_TRUE(SaveIndex(index, parallel_path, pooled).ok());
+  ASSERT_TRUE(SaveIndex(index, parallel_path, &pool).ok());
 
   auto read_all = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);

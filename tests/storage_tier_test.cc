@@ -53,6 +53,7 @@
 #include "graph/generators.h"
 #include "index/index_io.h"
 #include "index/shard_backing.h"
+#include "index_fixtures.h"
 #include "serving/refinement_log.h"
 #include "serving/serving_engine.h"
 
@@ -94,14 +95,11 @@ class StorageTierTest : public ::testing::Test {
   }
 
   // Builds an engine, saves its index, and returns the file path.
-  std::string MakeIndexFile(const Graph& graph, uint32_t format_version = 3) {
+  std::string MakeIndexFile(const Graph& graph) {
     auto built = ReverseTopkEngine::Build(Graph(graph), CoarseOptions());
     EXPECT_TRUE(built.ok()) << built.status().ToString();
-    const std::string path =
-        Path("index_v" + std::to_string(format_version) + ".rtki");
-    SaveIndexOptions save;
-    save.format_version = format_version;
-    EXPECT_TRUE(SaveIndex((*built)->index(), path, save).ok());
+    const std::string path = Path("index_v3.rtki");
+    EXPECT_TRUE(SaveIndex((*built)->index(), path).ok());
     return path;
   }
 
@@ -190,10 +188,11 @@ TEST_F(StorageTierTest, QueriesAndRefinedStateIdenticalAcrossTiers) {
   EXPECT_EQ(bytes_a, bytes_b);
 }
 
+// The checked-in v2 and v3 fixtures hold the same index (index_fixtures.h).
 TEST_F(StorageTierTest, V2FilesLoadInBothTiersAndAgree) {
-  const Graph graph = TestGraph();
-  const std::string v2_path = MakeIndexFile(graph, /*format_version=*/2);
-  const std::string v3_path = MakeIndexFile(graph, /*format_version=*/3);
+  const Graph graph = GoldenGraph();
+  const std::string v2_path = GoldenIndexPath(2);
+  const std::string v3_path = GoldenIndexPath(3);
 
   auto v2_mmap = LoadTiered(graph, v2_path, StorageTier::kMmap);
   ASSERT_TRUE(v2_mmap.ok()) << v2_mmap.status().ToString();
@@ -201,8 +200,9 @@ TEST_F(StorageTierTest, V2FilesLoadInBothTiersAndAgree) {
   ASSERT_TRUE(v3_heap.ok()) << v3_heap.status().ToString();
 
   QueryOptions qopts;
+  qopts.k = 8;  // the fixtures' capacity K
   qopts.update_index = false;
-  for (uint32_t q : {7u, 120u, 333u}) {
+  for (uint32_t q : {7u, 20u, 33u}) {
     auto ra = (*v2_mmap)->QueryWithOptions(q, qopts);
     auto rb = (*v3_heap)->QueryWithOptions(q, qopts);
     ASSERT_TRUE(ra.ok() && rb.ok());
@@ -211,8 +211,8 @@ TEST_F(StorageTierTest, V2FilesLoadInBothTiersAndAgree) {
 }
 
 TEST_F(StorageTierTest, V1FileRejectedByMmapTier) {
-  const Graph graph = TestGraph();
-  const std::string v1_path = MakeIndexFile(graph, /*format_version=*/1);
+  const Graph graph = GoldenGraph();
+  const std::string v1_path = GoldenIndexPath(1);
   auto v1_heap = LoadTiered(graph, v1_path, StorageTier::kHeap);
   EXPECT_TRUE(v1_heap.ok()) << v1_heap.status().ToString();
   auto v1_mmap = LoadTiered(graph, v1_path, StorageTier::kMmap);
@@ -294,6 +294,37 @@ TEST_F(StorageTierTest, ShardCorruptionEagerOnHeapLazyAndPinnedOnMmap) {
       << result.status().ToString();
   // Sticky: the source remembers the first error.
   EXPECT_FALSE((*mmap)->index().storage_status().ok());
+}
+
+// Saving an mmap-tier index with a corrupt cold section fails: the hub
+// blob would be written as an empty store and a shard as its zero-
+// knowledge stand-in, in a file whose checksums all hold.
+TEST_F(StorageTierTest, SaveRefusesCorruptColdSections) {
+  const Graph graph = TestGraph();
+  const std::string path = MakeIndexFile(graph);
+  auto info = ReadIndexFileInfo(path);
+  ASSERT_TRUE(info.ok());
+  ASSERT_GT(info->hub_blob_bytes, 0u);
+  const std::string valid = ReadBytes(path);
+  LoadIndexOptions lazy;
+  lazy.tier = StorageTier::kMmap;
+  for (uint64_t at : {info->hub_blob_offset, info->shard_offsets[1]}) {
+    SCOPED_TRACE(at);
+    const std::string corrupt = Path("corrupt.rtki");
+    std::string bytes = valid;
+    bytes[at] ^= 0x40;
+    {
+      std::ofstream out(corrupt, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    auto mmap = LoadIndex(corrupt, graph.num_nodes(), lazy);
+    ASSERT_TRUE(mmap.ok()) << mmap.status().ToString();
+    const std::string out = Path("resaved.rtki");
+    Status saved = SaveIndex(*mmap, out);
+    EXPECT_EQ(saved.code(), StatusCode::kCorruption) << saved.ToString();
+    EXPECT_FALSE(fs::exists(out));
+    EXPECT_FALSE(fs::exists(out + ".tmp"));
+  }
 }
 
 TEST_F(StorageTierTest, HubBlobCorruptionDefersToFirstRefiningQuery) {
@@ -738,37 +769,11 @@ TEST_F(StorageTierTest, OutOfRangeIdsInChecksummedFilesAreCorruption) {
   state_id_at += row_bytes + sizeof(uint32_t) + sizeof(uint64_t);
 
   // v3 layout (index_io.h): magic, n, k and BCA options take 44 bytes;
-  // hub count, omega and dropped count 20 more; then the hub ids, the
-  // offsets, the hub blob checksum, the shard width and count, the shard
-  // directory and the header checksum; then the hub blob and the shard
-  // payloads.
+  // hub count, omega and dropped count 20 more; then the hub ids and the
+  // offsets. The hub blob follows the header.
   const size_t hubs_at = 64;
   const size_t offsets_at = hubs_at + info->num_hubs * sizeof(uint32_t);
-  const size_t blob_sum_at =
-      offsets_at + (info->num_hubs + 1) * sizeof(uint64_t);
-  const size_t blob_bytes = info->hub_entries * kBcaEntryBytes;
-  const size_t header_sum_at =
-      info->shard_offsets[0] - blob_bytes - sizeof(uint64_t);
-  const size_t directory_at =
-      header_sum_at - info->num_shards * 2 * sizeof(uint64_t);
-  const size_t blob_at = header_sum_at + sizeof(uint64_t);
-
-  const auto put = [](std::string* bytes, size_t at, auto value) {
-    std::memcpy(bytes->data() + at, &value, sizeof(value));
-  };
-  // Re-seals every checksum the loaders verify, so only their own
-  // validation can reject the edit.
-  const auto reseal = [&](std::string* bytes) {
-    const auto sum = [&](size_t at, size_t len) {
-      return Fnv1a64(std::string_view(*bytes).substr(at, len));
-    };
-    for (uint32_t s = 0; s < info->num_shards; ++s) {
-      put(bytes, directory_at + (2 * s + 1) * sizeof(uint64_t),
-          sum(info->shard_offsets[s], info->shard_bytes[s]));
-    }
-    put(bytes, blob_sum_at, sum(blob_at, blob_bytes));
-    put(bytes, header_sum_at, sum(0, header_sum_at));
-  };
+  const size_t blob_at = info->hub_blob_offset;
 
   // Each case overwrites one field: an id n + 10^6, or a hub offset past
   // the final one (so the offsets no longer ascend).
@@ -791,7 +796,7 @@ TEST_F(StorageTierTest, OutOfRangeIdsInChecksummedFilesAreCorruption) {
     SCOPED_TRACE(c.name);
     std::string bytes = valid;
     std::memcpy(bytes.data() + c.at, &c.value, c.width);  // little-endian
-    reseal(&bytes);
+    ResealV3(*info, &bytes);
     const std::string bad = Path("bad.rtki");
     {
       std::ofstream out(bad, std::ios::binary | std::ios::trunc);

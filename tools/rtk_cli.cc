@@ -421,9 +421,9 @@ int CmdIndexInfo(int argc, char** argv) {
                 static_cast<unsigned long long>(max_b));
   }
   if (!info->shard_offsets.empty()) {
-    // Per-shard directory table: file regions straight from the v2 header
-    // (no payload read), plus each shard's residency under the loaded
-    // tier. With many shards, elide the middle.
+    // Per-shard directory table: file regions straight from the v2 or v3
+    // header (no payload read), plus each shard's residency under the
+    // loaded tier. With many shards, elide the middle.
     std::printf("shard directory (offset / bytes / checksum / residency):\n");
     const uint32_t shards = info->num_shards;
     constexpr uint32_t kHead = 8, kTail = 4;
